@@ -1,10 +1,10 @@
 """commdim: exact commutative-subalgebra dimension machinery over GF(p).
 
 Builds two-step nilpotent Lie and associative algebras from tuples of
-bilinear forms, certifies by exhaustive subspace enumeration that a sampled
-tuple admits no common isotropic subspace of a given dimension, computes
-maximal abelian subalgebra dimensions exactly, and evaluates the related
-closed-form dimension bounds.
+bilinear forms, certifies by an exact search that a sampled tuple admits no
+common isotropic subspace of a given dimension, computes maximal abelian
+subalgebra dimensions exactly with the same search, and evaluates the
+related closed-form dimension bounds.
 """
 
 from .algebra import (
@@ -62,6 +62,7 @@ from .search import (
     class2_exact_result,
     class2_form_tuple,
     greedy_abelian_class2,
+    largest_common_isotropic,
     max_abelian_class2_exact,
     max_abelian_exact,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "is_abelian_subspace",
     "is_common_isotropic",
     "is_prime",
+    "largest_common_isotropic",
     "matrix_algebra",
     "matrix_commutative_subalgebra",
     "max_abelian_class2_exact",

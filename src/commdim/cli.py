@@ -24,9 +24,8 @@ from .construct import (
 )
 from .errors import CertificationFailed, EnumerationTooLarge
 from .forms import FormTuple, GenericityCertificate, certify_no_isotropic, reverify_certificate
-from .gf import DEFAULT_ENUM_BUDGET, PrimeField
+from .gf import DEFAULT_SEARCH_BUDGET, PrimeField
 from .search import (
-    DEFAULT_SEARCH_BUDGET,
     class2_exact_result,
     greedy_abelian_class2,
     max_abelian_exact,
@@ -69,8 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-attempts", type=int, default=256)
     p.add_argument("--kind", choices=("alternating", "symmetric", "general"), default="alternating")
     p.add_argument("--mode", choices=("isotropic", "symmetric-restriction"), default="isotropic")
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET, help="search nodes per sampled tuple")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("construct", help="build an algebra from a certificate or form tuple")
@@ -81,8 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="maximal abelian subalgebra dimension")
     p.add_argument("--alg", required=True)
     p.add_argument("--mode", choices=("exact", "class2", "greedy"), required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET, help="search nodes (exact, class2)")
 
     p = sub.add_parser("bounds", help="closed-form bound report")
     p.add_argument("--n", type=int, required=True)
@@ -109,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reverify", help="replay a certificate")
     p.add_argument("--cert", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET, help="search nodes")
 
     return ap
 
@@ -133,7 +130,6 @@ def _run(args) -> int:
             kind=args.kind,
             mode=args.mode,
             budget=args.budget,
-            jobs=args.jobs,
         )
         _emit(cert.to_json(), args.output)
         return 0
@@ -147,13 +143,11 @@ def _run(args) -> int:
     if cmd == "search":
         alg = StructureConstantAlgebra.from_json(_load_json(args.alg))
         if args.mode == "exact":
-            budget = args.budget if args.budget is not None else DEFAULT_SEARCH_BUDGET
-            res = max_abelian_exact(alg, budget=budget)
+            res = max_abelian_exact(alg, budget=args.budget)
             _emit(res.to_json())
             return 0 if res.exact else 2
         if args.mode == "class2":
-            budget = args.budget if args.budget is not None else DEFAULT_ENUM_BUDGET
-            res = class2_exact_result(alg, budget=budget, jobs=args.jobs)
+            res = class2_exact_result(alg, budget=args.budget)
         else:
             res = greedy_abelian_class2(alg)
         _emit(res.to_json())
@@ -198,7 +192,7 @@ def _run(args) -> int:
 
     if cmd == "reverify":
         cert = GenericityCertificate.from_json(_load_json(args.cert))
-        ok = reverify_certificate(cert, jobs=args.jobs)
+        ok = reverify_certificate(cert, budget=args.budget)
         _emit({"reverified": ok})
         return 0 if ok else 1
 

@@ -2,7 +2,7 @@
 
 
 class EnumerationTooLarge(RuntimeError):
-    """A subspace enumeration would exceed the configured budget."""
+    """A subspace enumeration or search would exceed the configured budget."""
 
     def __init__(self, message: str, count: int):
         super().__init__(message)

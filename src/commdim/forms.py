@@ -1,36 +1,38 @@
 """Tuples of bilinear forms and the sample-and-certify genericity check.
 
-A certificate records a seeded tuple of forms together with the exhaustive
-count of k-dimensional subspaces scanned, so that anyone can regenerate the
-tuple from the seed and replay the scan.  Sampling replaces a counting
-argument: under 2n < t(k-1) good tuples exist, so bounded retrying over
-consecutive seeds is sound, and failure to certify never claims that good
-tuples do not exist.
+A certificate records a seeded tuple of forms for which the exact
+isotropic-subspace search (:func:`commdim.search.largest_common_isotropic`)
+found no common k-dimensional isotropic subspace, together with the number
+of search nodes it visited and the number of k-subspaces that rules out.
+Anyone can regenerate the tuple from the seed and replay the search, which
+must visit the same nodes.  Sampling replaces a counting argument: under
+2n < t(k-1) good tuples exist, so bounded retrying over consecutive seeds is
+sound, and failure to certify never claims that good tuples do not exist.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import CertificationFailed, EnumerationTooLarge
+from .errors import CertificationFailed
 from .gf import (
-    DEFAULT_ENUM_BUDGET,
+    DEFAULT_SEARCH_BUDGET,
     MatrixGF,
     PrimeField,
     Subspace,
     gaussian_binomial,
-    rref_arrays_for_pivots,
+    rref_arrays_for_pivots,  # noqa: F401  perfbench/tracer.py counts subspaces through this name
 )
 
 FORM_KINDS = ("alternating", "symmetric", "general")
 MODE_ISOTROPIC = "isotropic"
 MODE_SYMMETRIC = "symmetric-restriction"
 _MODES = (MODE_ISOTROPIC, MODE_SYMMETRIC)
+METHOD = "isotropic-dfs"  # the certificate's provenance tag
 
 
 class FormTuple:
@@ -148,87 +150,47 @@ def sample_form_tuple(n: int, t: int, kind: str, field: PrimeField, seed: int) -
     return FormTuple(n, t, kind, field, mats, seed=seed)
 
 
-def _restrictions(mats: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
-    """(t, k, k) tensor of the form restrictions to the rows of basis."""
-    return np.einsum("ka,mab,lb->mkl", basis, mats, basis) % p
-
-
-def _basis_matches(mats: np.ndarray, basis: np.ndarray, mode: str, p: int) -> bool:
-    r = _restrictions(mats, basis, p)
-    if mode == MODE_ISOTROPIC:
-        return not r.any()
-    return not ((r - r.transpose(0, 2, 1)) % p).any()
+def _mode_stack(forms: FormTuple, mode: str) -> np.ndarray:
+    """Forms whose common isotropic subspaces are the ones the mode asks for."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    s = forms.stack()
+    # the restrictions of M are all symmetric where M - M^T restricts to zero
+    return s if mode == MODE_ISOTROPIC else (s - s.transpose(0, 2, 1)) % forms.p
 
 
 def is_common_isotropic(forms: FormTuple, sub: Subspace, mode: str = MODE_ISOTROPIC) -> bool:
     """Check one subspace: all restrictions zero (or all symmetric)."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    stack = _mode_stack(forms, mode)
     if sub.ambient_dim != forms.n or sub.p != forms.p:
         raise ValueError("subspace does not live on the forms' space")
-    return _basis_matches(forms.stack(), sub.basis.a, mode, forms.p)
+    b = sub.basis.a
+    return not (np.einsum("ka,mab,lb->mkl", b, stack, b) % forms.p).any()
 
 
-def _scan_pivot_block(args) -> tuple[int, int, list] | None:
-    """Scan a block of pivot patterns; return the first hit as global indices."""
-    p, n, k, mats, mode, block = args
-    for ci, pivots in block:
-        for si, basis in enumerate(rref_arrays_for_pivots(pivots, n, p)):
-            if _basis_matches(mats, basis, mode, p):
-                return (ci, si, basis.tolist())
-    return None
+def _search(forms: FormTuple, k: int, mode: str, budget: int) -> tuple[Subspace | None, int]:
+    """(first matching k-dim subspace or None, search nodes visited)."""
+    from .search import largest_common_isotropic  # search imports this module
+
+    res = largest_common_isotropic(_mode_stack(forms, mode), forms.p, k=k, budget=budget).require_complete()
+    witness = None if res.basis is None else Subspace(forms.n, MatrixGF(forms.p, res.basis), _canonical=True)
+    return witness, res.nodes_visited
 
 
 def find_common_isotropic(
     forms: FormTuple,
     k: int,
     mode: str = MODE_ISOTROPIC,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    jobs: int = 1,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Subspace | None:
-    """Exhaustively scan canonical k-dim subspaces for the first match.
+    """The first matching k-dim subspace in canonical enumeration order.
 
-    Returns the first subspace (in canonical enumeration order) on which all
-    forms restrict to zero (mode "isotropic") or to symmetric matrices (mode
-    "symmetric-restriction"), or None when no subspace qualifies.  With
-    jobs > 1 the pivot patterns are partitioned across processes; the hit
-    with the least global index wins, so the result is jobs-independent.
+    A subspace matches when all forms restrict to zero on it (mode
+    "isotropic") or to symmetric matrices (mode "symmetric-restriction").
+    Returns None when no subspace matches, and raises EnumerationTooLarge
+    when the search needs more than budget nodes.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    n, p = forms.n, forms.p
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    total = gaussian_binomial(n, k, p)
-    if total * forms.t > budget:
-        raise EnumerationTooLarge(
-            f"scanning {total} subspaces against {forms.t} forms exceeds budget {budget}",
-            count=total,
-        )
-    mats = forms.stack()
-    combos = list(enumerate(itertools.combinations(range(n), k)))
-    if jobs > 1 and len(combos) > 1:
-        hit = _parallel_scan(p, n, k, mats, mode, combos, jobs)
-    else:
-        hit = _scan_pivot_block((p, n, k, mats, mode, combos))
-    if hit is None:
-        return None
-    basis = np.asarray(hit[2], dtype=np.int64).reshape(k, n)
-    return Subspace(n, MatrixGF(p, basis), _canonical=True)
-
-
-def _parallel_scan(p, n, k, mats, mode, combos, jobs) -> tuple | None:
-    from concurrent.futures import ProcessPoolExecutor
-    import multiprocessing as mp
-
-    jobs = min(jobs, len(combos))
-    chunks = [combos[i::jobs] for i in range(jobs)]
-    ctx = mp.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-        hits = [h for h in pool.map(_scan_pivot_block, [(p, n, k, mats, mode, c) for c in chunks]) if h]
-    if not hits:
-        return None
-    return min(hits, key=lambda h: (h[0], h[1]))
+    return _search(forms, k, mode, budget)[0]
 
 
 @dataclass
@@ -241,6 +203,9 @@ class GenericityCertificate:
     vacuous: bool = False
     mode: str = MODE_ISOTROPIC
     verdict: str = dc_field(default="certified")
+    # provenance; certificates issued before the search existed have neither
+    method: str | None = None
+    nodes_visited: int | None = None
 
     @property
     def n(self) -> int:
@@ -269,6 +234,10 @@ class GenericityCertificate:
                 "mode": self.mode,
             }
         )
+        if self.method is not None:
+            obj["method"] = self.method
+        if self.nodes_visited is not None:
+            obj["nodes_visited"] = self.nodes_visited
         return obj
 
     @classmethod
@@ -280,6 +249,8 @@ class GenericityCertificate:
             vacuous=bool(obj.get("vacuous", False)),
             mode=obj.get("mode", MODE_ISOTROPIC),
             verdict=obj.get("verdict", "certified"),
+            method=obj.get("method"),
+            nodes_visited=None if obj.get("nodes_visited") is None else int(obj["nodes_visited"]),
         )
 
 
@@ -292,14 +263,13 @@ def certify_no_isotropic(
     max_attempts: int = 256,
     kind: str = "alternating",
     mode: str = MODE_ISOTROPIC,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    jobs: int = 1,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> GenericityCertificate:
-    """Sample tuples at seeds seed, seed+1, ... until one scans clean.
+    """Sample tuples at seeds seed, seed+1, ... until one has no k-dim match.
 
-    The successful seed and the exhaustive subspace count go into the
-    certificate.  When k exceeds n the claim is vacuously true and the
-    certificate is issued immediately with zero subspaces checked.
+    The successful seed, the search's node count and the number of k-dim
+    subspaces ruled out go into the certificate.  When k exceeds n the claim
+    is vacuously true and the certificate is issued without a search.
     """
     if seed is None:
         raise ValueError("certification requires an explicit seed")
@@ -313,14 +283,14 @@ def certify_no_isotropic(
         )
     if n < k:
         forms = sample_form_tuple(n, t, kind, field, seed)
-        return GenericityCertificate(forms, k, 0, vacuous=True, mode=mode)
+        return GenericityCertificate(forms, k, 0, vacuous=True, mode=mode, method=METHOD, nodes_visited=0)
     last_witness = None
     for attempt in range(max_attempts):
         forms = sample_form_tuple(n, t, kind, field, seed + attempt)
-        witness = find_common_isotropic(forms, k, mode=mode, budget=budget, jobs=jobs)
+        witness, nodes = _search(forms, k, mode, budget)
         if witness is None:
             checked = gaussian_binomial(n, k, field.p)
-            return GenericityCertificate(forms, k, checked, vacuous=False, mode=mode)
+            return GenericityCertificate(forms, k, checked, mode=mode, method=METHOD, nodes_visited=nodes)
         last_witness = witness
     raise CertificationFailed(
         f"all {max_attempts} sampled tuples admitted a common subspace "
@@ -329,11 +299,13 @@ def certify_no_isotropic(
     )
 
 
-def reverify_certificate(cert: GenericityCertificate, budget: int = DEFAULT_ENUM_BUDGET, jobs: int = 1) -> bool:
-    """Regenerate the tuple from the recorded seed and replay the scan."""
-    if cert.verdict != "certified":
-        return False
-    if cert.seed is None:
+def reverify_certificate(cert: GenericityCertificate, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+    """Regenerate the tuple from the recorded seed and replay the search.
+
+    A recorded node count must be met exactly.  Running out of budget proves
+    nothing either way, so it raises EnumerationTooLarge.
+    """
+    if cert.verdict != "certified" or cert.method not in (None, METHOD) or cert.seed is None:
         return False
     try:
         regen = sample_form_tuple(cert.n, cert.t, cert.forms.kind, cert.forms.field, cert.seed)
@@ -342,13 +314,10 @@ def reverify_certificate(cert: GenericityCertificate, budget: int = DEFAULT_ENUM
     if regen != cert.forms:
         return False
     if cert.vacuous:
-        return cert.n < cert.k and cert.subspaces_checked == 0
+        return cert.n < cert.k and cert.subspaces_checked == 0 and cert.nodes_visited in (None, 0)
     if cert.k > cert.n:
         return False
-    try:
-        witness = find_common_isotropic(regen, cert.k, mode=cert.mode, budget=budget, jobs=jobs)
-    except EnumerationTooLarge:
-        return False
-    if witness is not None:
+    witness, nodes = _search(regen, cert.k, cert.mode, budget)
+    if witness is not None or cert.nodes_visited not in (None, nodes):
         return False
     return cert.subspaces_checked == gaussian_binomial(cert.n, cert.k, cert.p)

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import EnumerationTooLarge
 
 MAX_PRIME = 8191
-DEFAULT_ENUM_BUDGET = 10**8
+DEFAULT_ENUM_BUDGET = 10**8  # subspaces streamed by enumerate_subspaces
+DEFAULT_SEARCH_BUDGET = 5_000_000  # nodes of the isotropic-subspace search
 
 
 def is_prime(n: int) -> bool:

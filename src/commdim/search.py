@@ -1,15 +1,16 @@
 """Maximal abelian (commutative) subalgebra dimensions.
 
-Three routes:
+One exact engine, :func:`largest_common_isotropic`, finds the largest
+subspace on which a tuple of bilinear forms vanishes; certification in
+:mod:`commdim.forms` and both exact routes here run it:
 
-* :func:`max_abelian_exact` -- depth-first search over canonical subspaces
-  whose basis vectors pairwise commute, pruned by centralizer dimension.
-  A subspace on which all commutators vanish of maximal dimension is
-  automatically closed under the product (its generated subalgebra is again
-  commuting, so it cannot be larger), which makes the commuting-subspace
-  maximum equal to the commutative-subalgebra maximum for both kinds.
-* :func:`max_abelian_class2_exact` -- for two-step algebras the question
-  reduces to the largest common isotropic subspace of the induced forms.
+* :func:`max_abelian_exact` -- on the commutator forms of the whole algebra.
+  A commuting subspace of maximal dimension is automatically closed under
+  the product (its generated subalgebra is again commuting, so it cannot be
+  larger), which makes the commuting-subspace maximum equal to the
+  commutative-subalgebra maximum for both kinds.
+* :func:`class2_exact_result` -- for two-step algebras, on the induced forms
+  of a complement of the center; the center is added to the witness.
 * :func:`greedy_abelian_class2` -- the constructive procedure that solves a
   growing linear system; its output size s certifies dim <= s^2/4 + s.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +30,10 @@ from .algebra import (
     nilpotency_class,
     pairwise_products,
 )
-from .forms import FormTuple, find_common_isotropic
+from .errors import EnumerationTooLarge
+from .forms import FormTuple, find_common_isotropic  # noqa: F401  perfbench/tracer.py wraps this name
 from .gf import (
-    DEFAULT_ENUM_BUDGET,
+    DEFAULT_SEARCH_BUDGET,
     MatrixGF,
     Subspace,
     nullspace_array,
@@ -38,17 +41,116 @@ from .gf import (
     solve_affine,
 )
 
-DEFAULT_SEARCH_BUDGET = 5_000_000  # DFS node visits
+
+class IsotropicSearch(NamedTuple):
+    """Outcome of :func:`largest_common_isotropic`.
+
+    ``basis`` is the witness's canonical RREF basis, or None when the asked
+    dimension admits no subspace.  ``complete`` is False when the node budget
+    ran out; ``basis`` is then the best subspace found before that.
+    """
+
+    basis: np.ndarray | None
+    nodes_visited: int
+    complete: bool
+
+    def require_complete(self) -> "IsotropicSearch":
+        if not self.complete:
+            raise EnumerationTooLarge(
+                f"isotropic-subspace search exceeded its budget of {self.nodes_visited - 1} nodes",
+                count=self.nodes_visited,
+            )
+        return self
+
+
+def largest_common_isotropic(
+    stack: np.ndarray, p: int, k: int | None = None, budget: int = DEFAULT_SEARCH_BUDGET
+) -> IsotropicSearch:
+    """Largest subspace of GF(p)^n isotropic for every form of a (t, n, n) stack.
+
+    With k given, a k-dimensional one instead, or basis None if none exists.
+    Depth-first search over canonical RREF bases: a subspace is reached by
+    peeling off its top row, and what remains is again isotropic, so each
+    isotropic subspace is visited at most once.  A new top row v, with its
+    pivot left of the others, solves (w M) v = 0 for every chosen row w and
+    form M; unless the stack is alternating it also solves (v M) w = 0 and
+    must satisfy v M v = 0.  A branch is cut when its extension space cannot
+    lift the dimension to the target, k or the best found so far.  The
+    witness has the least (pivots, free values) key among subspaces of its
+    dimension, so it is the first one in :func:`enumerate_subspaces` order.
+    """
+    stack = np.asarray(stack, dtype=np.int64) % p
+    n = stack.shape[2]
+    if k is not None and not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if not stack.any():
+        return IsotropicSearch(np.eye(n if k is None else k, n, dtype=np.int64), 0, True)
+    alternating = not np.einsum("mii->mi", stack).any() and not ((stack + stack.transpose(0, 2, 1)) % p).any()
+    sides = stack if alternating else np.concatenate([stack, stack.transpose(0, 2, 1)])
+    # the rows w @ lift, reshaped, are the equations (w M) x = 0 of basis row w
+    lift = sides.transpose(1, 0, 2).reshape(n, -1)
+    best_dim, best_key, best_rows = k, None, None
+    if k is None:  # the zero subspace stands until a larger one turns up
+        best_dim, best_key, best_rows = 0, ((), []), np.zeros((0, n), dtype=np.int64)
+    nodes = 0
+
+    def visit(rows: np.ndarray, pivots: tuple[int, ...]) -> bool:
+        """Search below one node; False once the budget is exhausted."""
+        nonlocal nodes, best_dim, best_key, best_rows
+        nodes += 1
+        if nodes > budget:
+            return False
+        depth = len(pivots)
+        if depth >= best_dim:
+            # with the pivots equal, the entries order as the free values do
+            key = (pivots, rows.ravel().tolist())
+            if depth > best_dim or best_key is None or key < best_key:
+                best_dim, best_key, best_rows = depth, key, rows
+        min_pivot = pivots[0] if depth else n
+        if min_pivot == 0 or depth == k:
+            return True
+        system = (rows @ lift).reshape(-1, n) % p
+        # every further row lies in N = {x : system x = 0, zero at the current
+        # pivots}; its pivot sits left of min_pivot, so the reachable extra
+        # dimension is the rank of N's left block
+        fix = np.eye(n, dtype=np.int64)[list(pivots)]
+        n_basis = nullspace_array(np.concatenate([system, fix], axis=0), p)
+        if depth + rref_array(n_basis[:, :min_pivot], p)[0] < best_dim:
+            return True
+        for pnew in range(min_pivot):
+            if np.any(rows[:, pnew]):
+                continue  # the extended matrix would not be in RREF
+            q_cols = [q for q in range(pnew + 1, n) if q not in pivots]
+            sol = solve_affine(system[:, q_cols], (-system[:, pnew]) % p, p)
+            if sol is None:
+                continue
+            x0, hom = sol
+            for combo in itertools.product(range(p), repeat=hom.shape[0]):
+                v = np.zeros(n, dtype=np.int64)
+                v[pnew] = 1
+                v[q_cols] = (x0 + np.asarray(combo, dtype=np.int64) @ hom) % p
+                if not alternating and (np.einsum("a,mab,b->m", v, stack, v) % p).any():
+                    continue
+                if not visit(np.vstack([v[None, :], rows]), (pnew,) + pivots):
+                    return False
+        return True
+
+    complete = visit(np.zeros((0, n), dtype=np.int64), ())
+    return IsotropicSearch(best_rows, nodes, complete)
 
 
 @dataclass
 class SearchResult:
-    """A subalgebra-dimension answer; exact=False means lower bound only."""
+    """A subalgebra-dimension answer; exact=False means lower bound only.
+
+    nodes_visited is None for the greedy procedure, which runs no search.
+    """
 
     mode: str
     dim: int
     witness: Subspace | None
     exact: bool
+    nodes_visited: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -56,18 +158,8 @@ class SearchResult:
             "dim": self.dim,
             "witness": self.witness.to_json() if self.witness is not None else None,
             "exact": self.exact,
+            "nodes_visited": self.nodes_visited,
         }
-
-
-def _canonical_key(rows: np.ndarray, pivots: tuple[int, ...]) -> tuple:
-    ps = set(pivots)
-    free_vals = tuple(
-        int(rows[r, c])
-        for r, pc in enumerate(pivots)
-        for c in range(pc + 1, rows.shape[1])
-        if c not in ps
-    )
-    return (pivots, free_vals)
 
 
 def _subalgebra_closure(a: StructureConstantAlgebra, sub: Subspace) -> Subspace:
@@ -86,90 +178,25 @@ def max_abelian_exact(
 ) -> SearchResult:
     """Exact maximum dimension of a commutative subalgebra, with witness.
 
-    Depth-first search over canonical RREF bases: a subspace is reached by
-    peeling off its top basis row, so each commuting subspace is visited
-    exactly once.  A branch is cut when the commuting extension space cannot
-    lift the current dimension to the best one found.  The witness is the
-    canonically first subspace of maximal dimension.  If the node budget is
-    exhausted the result is flagged as a lower bound.
+    The largest common isotropic subspace of the commutator forms; the
+    witness is the canonically first subspace of maximal dimension.  If the
+    node budget is exhausted the result is flagged as a lower bound.
     """
-    d, p = a.dim, a.p
-    comm = a.commutator_table()
-    if d == 0 or not comm.any():
-        witness = Subspace.full(p, d)
-        return SearchResult("exact", d, witness, True)
-
-    best = {"dim": 0, "key": ((), ()), "rows": np.zeros((0, d), dtype=np.int64)}
-    nodes = 0
-    aborted = False
-
-    def visit(rows: np.ndarray, pivots: tuple[int, ...]):
-        nonlocal nodes, aborted
-        if aborted:
-            return
-        nodes += 1
-        if nodes > budget:
-            aborted = True
-            return
-        k = len(pivots)
-        if k > best["dim"]:
-            best.update(dim=k, key=_canonical_key(rows, pivots), rows=rows)
-        elif k == best["dim"] and k > 0:
-            key = _canonical_key(rows, pivots)
-            if key < best["key"]:
-                best.update(key=key, rows=rows)
-        min_pivot = pivots[0] if k else d
-        if min_pivot == 0:
-            return
-        comm_rows = _centralizer_system(a, rows)
-        # every further extension vector lies in N = {x : commutes with rows,
-        # zero at current pivots}; its new pivots sit left of min_pivot, so
-        # the reachable extra dimension is the rank of N's left block
-        fix = np.zeros((k, d), dtype=np.int64)
-        if k:
-            fix[np.arange(k), list(pivots)] = 1
-        n_basis = nullspace_array(np.concatenate([comm_rows, fix], axis=0), p)
-        extra = rref_array(n_basis[:, :min_pivot], p)[0]
-        if k + extra < best["dim"]:
-            return
-        pivot_set = set(pivots)
-        for pnew in range(min_pivot):
-            if rows.size and np.any(rows[:, pnew]):
-                continue  # the extended matrix would not be in RREF
-            q_cols = [q for q in range(pnew + 1, d) if q not in pivot_set]
-            sol = solve_affine(comm_rows[:, q_cols], (-comm_rows[:, pnew]) % p, p)
-            if sol is None:
-                continue
-            x0, hom = sol
-            for combo in itertools.product(range(p), repeat=hom.shape[0]):
-                x = x0
-                if combo:
-                    x = (x0 + np.asarray(combo, dtype=np.int64) @ hom) % p
-                v = np.zeros(d, dtype=np.int64)
-                v[pnew] = 1
-                if q_cols:
-                    v[q_cols] = x
-                visit(np.vstack([v[None, :], rows]), (pnew,) + pivots)
-                if aborted:
-                    return
-
-    visit(np.zeros((0, d), dtype=np.int64), ())
-    witness = Subspace(d, MatrixGF(p, best["rows"]), _canonical=True)
+    # form k sends (y, x) to [x, y]_k: the rows of a basis vector y are then
+    # those of _centralizer_system
+    res = largest_common_isotropic(a.commutator_table().transpose(2, 1, 0), a.p, budget=budget)
+    witness = Subspace(a.dim, MatrixGF(a.p, res.basis), _canonical=True)
     if a.kind == "assoc":
         witness = _subalgebra_closure(a, witness)
-    return SearchResult("exact", witness.dim, witness, not aborted)
+    return SearchResult("exact", witness.dim, witness, res.complete, res.nodes_visited)
 
 
-def max_abelian_class2_exact(
-    forms: FormTuple, budget: int = DEFAULT_ENUM_BUDGET, jobs: int = 1
-) -> int:
+def max_abelian_class2_exact(forms: FormTuple, budget: int = DEFAULT_SEARCH_BUDGET) -> int:
     """t plus the largest k admitting a common isotropic k-dim subspace."""
     if forms.kind != "alternating":
         raise ValueError("class-2 reduction needs alternating forms")
-    for k in range(forms.n, -1, -1):
-        if find_common_isotropic(forms, k, budget=budget, jobs=jobs) is not None:
-            return forms.t + k
-    raise AssertionError("k = 0 always matches")
+    res = largest_common_isotropic(forms.stack(), forms.p, budget=budget).require_complete()
+    return forms.t + len(res.basis)
 
 
 def class2_form_tuple(
@@ -196,25 +223,17 @@ def class2_form_tuple(
 
 
 def class2_exact_result(
-    a: StructureConstantAlgebra, budget: int = DEFAULT_ENUM_BUDGET, jobs: int = 1
+    a: StructureConstantAlgebra, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> SearchResult:
     """Exact maximum via the isotropic reduction, with an embedded witness."""
     if a.dim == 0:
-        return SearchResult("class2", 0, Subspace.zero(a.p, 0), True)
+        return SearchResult("class2", 0, Subspace.zero(a.p, 0), True, 0)
     forms, z, comp = class2_form_tuple(a)
-    witness_small = None
-    k_found = 0
-    for k in range(forms.n, -1, -1):
-        witness_small = find_common_isotropic(forms, k, budget=budget, jobs=jobs)
-        if witness_small is not None:
-            k_found = k
-            break
-    emb = np.zeros((witness_small.dim, a.dim), dtype=np.int64)
-    if comp:
-        emb[:, comp] = witness_small.basis.a
-    stacked = np.concatenate([emb, z.basis.a], axis=0)
-    witness = Subspace.span(a.p, stacked, a.dim)
-    return SearchResult("class2", z.dim + k_found, witness, True)
+    res = largest_common_isotropic(forms.stack(), a.p, budget=budget).require_complete()
+    emb = np.zeros((len(res.basis), a.dim), dtype=np.int64)
+    emb[:, comp] = res.basis
+    witness = Subspace.span(a.p, np.concatenate([emb, z.basis.a], axis=0), a.dim)
+    return SearchResult("class2", z.dim + len(res.basis), witness, True, res.nodes_visited)
 
 
 def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
@@ -248,5 +267,6 @@ def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
         span = span.sum(Subspace.span(p, [new]))
     s = len(picks) + z.dim
     witness = span.sum(z)
-    assert a.dim <= (s * s) // 4 + s
+    if a.dim > (s * s) // 4 + s:
+        raise RuntimeError(f"greedy output s = {s} breaks dim {a.dim} <= floor(s^2/4) + s")
     return SearchResult("greedy", s, witness, False)

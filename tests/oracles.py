@@ -32,6 +32,23 @@ def brute_force_max_abelian(alg: StructureConstantAlgebra) -> int:
     return 0
 
 
+def _restrictions_vanish(forms, basis: np.ndarray, mode: str) -> bool:
+    mats = np.stack([m.a for m in forms.mats])
+    r = np.einsum("ka,mab,lb->mkl", basis, mats, basis) % forms.p
+    if mode == "symmetric-restriction":
+        r = (r - r.transpose(0, 2, 1)) % forms.p
+    return not r.any()
+
+
+def first_common_isotropic(forms, k: int, mode: str = "isotropic"):
+    """The first k-dim subspace, in enumeration order, on which every form
+    restricts to zero (or to a symmetric matrix); None if there is none."""
+    for sub in enumerate_subspaces(forms.n, k, PrimeField(forms.p)):
+        if _restrictions_vanish(forms, sub.basis.a, mode):
+            return sub
+    return None
+
+
 def brute_force_max_isotropic(forms, mode_symmetric=False) -> int:
     """Largest k with a qualifying subspace, by scanning every subspace."""
     field = PrimeField(forms.p)

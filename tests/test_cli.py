@@ -109,25 +109,6 @@ def test_full_pipeline_deterministic(tmp_path, capsys):
     assert outputs[0][3]["dim"] <= 6
 
 
-def test_search_jobs_independent(tmp_path, capsys):
-    cert_path = str(tmp_path / "cert.json")
-    alg_path = str(tmp_path / "alg.json")
-    code, _ = run_json(
-        capsys,
-        "certify", "--n", "5", "--t", "4", "--k", "4", "--p", "2",
-        "--seed", "5", "--max-attempts", "200", "-o", cert_path,
-    )
-    assert code == 0
-    code, _ = run_json(capsys, "construct", "--from", cert_path, "--kind", "lie", "-o", alg_path)
-    assert code == 0
-    results = []
-    for jobs in ("1", "2"):
-        code, res = run_json(capsys, "search", "--alg", alg_path, "--mode", "class2", "--jobs", jobs)
-        assert code == 0
-        results.append(res)
-    assert results[0] == results[1]
-
-
 def test_search_modes(tmp_path, capsys):
     alg_path = str(tmp_path / "heis.json")
     heis = {"kind": "lie", "p": 2, "dim": 3, "sc": [{"i": 0, "j": 1, "v": [0, 0, 1]}]}
@@ -187,6 +168,21 @@ def test_reverify_cli(tmp_path, capsys):
         json.dump(cert, fh)
     code, obj = run_json(capsys, "reverify", "--cert", cert_path)
     assert code == 1 and obj == {"reverified": False}
+
+
+def test_reverify_budget_abort_exit_2(tmp_path, capsys):
+    cert_path = str(tmp_path / "cert.json")
+    code, cert = run_json(
+        capsys,
+        "certify", "--n", "3", "--t", "4", "--k", "3", "--p", "2",
+        "--seed", "7", "--max-attempts", "100", "-o", cert_path,
+    )
+    assert code == 0 and cert["method"] == "isotropic-dfs"
+    # a valid certificate too large to replay is an abort, not a rejection
+    code, obj = run_json(capsys, "reverify", "--cert", cert_path, "--budget", str(cert["nodes_visited"] - 1))
+    assert code == 2 and set(obj) == {"error"}
+    code, obj = run_json(capsys, "reverify", "--cert", cert_path, "--budget", str(cert["nodes_visited"]))
+    assert code == 0 and obj == {"reverified": True}
 
 
 def test_usage_error_is_machine_readable(capsys):

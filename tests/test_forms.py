@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commdim import (
     CertificationFailed,
@@ -17,11 +18,13 @@ from commdim import (
     find_common_isotropic,
     gaussian_binomial,
     is_common_isotropic,
+    largest_common_isotropic,
     reverify_certificate,
     sample_form_tuple,
 )
+from commdim.forms import FORM_KINDS, MODE_ISOTROPIC, MODE_SYMMETRIC
 
-from oracles import brute_force_max_isotropic, random_invertible
+from oracles import brute_force_max_isotropic, first_common_isotropic, random_invertible
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -189,6 +192,7 @@ def test_certificate_small_plane():
 def test_certificate_main_instance():
     cert = certify_no_isotropic(7, 5, 4, F2, seed=1000, max_attempts=1000)
     assert cert.subspaces_checked == gaussian_binomial(7, 4, 2) == 11811
+    assert (cert.method, cert.nodes_visited) == ("isotropic-dfs", 128)
     assert reverify_certificate(cert)
 
 
@@ -250,18 +254,70 @@ def test_reverify_detects_wrong_k():
     assert not reverify_certificate(GenericityCertificate.from_json(obj))
 
 
-# ---------------------------------------------------------------- parallel scan
+def test_reverify_detects_tampered_provenance():
+    cert = certify_no_isotropic(3, 4, 3, F2, seed=7, max_attempts=64)
+    obj = cert.to_json()
+    assert reverify_certificate(GenericityCertificate.from_json(obj))
+    for name, value in (("nodes_visited", obj["nodes_visited"] + 1), ("method", "exhaustive-scan")):
+        tampered = GenericityCertificate.from_json(dict(obj, **{name: value}))
+        assert not reverify_certificate(tampered), name
 
 
-def test_parallel_scan_matches_sequential():
-    ft = sample_form_tuple(5, 2, "alternating", F2, 31)
-    for k in (2, 3):
-        seq = find_common_isotropic(ft, k, jobs=1)
-        par = find_common_isotropic(ft, k, jobs=2)
-        assert seq == par
+def test_certificate_issued_before_provenance_still_reverifies():
+    with open(GOLDEN / "cert_n7_t5_k4_p2_seed1000_before_provenance.json") as fh:
+        old = json.load(fh)
+    assert "method" not in old and "nodes_visited" not in old
+    cert = GenericityCertificate.from_json(old)
+    assert cert.to_json() == old
+    assert reverify_certificate(cert)
+    # today's certificate of the same instance adds exactly the two fields
+    new = certify_no_isotropic(7, 5, 4, F2, seed=1000, max_attempts=1000).to_json()
+    assert {k: v for k, v in new.items() if k not in ("method", "nodes_visited")} == old
 
 
-def test_parallel_certificate_identical():
-    a = certify_no_isotropic(6, 5, 4, F2, seed=11, max_attempts=64, jobs=1)
-    b = certify_no_isotropic(6, 5, 4, F2, seed=11, max_attempts=64, jobs=2)
-    assert a.to_json() == b.to_json()
+def test_reverify_budget_abort_raises():
+    cert = certify_no_isotropic(3, 4, 3, F2, seed=7, max_attempts=64)
+    with pytest.raises(EnumerationTooLarge):
+        reverify_certificate(cert, budget=cert.nodes_visited - 1)
+    assert reverify_certificate(cert, budget=cert.nodes_visited)
+
+
+# ---------------------------------------------------------------- engine against the oracle
+
+
+@st.composite
+def small_form_tuples(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 4))
+    t = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(FORM_KINDS))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=t * n * n, max_size=t * n * n))
+    raw = np.array(entries, dtype=np.int64).reshape(t, n, n)
+    upper = np.triu(raw, 1)
+    if kind == "alternating":
+        mats = upper - upper.transpose(0, 2, 1)
+    elif kind == "symmetric":
+        mats = np.triu(raw) + upper.transpose(0, 2, 1)
+    else:
+        mats = raw
+    return FormTuple(n, t, kind, PrimeField(p), list(mats % p))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_form_tuples())
+def test_engine_matches_enumeration_oracle(ft):
+    for mode in (MODE_ISOTROPIC, MODE_SYMMETRIC):
+        for k in range(ft.n + 1):
+            got = find_common_isotropic(ft, k, mode=mode)
+            want = first_common_isotropic(ft, k, mode)
+            assert (got is None) == (want is None), (mode, k)
+            if got is not None:
+                assert json.dumps(got.to_json()) == json.dumps(want.to_json()), (mode, k)
+        # symmetric restrictions are the isotropic subspaces of M - M^T
+        stack = ft.stack()
+        if mode == MODE_SYMMETRIC:
+            stack = (stack - stack.transpose(0, 2, 1)) % ft.p
+        res = largest_common_isotropic(stack, ft.p)
+        kmax = brute_force_max_isotropic(ft, mode_symmetric=mode == MODE_SYMMETRIC)
+        assert res.complete and len(res.basis) == kmax, mode
+        assert res.basis.tolist() == first_common_isotropic(ft, kmax, mode).basis.a.tolist()

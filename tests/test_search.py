@@ -22,6 +22,7 @@ from commdim import (
     unitalize,
 )
 
+from commdim import search
 from oracles import brute_force_max_abelian
 
 F2 = PrimeField(2)
@@ -102,13 +103,30 @@ def test_exact_witness_is_canonical_first():
     assert res.witness.basis.a.tolist() == [[1, 0, 0], [0, 0, 1]]
 
 
+def test_exact_node_counts_match_the_earlier_dfs():
+    # node counts of the DFS that max_abelian_exact ran before it moved into
+    # largest_common_isotropic: the search tree is unchanged
+    cases = [
+        (heisenberg(F2), 11),
+        (sl2_gf5(), 32),
+        (filiform4(F2), 28),
+        (matrix_algebra(2, F2), 23),
+        (build_lie_from_forms(sample_form_tuple(4, 3, "alternating", F2, 77)), 1300),
+        (build_assoc_from_forms(sample_form_tuple(3, 2, "general", F2, 5)), 169),
+        (build_assoc_from_forms(sample_form_tuple(3, 3, "general", F3, 0)), 4077),
+    ]
+    for alg, nodes in cases:
+        assert max_abelian_exact(alg).nodes_visited == nodes, alg
+
+
 def test_exact_budget_abort_gives_lower_bound():
     alg = build_lie_from_forms(sample_form_tuple(4, 3, "alternating", F2, 77))
     full = max_abelian_exact(alg)
-    partial = max_abelian_exact(alg, budget=5)
-    assert not partial.exact
-    assert partial.dim <= full.dim
-    assert is_abelian_subspace(alg, partial.witness)
+    for budget in (0, 5):
+        partial = max_abelian_exact(alg, budget=budget)
+        assert not partial.exact
+        assert partial.dim <= full.dim
+        assert is_abelian_subspace(alg, partial.witness)
 
 
 def test_exact_assoc_witness_closed():
@@ -208,6 +226,13 @@ def test_greedy_certified_instance():
     assert is_abelian_subspace(alg, res.witness)
 
 
+def test_greedy_bound_holds_without_assert(monkeypatch):
+    # a solver that finds nothing leaves s = dim Z = 1, too small for d = 3
+    monkeypatch.setattr(search, "nullspace_array", lambda a, p: np.zeros((0, a.shape[1]), dtype=np.int64))
+    with pytest.raises(RuntimeError, match="floor"):
+        greedy_abelian_class2(heisenberg(F2))
+
+
 def test_greedy_rejects_class_3():
     with pytest.raises(ValueError):
         greedy_abelian_class2(filiform4(F3))
@@ -241,4 +266,6 @@ def test_search_result_json():
     res = max_abelian_exact(heisenberg(F2))
     obj = res.to_json()
     assert obj["mode"] == "exact" and obj["dim"] == 2 and obj["exact"] is True
+    assert obj["nodes_visited"] == 11
+    assert greedy_abelian_class2(heisenberg(F2)).to_json()["nodes_visited"] is None
     assert obj["witness"]["basis"]["rows"] == 2
