@@ -20,6 +20,7 @@ from .gf import (
     PrimeField,
     Subspace,
     as_gf_array,
+    json_field,
     nullspace_array,
     reduce_against_rref,
     rref_array,
@@ -123,13 +124,17 @@ class StructureConstantAlgebra:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructureConstantAlgebra":
-        sc = {(int(e["i"]), int(e["j"])): e["v"] for e in obj["sc"]}
+        p = PrimeField(json_field(obj, "p", "int")).p
+        sc = {
+            (json_field(e, "i", "int"), json_field(e, "j", "int")): [x % p for x in json_field(e, "v", "ints")]
+            for e in json_field(obj, "sc", "list")
+        }
         return cls(
-            obj["kind"],
-            PrimeField(int(obj["p"])),
-            int(obj["dim"]),
+            json_field(obj, "kind", "str"),
+            PrimeField(p),
+            json_field(obj, "dim", "int"),
             sc,
-            labels=obj.get("labels"),
+            labels=json_field(obj, "labels", "list", default=None),
         )
 
     def __repr__(self) -> str:
@@ -190,35 +195,18 @@ def verify_axioms(a: StructureConstantAlgebra) -> AxiomReport:
     """Exhaustively check the kind's axioms over all basis pairs/triples."""
     t = a.table()
     p = a.p
-    d = a.dim
     if a.kind == KIND_ASSOC:
         v = _first_assoc_violation(t, p)
         return AxiomReport("assoc", {"associative": v is None}, v)
-    # Alternating: zero diagonal and T[i,j] = -T[j,i], scanned over j <= i so
-    # a tampered reversed key (i, j) with i > j is the one reported.
-    alt_violation = None
-    for i in range(d):
-        for j in range(i + 1):
-            if j == i:
-                if t[i, i].any():
-                    alt_violation = (i, i)
-            elif ((t[i, j] + t[j, i]) % p).any():
-                alt_violation = (i, j)
-            if alt_violation:
-                break
-        if alt_violation:
-            break
+    # Alternating: zero diagonal and T[i,j] = -T[j,i], scanned row-major over
+    # j <= i so a tampered reversed key (i, j) with i > j is the one reported.
+    bad = ((t + t.transpose(1, 0, 2)) % p).any(axis=2)
+    np.fill_diagonal(bad, np.einsum("iik->ik", t).any(axis=1))
+    hits = np.argwhere(np.tril(bad))
+    alt_violation = tuple(int(x) for x in hits[0]) if hits.size else None
     jac_violation = _first_jacobi_violation(t, p)
     checks = {"alternating": alt_violation is None, "jacobi": jac_violation is None}
     return AxiomReport("lie", checks, alt_violation or jac_violation)
-
-
-def center(a: StructureConstantAlgebra) -> Subspace:
-    """Solution space of [x, e_j] = 0 for all j (commutator for assoc kind)."""
-    d = a.dim
-    c = a.commutator_table()
-    system = c.transpose(1, 2, 0).reshape(d * d, d)
-    return Subspace(d, MatrixGF(a.p, nullspace_array(system, a.p)), _canonical=True)
 
 
 def _centralizer_system(a: StructureConstantAlgebra, gens: np.ndarray) -> np.ndarray:
@@ -228,8 +216,8 @@ def _centralizer_system(a: StructureConstantAlgebra, gens: np.ndarray) -> np.nda
     if gens.shape[0] == 0:
         return np.zeros((0, d), dtype=np.int64)
     # block for g: rows (k), cols (i): sum_j C[i,j,k] g_j
-    blocks = np.tensordot(gens, c, axes=([1], [1]))  # (g, i, k)
-    return blocks.transpose(0, 2, 1).reshape(-1, d) % a.p
+    blocks = _mulmod(gens, c.transpose(1, 0, 2).reshape(d, d * d), a.p).reshape(-1, d, d)  # (g, i, k)
+    return blocks.transpose(0, 2, 1).reshape(-1, d)
 
 
 def centralizer(a: StructureConstantAlgebra, gens) -> Subspace:
@@ -240,15 +228,10 @@ def centralizer(a: StructureConstantAlgebra, gens) -> Subspace:
     return Subspace(d, MatrixGF(a.p, nullspace_array(system, a.p)), _canonical=True)
 
 
-def _product_span(a: StructureConstantAlgebra, term: np.ndarray) -> np.ndarray:
-    """RREF basis of span{e_i * b : i < d, b row of term} (true product, not commutator)."""
-    d, p = a.dim, a.p
-    if term.shape[0] == 0:
-        return term
-    prods = np.tensordot(term, a.table(), axes=([1], [1]))  # (rows, i, k)
-    flat = prods.reshape(-1, d) % p
-    rank, red, _ = rref_array(flat, p)
-    return red[:rank]
+def center(a: StructureConstantAlgebra) -> Subspace:
+    """Solution space of [x, e_j] = 0 for all j (commutator for assoc kind)."""
+    system = _centralizer_system(a, np.eye(a.dim, dtype=np.int64))
+    return Subspace(a.dim, MatrixGF(a.p, nullspace_array(system, a.p)), _canonical=True)
 
 
 def nilpotency_class(a: StructureConstantAlgebra) -> int | None:
@@ -257,32 +240,22 @@ def nilpotency_class(a: StructureConstantAlgebra) -> int | None:
     Returns the smallest c with term c+1 = 0, or None when the descending
     series stabilizes at a nonzero subspace.
     """
-    d = a.dim
+    d, p = a.dim, a.p
+    if d == 0:
+        return 0
     cur = np.eye(d, dtype=np.int64)
     m = 1
-    if cur.shape[0] == 0:
-        return 0
     while True:
-        if a.kind == KIND_LIE:
-            nxt = _bracket_span(a, cur)
-        else:
-            nxt = _product_span(a, cur)
-        if nxt.shape[0] == 0:
+        # next term: RREF basis of span{e_i * b : b row of cur}; the table is
+        # the bracket for the Lie kind and the product for the assoc kind
+        prods = np.tensordot(cur, a.table(), axes=([1], [1])).reshape(-1, d) % p
+        rank, red, _ = rref_array(prods, p)
+        if rank == 0:
             return m
-        if nxt.shape[0] == cur.shape[0]:
+        if rank == cur.shape[0]:
             return None
-        cur = nxt
+        cur = red[:rank]
         m += 1
-
-
-def _bracket_span(a: StructureConstantAlgebra, term: np.ndarray) -> np.ndarray:
-    d, p = a.dim, a.p
-    if term.shape[0] == 0:
-        return term
-    prods = np.tensordot(term, a.commutator_table(), axes=([1], [1]))
-    flat = prods.reshape(-1, d) % p
-    rank, red, _ = rref_array(flat, p)
-    return red[:rank]
 
 
 def pairwise_products(a: StructureConstantAlgebra, basis: np.ndarray) -> np.ndarray:

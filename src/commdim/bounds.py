@@ -160,7 +160,7 @@ _EXCEPTIONAL = {
     "F4": (52, 9),
     "G2": (14, 3),
 }
-_CLASSICAL_MIN_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}
+CLASSICAL_MIN_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}
 
 
 def simple_lie_data(type_: str, rank: int | None = None) -> SimpleTypeEntry:
@@ -170,11 +170,11 @@ def simple_lie_data(type_: str, rank: int | None = None) -> SimpleTypeEntry:
             raise ValueError(f"type {type_} takes no rank")
         dim, mab = _EXCEPTIONAL[type_]
         return SimpleTypeEntry(type_, None, dim, mab)
-    if type_ not in _CLASSICAL_MIN_RANK:
+    if type_ not in CLASSICAL_MIN_RANK:
         raise ValueError(f"unknown simple type {type_!r}")
     if rank is None:
         raise ValueError(f"type {type_} requires a rank")
-    lo = _CLASSICAL_MIN_RANK[type_]
+    lo = CLASSICAL_MIN_RANK[type_]
     if rank < lo:
         raise ValueError(f"type {type_} requires rank >= {lo}, got {rank}")
     l = rank
@@ -259,13 +259,10 @@ def check_structural_bound(
     cls = nilpotency_class(a)
     if cls is None:
         raise ValueError(f"algebra is not nilpotent; structure {structure!r} does not apply")
-    if structure == "nilpotent":
-        if a.kind != "lie":
-            raise ValueError("structure 'nilpotent' expects a Lie algebra")
-        bound = Fraction(n * (n + 1), 2)
-    elif structure == "nilpotent-assoc":
-        if a.kind != "assoc":
-            raise ValueError("structure 'nilpotent-assoc' expects an associative algebra")
+    if structure in ("nilpotent", "nilpotent-assoc"):
+        kind = "lie" if structure == "nilpotent" else "assoc"
+        if a.kind != kind:
+            raise ValueError(f"structure {structure!r} expects kind {kind!r}")
         bound = Fraction(n * (n + 1), 2)
     else:
         if cls > 2:

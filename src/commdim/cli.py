@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import StructureConstantAlgebra, verify_axioms
-from .bounds import FIELD_CLASSES, bound_table, exceptional_entries, simple_lie_data
+from .bounds import CLASSICAL_MIN_RANK, FIELD_CLASSES, bound_table, exceptional_entries, simple_lie_data
 from .construct import (
     build_assoc_from_forms,
     build_lie_from_forms,
@@ -167,8 +167,7 @@ def _run(args) -> int:
             entries = [simple_lie_data(args.type, args.rank)]
         else:
             entries = exceptional_entries()
-            for typ in ("A", "B", "C", "D"):
-                lo = {"A": 1, "B": 3, "C": 2, "D": 4}[typ]
+            for typ, lo in CLASSICAL_MIN_RANK.items():
                 for rank in range(lo, args.max_rank + 1):
                     entries.append(simple_lie_data(typ, rank))
         _emit([e.to_json() for e in entries])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import StructureConstantAlgebra, is_abelian_subspace
 from .forms import FormTuple
-from .gf import MatrixGF, PrimeField, Subspace
+from .gf import MatrixGF, PrimeField, Subspace, json_field
 
 MATRIX_ALGEBRA_CAP = 12
 
@@ -33,7 +33,7 @@ class ExtremalParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExtremalParams":
-        return cls(int(obj["s"]), int(obj["n"]), int(obj["t"]), int(obj["k"]))
+        return cls(*(json_field(obj, key, "int") for key in ("s", "n", "t", "k")))
 
 
 def extremal_params(s: int) -> ExtremalParams:
@@ -55,40 +55,32 @@ def extremal_params(s: int) -> ExtremalParams:
     return ExtremalParams(s, n, t, k)
 
 
+def _two_step_algebra(forms: FormTuple, kind: str) -> StructureConstantAlgebra:
+    """e_i e_j = sum_m M_m[i, j] f_m on basis e_1..e_n, f_1..f_t; Lie stores i < j only."""
+    n, t = forms.n, forms.t
+    mats = forms.stack()
+    pairs = mats.any(axis=0)
+    if kind == "lie":
+        pairs = np.triu(pairs, 1)
+    sc = {}
+    for i, j in zip(*np.nonzero(pairs)):
+        v = np.zeros(n + t, dtype=np.int64)
+        v[n:] = mats[:, i, j]
+        sc[(int(i), int(j))] = v
+    labels = [f"e{i + 1}" for i in range(n)] + [f"f{m + 1}" for m in range(t)]
+    return StructureConstantAlgebra(kind, forms.field, n + t, sc, labels=labels)
+
+
 def build_lie_from_forms(forms: FormTuple) -> StructureConstantAlgebra:
     """The class-2 nilpotent Lie algebra of an alternating tuple, dim n + t."""
     if forms.kind != "alternating":
         raise ValueError(f"Lie construction needs alternating forms, got {forms.kind!r}")
-    n, t, p = forms.n, forms.t, forms.p
-    d = n + t
-    mats = forms.stack()
-    sc = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = mats[:, i, j]
-            if coeffs.any():
-                v = np.zeros(d, dtype=np.int64)
-                v[n:] = coeffs
-                sc[(i, j)] = v
-    labels = [f"e{i + 1}" for i in range(n)] + [f"f{m + 1}" for m in range(t)]
-    return StructureConstantAlgebra("lie", forms.field, d, sc, labels=labels)
+    return _two_step_algebra(forms, "lie")
 
 
 def build_assoc_from_forms(forms: FormTuple) -> StructureConstantAlgebra:
     """The class-2 nilpotent associative algebra of an arbitrary tuple."""
-    n, t, p = forms.n, forms.t, forms.p
-    d = n + t
-    mats = forms.stack()
-    sc = {}
-    for i in range(n):
-        for j in range(n):
-            coeffs = mats[:, i, j]
-            if coeffs.any():
-                v = np.zeros(d, dtype=np.int64)
-                v[n:] = coeffs
-                sc[(i, j)] = v
-    labels = [f"e{i + 1}" for i in range(n)] + [f"f{m + 1}" for m in range(t)]
-    return StructureConstantAlgebra("assoc", forms.field, d, sc, labels=labels)
+    return _two_step_algebra(forms, "assoc")
 
 
 def unitalize(a: StructureConstantAlgebra) -> StructureConstantAlgebra:
@@ -96,21 +88,11 @@ def unitalize(a: StructureConstantAlgebra) -> StructureConstantAlgebra:
     if a.kind != "assoc":
         raise ValueError("unitalization applies to associative algebras only")
     d = a.dim
-    nd = d + 1
-    sc = {}
-    for (i, j), v in a.sc.items():
-        w = np.zeros(nd, dtype=np.int64)
-        w[:d] = v
-        sc[(i, j)] = w
-    for i in range(nd):
-        unit = np.zeros(nd, dtype=np.int64)
-        unit[i] = 1
-        sc[(i, d)] = unit
-        sc[(d, i)] = unit
-    labels = None
-    if a.labels is not None:
-        labels = list(a.labels) + ["1"]
-    return StructureConstantAlgebra("assoc", a.field, nd, sc, labels=labels)
+    sc = {key: np.concatenate([v, [0]]) for key, v in a.sc.items()}
+    for i, unit in enumerate(np.eye(d + 1, dtype=np.int64)):
+        sc[(i, d)] = sc[(d, i)] = unit
+    labels = None if a.labels is None else list(a.labels) + ["1"]
+    return StructureConstantAlgebra("assoc", a.field, d + 1, sc, labels=labels)
 
 
 def matrix_algebra(r: int, field: PrimeField) -> StructureConstantAlgebra:
@@ -151,10 +133,7 @@ def matrix_commutative_subalgebra(
     elif r == 1:
         positions = [0]
     else:
-        k = r // 2
-        width = r - k
-        positions = [a_ * r + b for a_ in range(k) for b in range(k, r)]
-        assert len(positions) == k * width
+        positions = [a_ * r + b for a_ in range(r // 2) for b in range(r // 2, r)]
     basis = np.zeros((len(positions), d), dtype=np.int64)
     basis[np.arange(len(positions)), positions] = 1
     sub = Subspace(d, MatrixGF(p, basis), _canonical=True)

@@ -25,6 +25,7 @@ from .gf import (
     PrimeField,
     Subspace,
     gaussian_binomial,
+    json_field,
     rref_arrays_for_pivots,  # noqa: F401  perfbench/tracer.py counts subspaces through this name
 )
 
@@ -106,12 +107,12 @@ class FormTuple:
     @classmethod
     def from_json(cls, obj: dict) -> "FormTuple":
         return cls(
-            int(obj["n"]),
-            int(obj["t"]),
-            obj["kind"],
-            PrimeField(int(obj["p"])),
-            [MatrixGF.from_json(m) for m in obj["mats"]],
-            seed=obj.get("seed"),
+            json_field(obj, "n", "int"),
+            json_field(obj, "t", "int"),
+            json_field(obj, "kind", "str"),
+            PrimeField(json_field(obj, "p", "int")),
+            [MatrixGF.from_json(m) for m in json_field(obj, "mats", "list")],
+            seed=json_field(obj, "seed", "int", default=None),
         )
 
 
@@ -244,13 +245,13 @@ class GenericityCertificate:
     def from_json(cls, obj: dict) -> "GenericityCertificate":
         return cls(
             forms=FormTuple.from_json(obj),
-            k=int(obj["k"]),
-            subspaces_checked=int(obj["subspaces_checked"]),
-            vacuous=bool(obj.get("vacuous", False)),
-            mode=obj.get("mode", MODE_ISOTROPIC),
-            verdict=obj.get("verdict", "certified"),
-            method=obj.get("method"),
-            nodes_visited=None if obj.get("nodes_visited") is None else int(obj["nodes_visited"]),
+            k=json_field(obj, "k", "int"),
+            subspaces_checked=int(json_field(obj, "subspaces_checked", "str")),
+            vacuous=json_field(obj, "vacuous", "bool", default=False),
+            mode=json_field(obj, "mode", "str", default=MODE_ISOTROPIC),
+            verdict=json_field(obj, "verdict", "str", default="certified"),
+            method=json_field(obj, "method", "str", default=None),
+            nodes_visited=json_field(obj, "nodes_visited", "int", default=None),
         )
 
 

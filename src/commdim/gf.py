@@ -49,12 +49,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
 
 def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
@@ -68,8 +62,34 @@ def as_gf_array(entries, p: int, shape=None) -> np.ndarray:
     return np.mod(a, p)
 
 
+_JSON_TYPES = {
+    "int": lambda v: type(v) is int,  # bool is a subclass of int, and not a JSON int
+    "ints": lambda v: isinstance(v, list) and set(map(type, v)) <= {int},
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+_REQUIRED = object()
+
+
+def json_field(obj, key: str, kind: str, default=_REQUIRED):
+    """obj[key] if it has the JSON type kind (a key of _JSON_TYPES), else ValueError.
+
+    A missing field reads as default, and so does null when default is None.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"missing field {key!r}")
+    if (value is not None or default is not None) and not _JSON_TYPES[kind](value):
+        raise ValueError(f"field {key!r} must be JSON {kind}, got {type(value).__name__}")
+    return value
+
+
 class MatrixGF:
-    """A rows x cols matrix over GF(p); entries stored reduced, row-major."""
+    """A rows x cols matrix over GF(p): plain data, entries stored reduced, row-major."""
 
     __slots__ = ("p", "a")
 
@@ -97,25 +117,6 @@ class MatrixGF:
     def cols(self) -> int:
         return self.a.shape[1]
 
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.p, self.a.T)
-
-    def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
-        if self.p != other.p:
-            raise ValueError("field mismatch")
-        return MatrixGF(self.p, (self.a @ other.a) % self.p)
-
-    def __add__(self, other: "MatrixGF") -> "MatrixGF":
-        if self.p != other.p:
-            raise ValueError("field mismatch")
-        return MatrixGF(self.p, (self.a + other.a) % self.p)
-
-    def __neg__(self) -> "MatrixGF":
-        return MatrixGF(self.p, (-self.a) % self.p)
-
-    def __sub__(self, other: "MatrixGF") -> "MatrixGF":
-        return self + (-other)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatrixGF)
@@ -140,11 +141,12 @@ class MatrixGF:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixGF":
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
+        p = PrimeField(json_field(obj, "p", "int")).p
+        rows, cols = json_field(obj, "rows", "int"), json_field(obj, "cols", "int")
+        entries = [x % p for x in json_field(obj, "entries", "ints")]
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match rows*cols")
-        return cls(int(obj["p"]), entries, shape=(rows, cols))
+        return cls(p, entries, shape=(rows, cols))
 
 
 def rref_array(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
@@ -305,7 +307,7 @@ class Subspace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Subspace":
-        return cls(int(obj["ambient_dim"]), MatrixGF.from_json(obj["basis"]))
+        return cls(json_field(obj, "ambient_dim", "int"), MatrixGF.from_json(json_field(obj, "basis", "object")))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

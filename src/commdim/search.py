@@ -166,8 +166,8 @@ def _subalgebra_closure(a: StructureConstantAlgebra, sub: Subspace) -> Subspace:
     """Smallest product-closed subspace containing sub."""
     cur = sub
     while True:
-        prods = pairwise_products(a, cur.basis.a).reshape(-1, a.dim)
-        bigger = cur.sum(Subspace.span(a.p, prods, a.dim))
+        prods = pairwise_products(a, cur.basis.a).reshape(cur.dim**2, a.dim)
+        bigger = cur.sum(Subspace(a.dim, MatrixGF(a.p, prods)))
         if bigger.dim == cur.dim:
             return cur
         cur = bigger
@@ -199,6 +199,14 @@ def max_abelian_class2_exact(forms: FormTuple, budget: int = DEFAULT_SEARCH_BUDG
     return forms.t + len(res.basis)
 
 
+def _class2_center(a: StructureConstantAlgebra) -> Subspace:
+    """The center of a, which must be nilpotent of class at most 2."""
+    cls = nilpotency_class(a)
+    if cls is None or cls > 2:
+        raise ValueError("algebra must be nilpotent of class at most 2")
+    return center(a)
+
+
 def class2_form_tuple(
     a: StructureConstantAlgebra,
 ) -> tuple[FormTuple, Subspace, list[int]]:
@@ -209,10 +217,7 @@ def class2_form_tuple(
     those unit vectors land in the center and their coefficients along the
     center basis are the induced alternating forms.
     """
-    cls = nilpotency_class(a)
-    if cls is None or cls > 2:
-        raise ValueError("algebra must be nilpotent of class at most 2")
-    z = center(a)
+    z = _class2_center(a)
     d, p = a.dim, a.p
     comp = [c for c in range(d) if c not in set(z.pivots)]
     comm = a.commutator_table()
@@ -244,16 +249,9 @@ def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
     solution space adds nothing new.  The returned dimension s (picks plus
     center) always satisfies dim <= floor(s^2/4) + s.
     """
-    cls = nilpotency_class(a)
-    if cls is None or cls > 2:
-        raise ValueError("algebra must be nilpotent of class at most 2")
+    z = _class2_center(a)
     d, p = a.dim, a.p
-    if d == 0:
-        return SearchResult("greedy", 0, Subspace.zero(p, 0), False)
-    z = center(a)
-    fix = np.zeros((z.dim, d), dtype=np.int64)
-    if z.dim:
-        fix[np.arange(z.dim), list(z.pivots)] = 1
+    fix = np.eye(d, dtype=np.int64)[list(z.pivots)]
     picks: list[np.ndarray] = []
     span = Subspace.zero(p, d)
     while True:

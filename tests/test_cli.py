@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from commdim.cli import main
 
 
@@ -209,3 +211,46 @@ def test_construct_assoc_from_cert(tmp_path, capsys):
     code, obj = run_json(capsys, "construct", "--from", cert_path, "--kind", "assoc")
     assert code == 0
     assert obj["kind"] == "assoc" and obj["dim"] == 5
+
+
+_ALG = {"kind": "lie", "p": 3, "dim": 3, "sc": [{"i": 0, "j": 1, "v": [0, 0, 1]}]}
+_FORMS = {"n": 2, "t": 1, "kind": "alternating", "p": 3, "mats": [{"p": 3, "rows": 2, "cols": 2, "entries": [0, 1, 2, 0]}]}
+_CERT = dict(_FORMS, k=2, subspaces_checked="1", seed=1, nodes_visited=1)
+
+
+@pytest.mark.parametrize(
+    "command, flag, doc",
+    [
+        ("reverify", "--cert", dict(_CERT, k=None)),
+        ("reverify", "--cert", dict(_CERT, nodes_visited=[1])),
+        ("reverify", "--cert", dict(_CERT, subspaces_checked=None)),
+        ("reverify", "--cert", [_CERT]),
+        ("verify", "--alg", dict(_ALG, sc=[{"i": 0, "j": 1, "v": None}])),
+        ("verify", "--alg", dict(_ALG, sc=None)),
+        ("verify", "--alg", [_ALG]),
+        ("verify", "--alg", dict(_ALG, sc=[{"i": 0, "j": 1, "v": [0, 0, 1e30]}])),
+        ("verify", "--alg", dict(_ALG, kind=["lie"])),
+        ("verify", "--alg", dict(_ALG, labels=3)),
+        ("search", "--alg", dict(_ALG, dim=3.5)),
+        ("construct", "--from", dict(_FORMS, mats=None)),
+        ("construct", "--from", dict(_FORMS, mats=[{"p": 3, "rows": 2, "cols": 2, "entries": "0120"}])),
+        ("construct", "--from", dict(_FORMS, n=2.0)),
+    ],
+)
+def test_malformed_json_is_a_domain_error(tmp_path, capsys, command, flag, doc):
+    path = str(tmp_path / "in.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    extra = {"search": ["--mode", "exact"], "construct": ["--kind", "lie"]}.get(command, [])
+    code, out = run(capsys, command, flag, path, *extra)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
+def test_huge_json_ints_are_reduced_mod_p(tmp_path, capsys):
+    path = str(tmp_path / "alg.json")
+    with open(path, "w") as fh:
+        json.dump(dict(_ALG, sc=[{"i": 0, "j": 1, "v": [0, 0, 3**40 + 1]}]), fh)
+    code, rep = run_json(capsys, "verify", "--alg", path)
+    assert code == 0 and rep["passed"] is True

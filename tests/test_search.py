@@ -10,6 +10,7 @@ from commdim import (
     Subspace,
     build_assoc_from_forms,
     build_lie_from_forms,
+    center,
     certify_no_isotropic,
     class2_exact_result,
     class2_form_tuple,
@@ -18,8 +19,10 @@ from commdim import (
     matrix_algebra,
     max_abelian_class2_exact,
     max_abelian_exact,
+    nilpotency_class,
     sample_form_tuple,
     unitalize,
+    verify_axioms,
 )
 
 from commdim import search
@@ -269,3 +272,13 @@ def test_search_result_json():
     assert obj["nodes_visited"] == 11
     assert greedy_abelian_class2(heisenberg(F2)).to_json()["nodes_visited"] is None
     assert obj["witness"]["basis"]["rows"] == 2
+
+
+@pytest.mark.parametrize("kind", ["lie", "assoc"])
+def test_zero_dimensional_algebra(kind):
+    a = StructureConstantAlgebra(kind, F3, 0, {})
+    assert center(a).dim == 0
+    assert nilpotency_class(a) == 0
+    assert verify_axioms(a).passed
+    for res in (max_abelian_exact(a), class2_exact_result(a), greedy_abelian_class2(a)):
+        assert res.dim == 0 and res.witness.ambient_dim == 0
