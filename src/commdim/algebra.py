@@ -162,32 +162,30 @@ class AxiomReport:
         }
 
 
-def _first_assoc_violation(t: np.ndarray, p: int) -> tuple | None:
-    # (e_i e_j) e_k == e_i (e_j e_k), checked per i to keep memory at O(d^3)
+def _first_identity_violation(t: np.ndarray, p: int, kind: str) -> tuple | None:
+    """First basis triple (i, j, k), row-major, that breaks the kind's identity.
+
+    assoc: (e_i e_j) e_k = e_i (e_j e_k).  lie: the literal cyclic sum
+    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0, kept in this form
+    because on tables that are not alternating the ad-homomorphism form
+    differs.  One (d, d, d) slab per i keeps memory at O(d^3).  The float
+    products are exact: every partial sum is an integer below 3 d p^2 < 2**53,
+    so fmod by p is zero exactly on the multiples of p.
+    """
     d = t.shape[0]
-    tr = t.reshape(d * d, d).astype(np.float64)
     tf = t.astype(np.float64)
+    flat = tf.reshape(d, d * d)  # flat[m, (k, l)] = T[m, k, l]
+    rows = tf.reshape(d * d, d)  # rows[(j, k), m] = T[j, k, m]
     for i in range(d):
-        lhs = np.mod(np.rint(tf[i] @ tr.reshape(d, d * d)).astype(np.int64), p)
-        rhs = np.mod(np.rint(tr @ tf[i]).astype(np.int64), p)
-        # lhs[j,(k,l)] = sum_m T[i,j,m] T[m,k,l]; rhs[(j,k),l] = sum_m T[j,k,m] T[i,m,l]
-        diff = (lhs.reshape(d, d, d) - rhs.reshape(d, d, d)) % p
-        bad = np.argwhere(diff.any(axis=2))
+        total = (tf[i] @ flat).reshape(d, d, d)  # [j, k] = (e_i e_j) e_k
+        if kind == KIND_ASSOC:
+            total -= (rows @ tf[i]).reshape(d, d, d)  # e_i (e_j e_k)
+        else:
+            total += (rows @ tf[:, i]).reshape(d, d, d)  # [[e_j,e_k],e_i]
+            total += (tf[:, i] @ flat).reshape(d, d, d).transpose(1, 0, 2)  # [[e_k,e_i],e_j]
+        bad = np.argwhere(np.fmod(total, p).any(axis=2))
         if bad.size:
-            j, k = int(bad[0][0]), int(bad[0][1])
-            return (i, j, k)
-    return None
-
-
-def _first_jacobi_violation(t: np.ndarray, p: int) -> tuple | None:
-    d = t.shape[0]
-    if d == 0:
-        return None
-    term1 = _mulmod(t.reshape(d * d, d), t.reshape(d, d * d), p).reshape(d, d, d, d)
-    total = (term1 + term1.transpose(1, 2, 0, 3) + term1.transpose(2, 0, 1, 3)) % p
-    bad = np.argwhere(total.any(axis=3))
-    if bad.size:
-        return tuple(int(x) for x in bad[0])
+            return (i, int(bad[0][0]), int(bad[0][1]))
     return None
 
 
@@ -195,8 +193,8 @@ def verify_axioms(a: StructureConstantAlgebra) -> AxiomReport:
     """Exhaustively check the kind's axioms over all basis pairs/triples."""
     t = a.table()
     p = a.p
+    v = _first_identity_violation(t, p, a.kind)
     if a.kind == KIND_ASSOC:
-        v = _first_assoc_violation(t, p)
         return AxiomReport("assoc", {"associative": v is None}, v)
     # Alternating: zero diagonal and T[i,j] = -T[j,i], scanned row-major over
     # j <= i so a tampered reversed key (i, j) with i > j is the one reported.
@@ -204,9 +202,8 @@ def verify_axioms(a: StructureConstantAlgebra) -> AxiomReport:
     np.fill_diagonal(bad, np.einsum("iik->ik", t).any(axis=1))
     hits = np.argwhere(np.tril(bad))
     alt_violation = tuple(int(x) for x in hits[0]) if hits.size else None
-    jac_violation = _first_jacobi_violation(t, p)
-    checks = {"alternating": alt_violation is None, "jacobi": jac_violation is None}
-    return AxiomReport("lie", checks, alt_violation or jac_violation)
+    checks = {"alternating": alt_violation is None, "jacobi": v is None}
+    return AxiomReport("lie", checks, alt_violation or v)
 
 
 def _centralizer_system(a: StructureConstantAlgebra, gens: np.ndarray) -> np.ndarray:
@@ -222,10 +219,8 @@ def _centralizer_system(a: StructureConstantAlgebra, gens: np.ndarray) -> np.nda
 
 def centralizer(a: StructureConstantAlgebra, gens) -> Subspace:
     """Solution space of [x, g] = 0 for every generator g."""
-    d = a.dim
-    g = np.asarray(list(gens), dtype=np.int64).reshape(-1, d) % a.p
-    system = _centralizer_system(a, g)
-    return Subspace(d, MatrixGF(a.p, nullspace_array(system, a.p)), _canonical=True)
+    system = _centralizer_system(a, Subspace.span(a.p, gens, a.dim).basis.a)
+    return Subspace(a.dim, MatrixGF(a.p, nullspace_array(system, a.p)), _canonical=True)
 
 
 def center(a: StructureConstantAlgebra) -> Subspace:
@@ -288,15 +283,6 @@ def is_abelian_subspace(a: StructureConstantAlgebra, s: Subspace) -> bool:
     return not comm.any()
 
 
-def _membership_reduction_matrix(sub: Subspace) -> np.ndarray:
-    """Matrix M with v @ M = residual of v after reduction against sub's RREF."""
-    n, p = sub.ambient_dim, sub.p
-    m = np.eye(n, dtype=np.int64)
-    for ri, pc in enumerate(sub.pivots):
-        m[pc] = (m[pc] - sub.basis.a[ri]) % p
-    return m
-
-
 def maximal_abelian_ideal(a: StructureConstantAlgebra) -> Subspace:
     """Greedily extend the center to an inclusion-maximal abelian ideal.
 
@@ -314,9 +300,8 @@ def maximal_abelian_ideal(a: StructureConstantAlgebra) -> Subspace:
     t = a.table()
     ideal = center(a)
     while True:
-        red = _membership_reduction_matrix(ideal)
-        # [x, e_j] in ideal for all j: rows ((j, l), i) of T[i,j,:] @ red
-        cond_ideal = np.einsum("ijl,lm->jmi", t, red).reshape(d * d, d) % p
+        # [x, e_j] in ideal for all j: rows ((j, l), i) of T[i,j,:] reduced against the ideal
+        cond_ideal = reduce_against_rref(t, ideal.basis.a, ideal.pivots, p).transpose(1, 2, 0).reshape(d * d, d)
         cond_comm = _centralizer_system(a, ideal.basis.a)
         sol = nullspace_array(np.concatenate([cond_ideal, cond_comm], axis=0), p)
         new_vec = None

@@ -246,12 +246,8 @@ class Subspace:
     @classmethod
     def span(cls, p: int, rows, ambient_dim: int | None = None) -> "Subspace":
         a = np.asarray(list(rows), dtype=np.int64)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        if a.size == 0 and ambient_dim is not None:
-            a = a.reshape(0, ambient_dim)
-        n = a.shape[1] if ambient_dim is None else ambient_dim
-        return cls(n, MatrixGF(p, a.reshape(-1, n)))
+        n = a.shape[-1] if ambient_dim is None else ambient_dim
+        return cls(n, MatrixGF(p, a.reshape(-1, n) if a.size else a.reshape(0, n)))
 
     @classmethod
     def zero(cls, p: int, n: int) -> "Subspace":

@@ -266,5 +266,5 @@ def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
     s = len(picks) + z.dim
     witness = span.sum(z)
     if a.dim > (s * s) // 4 + s:
-        raise RuntimeError(f"greedy output s = {s} breaks dim {a.dim} <= floor(s^2/4) + s")
+        raise ValueError(f"greedy output s = {s} breaks dim {a.dim} <= floor(s^2/4) + s")
     return SearchResult("greedy", s, witness, False)

@@ -4,6 +4,7 @@ Everything here goes through plain enumeration and is deliberately kept
 separate from the search/scan implementations it validates.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -63,6 +64,39 @@ def brute_force_max_isotropic(forms, mode_symmetric=False) -> int:
             elif not r.any():
                 return k
     raise AssertionError("k = 0 always qualifies")
+
+
+def first_axiom_violation(t: np.ndarray, p: int, kind: str) -> dict:
+    """Each axiom of the kind mapped to its first violating basis pair or
+    triple in row-major order (None when it holds), by plain loops over the
+    product table t[i][j] = e_i e_j."""
+    d = t.shape[0]
+    tl = t.tolist()
+    e = [[int(a == b) for b in range(d)] for a in range(d)]
+
+    def mul(x, y):
+        return [sum(x[a] * y[b] * tl[a][b][l] for a in range(d) for b in range(d)) % p for l in range(d)]
+
+    def assoc_broken(i, j, k):
+        return mul(mul(e[i], e[j]), e[k]) != mul(e[i], mul(e[j], e[k]))
+
+    def alt_broken(i, j):
+        if i == j:
+            return any(tl[i][i])
+        return any((x + y) % p for x, y in zip(tl[i][j], tl[j][i]))
+
+    def jacobi_broken(i, j, k):
+        terms = (mul(mul(e[i], e[j]), e[k]), mul(mul(e[j], e[k]), e[i]), mul(mul(e[k], e[i]), e[j]))
+        return any(sum(c) % p for c in zip(*terms))
+
+    def first(broken, keys):
+        return next((key for key in keys if broken(*key)), None)
+
+    triples = list(itertools.product(range(d), repeat=3))
+    if kind == "assoc":
+        return {"associative": first(assoc_broken, triples)}
+    pairs = [(i, j) for i in range(d) for j in range(i + 1)]
+    return {"alternating": first(alt_broken, pairs), "jacobi": first(jacobi_broken, triples)}
 
 
 def is_subalgebra(alg: StructureConstantAlgebra, sub: Subspace) -> bool:

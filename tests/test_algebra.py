@@ -1,21 +1,26 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commdim import (
     NotASubalgebra,
     PrimeField,
     StructureConstantAlgebra,
     Subspace,
+    build_lie_from_forms,
     center,
     centralizer,
     enumerate_subspaces,
     is_abelian_subspace,
     maximal_abelian_ideal,
     nilpotency_class,
+    sample_form_tuple,
     verify_axioms,
 )
+from oracles import first_axiom_violation
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -105,6 +110,43 @@ def test_axioms_associative_violation():
     rep = verify_axioms(bad)
     assert not rep.checks["associative"]
     assert rep.first_violation == (0, 0, 0)
+
+
+@st.composite
+def small_tables(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["lie", "assoc"]))
+    entry = st.sampled_from([0] * draw(st.integers(1, 20)) + list(range(1, p)))  # mostly sparse tables
+    raw = np.array(draw(st.lists(entry, min_size=d**3, max_size=d**3)), dtype=np.int64).reshape(d, d, d)
+    if draw(st.booleans()):  # alternating: zero diagonal, T[j,i] = -T[i,j]
+        upper = raw * np.triu(np.ones((d, d), dtype=np.int64), 1)[:, :, None]
+        raw = (upper - upper.transpose(1, 0, 2)) % p
+    sc = {(i, j): raw[i, j] for i in range(d) for j in range(d) if raw[i, j].any()}
+    return StructureConstantAlgebra(kind, PrimeField(p), d, sc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_tables())
+def test_axioms_match_triple_loop_oracle(a):
+    want = first_axiom_violation(a.table(), a.p, a.kind)
+    rep = verify_axioms(a)
+    assert rep.checks == {name: v is None for name, v in want.items()}
+    assert rep.first_violation == next((v for v in want.values() if v is not None), None)
+
+
+def test_axiom_check_memory_is_cubic_in_dim():
+    # a d^4 tensor at d = 48 is 5.3 M entries, about 42 MB of int64 alone
+    a = build_lie_from_forms(sample_form_tuple(40, 8, "alternating", F2, 7))
+    assert a.dim == 48
+    a.table()
+    tracemalloc.start()
+    try:
+        assert verify_axioms(a).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
 
 
 def test_axiom_report_json():

@@ -254,3 +254,14 @@ def test_huge_json_ints_are_reduced_mod_p(tmp_path, capsys):
         json.dump(dict(_ALG, sc=[{"i": 0, "j": 1, "v": [0, 0, 3**40 + 1]}]), fh)
     code, rep = run_json(capsys, "verify", "--alg", path)
     assert code == 0 and rep["passed"] is True
+
+
+def test_greedy_bound_failure_is_a_domain_error(tmp_path, capsys):
+    # not associative, but of class <= 2, so greedy runs and then breaks its bound
+    path = str(tmp_path / "alg.json")
+    with open(path, "w") as fh:
+        json.dump({"kind": "assoc", "p": 2, "dim": 2, "sc": [{"i": 1, "j": 0, "v": [0, 1]}]}, fh)
+    code, out = run(capsys, "search", "--alg", path, "--mode", "greedy")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}

@@ -172,6 +172,12 @@ def test_subspace_membership_and_lattice():
     assert t.intersection(Subspace.span(2, [[0, 1, 1]])).dim == 0
 
 
+def test_subspace_span_of_no_rows():
+    assert Subspace.span(2, [], 3) == Subspace.zero(2, 3)
+    z = Subspace.span(2, [], 0)
+    assert z.dim == 0 and z.ambient_dim == 0
+
+
 def test_subspace_json_round_trip():
     s = Subspace.span(3, [[1, 2, 0], [0, 0, 1]])
     assert Subspace.from_json(s.to_json()) == s

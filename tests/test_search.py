@@ -11,12 +11,14 @@ from commdim import (
     build_assoc_from_forms,
     build_lie_from_forms,
     center,
+    centralizer,
     certify_no_isotropic,
     class2_exact_result,
     class2_form_tuple,
     greedy_abelian_class2,
     is_abelian_subspace,
     matrix_algebra,
+    maximal_abelian_ideal,
     max_abelian_class2_exact,
     max_abelian_exact,
     nilpotency_class,
@@ -232,7 +234,7 @@ def test_greedy_certified_instance():
 def test_greedy_bound_holds_without_assert(monkeypatch):
     # a solver that finds nothing leaves s = dim Z = 1, too small for d = 3
     monkeypatch.setattr(search, "nullspace_array", lambda a, p: np.zeros((0, a.shape[1]), dtype=np.int64))
-    with pytest.raises(RuntimeError, match="floor"):
+    with pytest.raises(ValueError, match="floor"):
         greedy_abelian_class2(heisenberg(F2))
 
 
@@ -278,6 +280,9 @@ def test_search_result_json():
 def test_zero_dimensional_algebra(kind):
     a = StructureConstantAlgebra(kind, F3, 0, {})
     assert center(a).dim == 0
+    assert centralizer(a, []).dim == 0
+    if kind == "lie":
+        assert maximal_abelian_ideal(a).dim == 0
     assert nilpotency_class(a) == 0
     assert verify_axioms(a).passed
     for res in (max_abelian_exact(a), class2_exact_result(a), greedy_abelian_class2(a)):
