@@ -13,7 +13,6 @@ from .algebra import (
     center,
     centralizer,
     is_abelian_subspace,
-    maximal_abelian_ideal,
     nilpotency_class,
     verify_axioms,
 )
@@ -65,6 +64,7 @@ from .search import (
     largest_common_isotropic,
     max_abelian_class2_exact,
     max_abelian_exact,
+    maximal_abelian_ideal,
 )
 
 __version__ = "0.1.0"

@@ -282,33 +282,3 @@ def is_abelian_subspace(a: StructureConstantAlgebra, s: Subspace) -> bool:
     comm = (prods - prods.transpose(1, 0, 2)) % a.p
     return not comm.any()
 
-
-def maximal_abelian_ideal(a: StructureConstantAlgebra) -> Subspace:
-    """Greedily extend the center to an inclusion-maximal abelian ideal.
-
-    Repeats the extension step: while some x outside the current ideal i has
-    [x, g] inside i and [x, i] = 0, adjoin the first basis vector of the
-    solution space that is independent of i.  Requires a nilpotent Lie
-    algebra; the loop then terminates with an abelian ideal admitting no
-    one-element extension.
-    """
-    if a.kind != KIND_LIE:
-        raise ValueError("maximal_abelian_ideal requires a Lie algebra")
-    if nilpotency_class(a) is None:
-        raise ValueError("maximal_abelian_ideal requires a nilpotent Lie algebra")
-    d, p = a.dim, a.p
-    t = a.table()
-    ideal = center(a)
-    while True:
-        # [x, e_j] in ideal for all j: rows ((j, l), i) of T[i,j,:] reduced against the ideal
-        cond_ideal = reduce_against_rref(t, ideal.basis.a, ideal.pivots, p).transpose(1, 2, 0).reshape(d * d, d)
-        cond_comm = _centralizer_system(a, ideal.basis.a)
-        sol = nullspace_array(np.concatenate([cond_ideal, cond_comm], axis=0), p)
-        new_vec = None
-        for row in sol:
-            if not ideal.contains_vector(row):
-                new_vec = row
-                break
-        if new_vec is None:
-            return ideal
-        ideal = ideal.sum(Subspace.span(p, [new_vec]))

@@ -69,21 +69,22 @@ def _generic_lower(n: int) -> Fraction:
     return Fraction(n * n + 4 * n - 5, 8)
 
 
-def bound_table(n: int, field_class: str, c: Fraction | None = None) -> BoundReport:
+def bound_table(n: int, field_class: str, c: Fraction | str | None = None) -> BoundReport:
     """All applicable two-sided bounds for the given field class at n.
 
-    The optional constant c feeds the semisimple associative upper bound
-    (n^2 + (2c+1) n) / 2 for the "closed" class; its default 9/2 is the
-    value for algebraically closed and finite fields.
+    The optional constant c, a Fraction or its text such as "9/2", feeds the
+    semisimple associative upper bound (n^2 + (2c+1) n) / 2 for the "closed"
+    class; its default 9/2 is the value for algebraically closed and finite
+    fields.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if field_class not in FIELD_CLASSES:
         raise ValueError(f"unknown field class {field_class!r}")
-    if c is None:
-        c = DEFAULT_C
-    else:
-        c = Fraction(c)
+    try:
+        c = DEFAULT_C if c is None else Fraction(c)
+    except ZeroDivisionError:
+        raise ValueError(f"c must be a finite fraction, got {c!r}") from None
 
     low = _generic_lower(n)
     up_l_complex = Fraction(n * n + 17 * n, 2)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import StructureConstantAlgebra, verify_axioms
 from .bounds import CLASSICAL_MIN_RANK, FIELD_CLASSES, bound_table, exceptional_entries, simple_lie_data
@@ -154,8 +153,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "bounds":
-        c = Fraction(args.c) if args.c is not None else None
-        report = bound_table(args.n, args.field, c=c)
+        report = bound_table(args.n, args.field, c=args.c)
         if args.format == "table":
             print(report.table())
         else:

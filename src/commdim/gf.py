@@ -189,12 +189,10 @@ def nullspace_array(a: np.ndarray, p: int) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     ncols = a.shape[1]
     rank, red, pivots = rref_array(a, p)
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    free = [c for c in range(ncols) if c not in pivots]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-red[ri, fc]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-red[:rank, free].T) % p
     _, basis, _ = rref_array(basis, p)
     return basis[: len(free)]
 
@@ -247,7 +245,9 @@ class Subspace:
     def span(cls, p: int, rows, ambient_dim: int | None = None) -> "Subspace":
         a = np.asarray(list(rows), dtype=np.int64)
         n = a.shape[-1] if ambient_dim is None else ambient_dim
-        return cls(n, MatrixGF(p, a.reshape(-1, n) if a.size else a.reshape(0, n)))
+        if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != n):
+            raise ValueError(f"rows of shape {a.shape} do not lie in GF({p})^{n}")
+        return cls(n, MatrixGF(p, a.reshape(len(a), n)))
 
     @classmethod
     def zero(cls, p: int, n: int) -> "Subspace":

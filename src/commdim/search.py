@@ -13,17 +13,23 @@ subspace on which a tuple of bilinear forms vanishes; certification in
   of a complement of the center; the center is added to the witness.
 * :func:`greedy_abelian_class2` -- the constructive procedure that solves a
   growing linear system; its output size s certifies dim <= s^2/4 + s.
+
+Each search node makes one nullspace call, whose RREF lead columns give both
+the rank bound and the pivots a child row can take.  The greedy procedure and
+:func:`maximal_abelian_ideal` share one growth loop, :func:`_grow`, which
+adjoins the first new solution of the current linear system until none is left.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .algebra import (
+    KIND_LIE,
     StructureConstantAlgebra,
     _centralizer_system,
     center,
@@ -37,7 +43,8 @@ from .gf import (
     MatrixGF,
     Subspace,
     nullspace_array,
-    rref_array,
+    reduce_against_rref,
+    rref_array,  # noqa: F401  perfbench/tracer.py wraps this name
     solve_affine,
 )
 
@@ -83,6 +90,8 @@ def largest_common_isotropic(
     n = stack.shape[2]
     if k is not None and not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     if not stack.any():
         return IsotropicSearch(np.eye(n if k is None else k, n, dtype=np.int64), 0, True)
     alternating = not np.einsum("mii->mi", stack).any() and not ((stack + stack.transpose(0, 2, 1)) % p).any()
@@ -111,20 +120,17 @@ def largest_common_isotropic(
             return True
         system = (rows @ lift).reshape(-1, n) % p
         # every further row lies in N = {x : system x = 0, zero at the current
-        # pivots}; its pivot sits left of min_pivot, so the reachable extra
-        # dimension is the rank of N's left block
+        # pivots} and has its pivot left of min_pivot; the pivots it can have
+        # are the lead columns of N's RREF basis there, so their count bounds
+        # the reachable extra dimension and each of them has a solution
         fix = np.eye(n, dtype=np.int64)[list(pivots)]
-        n_basis = nullspace_array(np.concatenate([system, fix], axis=0), p)
-        if depth + rref_array(n_basis[:, :min_pivot], p)[0] < best_dim:
+        leads = (nullspace_array(np.concatenate([system, fix], axis=0), p) != 0).argmax(axis=1)
+        leads = leads[leads < min_pivot].tolist()
+        if depth + len(leads) < best_dim:
             return True
-        for pnew in range(min_pivot):
-            if np.any(rows[:, pnew]):
-                continue  # the extended matrix would not be in RREF
+        for pnew in leads:
             q_cols = [q for q in range(pnew + 1, n) if q not in pivots]
-            sol = solve_affine(system[:, q_cols], (-system[:, pnew]) % p, p)
-            if sol is None:
-                continue
-            x0, hom = sol
+            x0, hom = solve_affine(system[:, q_cols], (-system[:, pnew]) % p, p)
             for combo in itertools.product(range(p), repeat=hom.shape[0]):
                 v = np.zeros(n, dtype=np.int64)
                 v[pnew] = 1
@@ -241,30 +247,51 @@ def class2_exact_result(
     return SearchResult("class2", z.dim + len(res.basis), witness, True, res.nodes_visited)
 
 
+def _grow(start: Subspace, system: Callable[[Subspace], np.ndarray]) -> Subspace:
+    """Adjoin the first canonical solution of system(current) @ x = 0 outside
+    the current subspace, one at a time, until every solution lies inside."""
+    cur = start
+    while True:
+        sol = nullspace_array(system(cur), cur.p)
+        new = next((row for row in sol if not cur.contains_vector(row)), None)
+        if new is None:
+            return cur
+        cur = cur.sum(Subspace.span(cur.p, [new]))
+
+
 def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
     """Grow a commuting set in a complement of the center by linear solves.
 
-    Each step takes the first basis vector of the accumulated solution space
-    that is independent of the previous picks; the loop stops when the
-    solution space adds nothing new.  The returned dimension s (picks plus
-    center) always satisfies dim <= floor(s^2/4) + s.
+    The picks are zero at the center's pivots and commute with every earlier
+    pick; the loop stops when no further pick exists.  The returned
+    dimension s (picks plus center) always satisfies dim <= floor(s^2/4) + s.
     """
     z = _class2_center(a)
-    d, p = a.dim, a.p
-    fix = np.eye(d, dtype=np.int64)[list(z.pivots)]
-    picks: list[np.ndarray] = []
-    span = Subspace.zero(p, d)
-    while True:
-        gens = np.asarray(picks, dtype=np.int64).reshape(len(picks), d)
-        system = np.concatenate([fix, _centralizer_system(a, gens)], axis=0)
-        sol = nullspace_array(system, p)
-        new = next((row for row in sol if not span.contains_vector(row)), None)
-        if new is None:
-            break
-        picks.append(new)
-        span = span.sum(Subspace.span(p, [new]))
-    s = len(picks) + z.dim
-    witness = span.sum(z)
+    fix = np.eye(a.dim, dtype=np.int64)[list(z.pivots)]
+    picks = _grow(Subspace.zero(a.p, a.dim), lambda cur: np.concatenate([fix, _centralizer_system(a, cur.basis.a)]))
+    witness = picks.sum(z)
+    s = witness.dim
     if a.dim > (s * s) // 4 + s:
         raise ValueError(f"greedy output s = {s} breaks dim {a.dim} <= floor(s^2/4) + s")
     return SearchResult("greedy", s, witness, False)
+
+
+def maximal_abelian_ideal(a: StructureConstantAlgebra) -> Subspace:
+    """Greedily extend the center to an inclusion-maximal abelian ideal.
+
+    Each step adjoins an x outside the current ideal i with [x, g] inside i
+    for all g and [x, i] = 0.  Requires a nilpotent Lie algebra; the loop
+    then ends with an abelian ideal admitting no one-element extension.
+    """
+    if a.kind != KIND_LIE:
+        raise ValueError("maximal_abelian_ideal requires a Lie algebra")
+    if nilpotency_class(a) is None:
+        raise ValueError("maximal_abelian_ideal requires a nilpotent Lie algebra")
+    d, p, t = a.dim, a.p, a.table()
+
+    def system(ideal: Subspace) -> np.ndarray:
+        # [x, e_j] in ideal for all j: rows ((j, l), i) of T[i,j,:] reduced against the ideal
+        cond_ideal = reduce_against_rref(t, ideal.basis.a, ideal.pivots, p).transpose(1, 2, 0).reshape(d * d, d)
+        return np.concatenate([cond_ideal, _centralizer_system(a, ideal.basis.a)])
+
+    return _grow(center(a), system)

@@ -99,6 +99,25 @@ def first_axiom_violation(t: np.ndarray, p: int, kind: str) -> dict:
     return {"alternating": first(alt_broken, pairs), "jacobi": first(jacobi_broken, triples)}
 
 
+def extends_abelian_ideal(alg: StructureConstantAlgebra, ideal: Subspace, x) -> bool:
+    """[x, e_j] lies in the ideal for every j and [x, ideal] = 0, by plain
+    products; for x in an abelian ideal this always holds."""
+    t = alg.table()
+    x = np.asarray(x, dtype=np.int64)
+    in_ideal = all(ideal.contains_vector(np.einsum("a,ak->k", x, t[:, j, :]) % alg.p) for j in range(alg.dim))
+    return in_ideal and not any((np.einsum("a,b,abk->k", x, row, t) % alg.p).any() for row in ideal.basis.a)
+
+
+def abelian_ideal_extension(alg: StructureConstantAlgebra, ideal: Subspace):
+    """First vector, over all lines of GF(p)^d, outside the ideal that still
+    extends it to an abelian ideal; None if there is none."""
+    for line in enumerate_subspaces(alg.dim, 1, PrimeField(alg.p)):
+        x = line.basis.a[0]
+        if not ideal.contains_vector(x) and extends_abelian_ideal(alg, ideal, x):
+            return x
+    return None
+
+
 def is_subalgebra(alg: StructureConstantAlgebra, sub: Subspace) -> bool:
     try:
         is_abelian_subspace(alg, sub)

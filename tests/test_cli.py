@@ -48,6 +48,13 @@ def test_bounds_custom_c(capsys):
     assert entries[("a_K", "upper")] == "12"
 
 
+def test_bounds_zero_denominator_is_a_domain_error(capsys):
+    code, out = run(capsys, "bounds", "--n", "3", "--field", "closed", "--c", "1/0")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
 def test_simple_table_single(capsys):
     code, obj = run_json(capsys, "simple-table", "--type", "E8")
     assert code == 0
@@ -185,6 +192,26 @@ def test_reverify_budget_abort_exit_2(tmp_path, capsys):
     assert code == 2 and set(obj) == {"error"}
     code, obj = run_json(capsys, "reverify", "--cert", cert_path, "--budget", str(cert["nodes_visited"]))
     assert code == 0 and obj == {"reverified": True}
+
+
+def test_negative_budget_is_a_domain_error(tmp_path, capsys):
+    cert_path, alg_path = str(tmp_path / "cert.json"), str(tmp_path / "alg.json")
+    certify = ["certify", "--n", "3", "--t", "4", "--k", "3", "--p", "2", "--seed", "7", "--max-attempts", "100"]
+    assert run_json(capsys, *certify, "-o", cert_path)[0] == 0
+    with open(alg_path, "w") as fh:
+        json.dump(_ALG, fh)
+    for argv in (
+        certify,
+        ["search", "--alg", alg_path, "--mode", "exact"],
+        ["search", "--alg", alg_path, "--mode", "class2"],
+        ["reverify", "--cert", cert_path],
+    ):
+        code, out = run(capsys, *argv, "--budget", "-1")
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 1 and set(json.loads(lines[0])) == {"error"}, argv
+        assert "budget" in json.loads(lines[0])["error"]
+    # budget 0 is a valid, if tiny, budget: the search aborts
+    assert run_json(capsys, *certify, "--budget", "0")[0] == 2
 
 
 def test_usage_error_is_machine_readable(capsys):

@@ -170,6 +170,8 @@ def test_subspace_membership_and_lattice():
     assert s.sum(t) == s
     assert s.intersection(t) == t
     assert t.intersection(Subspace.span(2, [[0, 1, 1]])).dim == 0
+    with pytest.raises(ValueError, match="do not lie"):  # rows of width 3 in GF(2)^2
+        Subspace.span(2, [[1, 0, 1], [0, 1, 1]], 2)
 
 
 def test_subspace_span_of_no_rows():
@@ -193,6 +195,8 @@ def test_nullspace_solves():
             assert not ((a @ ns.T) % p).any()
             rank = rref_array(a, p)[0]
             assert ns.shape[0] == cols - rank
+            ns_rank, ns_rref, _ = rref_array(ns, p)
+            assert ns_rank == ns.shape[0] and np.array_equal(ns_rref, ns)  # the canonical basis
 
 
 def test_solve_affine():

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commdim import (
     FormTuple,
@@ -27,8 +28,8 @@ from commdim import (
     verify_axioms,
 )
 
-from commdim import search
-from oracles import brute_force_max_abelian
+from commdim import gf, search
+from oracles import abelian_ideal_extension, brute_force_max_abelian, extends_abelian_ideal
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -108,10 +109,10 @@ def test_exact_witness_is_canonical_first():
     assert res.witness.basis.a.tolist() == [[1, 0, 0], [0, 0, 1]]
 
 
-def test_exact_node_counts_match_the_earlier_dfs():
+def _earlier_dfs_node_counts():
     # node counts of the DFS that max_abelian_exact ran before it moved into
-    # largest_common_isotropic: the search tree is unchanged
-    cases = [
+    # largest_common_isotropic
+    return [
         (heisenberg(F2), 11),
         (sl2_gf5(), 32),
         (filiform4(F2), 28),
@@ -120,7 +121,28 @@ def test_exact_node_counts_match_the_earlier_dfs():
         (build_assoc_from_forms(sample_form_tuple(3, 2, "general", F2, 5)), 169),
         (build_assoc_from_forms(sample_form_tuple(3, 3, "general", F3, 0)), 4077),
     ]
-    for alg, nodes in cases:
+
+
+def test_exact_node_counts_match_the_earlier_dfs():
+    # the search tree is unchanged
+    for alg, nodes in _earlier_dfs_node_counts():
+        assert max_abelian_exact(alg).nodes_visited == nodes, alg
+
+
+def test_exact_nodes_reduce_once_and_solve_only_lead_columns(monkeypatch):
+    # a node's one nullspace gives both the rank bound and the child pivots:
+    # no direct row reduction, and every solve it asks for has a solution
+    def no_rref(a, p):
+        raise AssertionError("the search node called rref_array directly")
+
+    def consistent_solve(a, b, p):
+        sol = gf.solve_affine(a, b, p)
+        assert sol is not None, "solve_affine ran on a pivot column with no solution"
+        return sol
+
+    monkeypatch.setattr(search, "rref_array", no_rref)
+    monkeypatch.setattr(search, "solve_affine", consistent_solve)
+    for alg, nodes in _earlier_dfs_node_counts():
         assert max_abelian_exact(alg).nodes_visited == nodes, alg
 
 
@@ -265,6 +287,48 @@ def test_greedy_never_beats_exact():
         e = max_abelian_exact(alg)
         assert g.dim <= e.dim
         assert is_abelian_subspace(alg, g.witness)
+
+
+@st.composite
+def two_step_algebras(draw):
+    """Lie or assoc algebras built from random forms, or unitalized assoc ones; d <= 5."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["lie", "assoc", "unital"]))
+    n = draw(st.integers(1, 3 if kind == "unital" else 4))
+    t = draw(st.integers(1, (4 if kind == "unital" else 5) - n))
+    form_kind = "alternating" if kind == "lie" else draw(st.sampled_from(["alternating", "symmetric", "general"]))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=t * n * n, max_size=t * n * n))
+    mats = np.array(entries, dtype=np.int64).reshape(t, n, n)
+    upper = np.triu(mats, 1)  # alternating and symmetric forms mirror the upper triangle
+    if form_kind == "alternating":
+        mats = (upper - upper.transpose(0, 2, 1)) % p
+    elif form_kind == "symmetric":
+        mats = upper + np.triu(mats).transpose(0, 2, 1)
+    forms = FormTuple(n, t, form_kind, PrimeField(p), list(mats))
+    if kind == "lie":
+        return build_lie_from_forms(forms)
+    alg = build_assoc_from_forms(forms)
+    return unitalize(alg) if kind == "unital" else alg
+
+
+@settings(derandomize=True, max_examples=130, deadline=None)
+@given(two_step_algebras())
+def test_searches_match_brute_force_on_small_algebras(alg):
+    best = brute_force_max_abelian(alg)
+    exact = max_abelian_exact(alg)
+    assert exact.exact and exact.dim == best and is_abelian_subspace(alg, exact.witness)
+    cls = nilpotency_class(alg)
+    if cls is not None and cls <= 2:
+        class2 = class2_exact_result(alg)
+        assert class2.dim == best and is_abelian_subspace(alg, class2.witness)
+        greedy = greedy_abelian_class2(alg)
+        assert greedy.dim <= best and alg.dim <= greedy.dim**2 // 4 + greedy.dim
+        assert is_abelian_subspace(alg, greedy.witness)
+    if alg.kind == "lie":
+        ideal = maximal_abelian_ideal(alg)
+        assert is_abelian_subspace(alg, ideal)
+        assert all(extends_abelian_ideal(alg, ideal, row) for row in ideal.basis.a), "not an ideal"
+        assert abelian_ideal_extension(alg, ideal) is None
 
 
 def test_search_result_json():
