@@ -133,6 +133,10 @@ def bound_table(n: int, field_class: str, c: Fraction | str | None = None) -> Bo
         add("a1_K", "lower", low_a1)
     add("class2", "lower", low)
     add("class2", "upper", class2_up)
+    lower = {e.name: e.value for e in entries if e.side == "lower"}
+    for e in entries:
+        if e.side == "upper" and e.value < lower[e.name]:
+            raise ValueError(f"c = {c} puts the {e.name} upper bound {e.value} below its lower bound {lower[e.name]}")
     return BoundReport(n, fc, entries)
 
 

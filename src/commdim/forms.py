@@ -276,6 +276,8 @@ def certify_no_isotropic(
         raise ValueError("certification requires an explicit seed")
     if t < 1 or n < 0 or k < 0:
         raise ValueError("need n >= 0, t >= 1, k >= 0")
+    if max_attempts < 1:
+        raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
     if not 2 * n < t * (k - 1):
         warnings.warn(
             f"2n < t(k-1) fails for n={n}, t={t}, k={k}: "

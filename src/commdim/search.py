@@ -4,13 +4,16 @@ One exact engine, :func:`largest_common_isotropic`, finds the largest
 subspace on which a tuple of bilinear forms vanishes; certification in
 :mod:`commdim.forms` and both exact routes here run it:
 
-* :func:`max_abelian_exact` -- on the commutator forms of the whole algebra.
-  A commuting subspace of maximal dimension is automatically closed under
-  the product (its generated subalgebra is again commuting, so it cannot be
-  larger), which makes the commuting-subspace maximum equal to the
+* :func:`max_abelian_exact` -- the center Z commutes with everything, so a
+  largest commuting subspace is Z plus a largest common isotropic subspace
+  of the commutator forms on the complement coordinates of Z, and the
+  witness is Z plus the canonically first such subspace.  A commuting
+  subspace of maximal dimension is automatically closed under the product
+  (its generated subalgebra is again commuting, so it cannot be larger),
+  which makes the commuting-subspace maximum equal to the
   commutative-subalgebra maximum for both kinds.
-* :func:`class2_exact_result` -- for two-step algebras, on the induced forms
-  of a complement of the center; the center is added to the witness.
+* :func:`class2_exact_result` -- the same reduction for algebras of class at
+  most 2, whose commutators land in the center.
 * :func:`greedy_abelian_class2` -- the constructive procedure that solves a
   growing linear system; its output size s certifies dim <= s^2/4 + s.
 
@@ -179,19 +182,41 @@ def _subalgebra_closure(a: StructureConstantAlgebra, sub: Subspace) -> Subspace:
         cur = bigger
 
 
+def _isotropic_over_center(
+    a: StructureConstantAlgebra, z: Subspace, budget: int
+) -> tuple[Subspace, IsotropicSearch]:
+    """The center z plus the first largest common isotropic subspace of the
+    commutator forms on the complement of z.
+
+    The complement is spanned by the unit vectors at the non-pivot
+    coordinates of z's canonical basis; forms that vanish there are dropped.
+    """
+    comp = [c for c in range(a.dim) if c not in set(z.pivots)]
+    # form k sends (y, x) to [x, y]_k: the rows of a basis vector y are then
+    # those of _centralizer_system
+    forms = a.commutator_table()[np.ix_(comp, comp)].transpose(2, 1, 0)
+    res = largest_common_isotropic(forms[forms.any(axis=(1, 2))], a.p, budget=budget)
+    emb = np.zeros((len(res.basis), a.dim), dtype=np.int64)
+    emb[:, comp] = res.basis
+    return Subspace.span(a.p, np.concatenate([emb, z.basis.a]), a.dim), res
+
+
 def max_abelian_exact(
     a: StructureConstantAlgebra, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> SearchResult:
     """Exact maximum dimension of a commutative subalgebra, with witness.
 
-    The largest common isotropic subspace of the commutator forms; the
-    witness is the canonically first subspace of maximal dimension.  If the
-    node budget is exhausted the result is flagged as a lower bound.
+    The center plus the largest common isotropic subspace of the commutator
+    forms on the complement coordinates of the center; the witness is the
+    center plus the canonically first such subspace of maximal dimension,
+    closed under the product for the assoc kind.  If the node budget is
+    exhausted the result is flagged as a lower bound.
     """
-    # form k sends (y, x) to [x, y]_k: the rows of a basis vector y are then
-    # those of _centralizer_system
-    res = largest_common_isotropic(a.commutator_table().transpose(2, 1, 0), a.p, budget=budget)
-    witness = Subspace(a.dim, MatrixGF(a.p, res.basis), _canonical=True)
+    # the center's nullspace call is made here, not through algebra.center,
+    # so that it is counted with the search's own calls
+    system = _centralizer_system(a, np.eye(a.dim, dtype=np.int64))
+    z = Subspace(a.dim, MatrixGF(a.p, nullspace_array(system, a.p)), _canonical=True)
+    witness, res = _isotropic_over_center(a, z, budget)
     if a.kind == "assoc":
         witness = _subalgebra_closure(a, witness)
     return SearchResult("exact", witness.dim, witness, res.complete, res.nodes_visited)
@@ -237,14 +262,9 @@ def class2_exact_result(
     a: StructureConstantAlgebra, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> SearchResult:
     """Exact maximum via the isotropic reduction, with an embedded witness."""
-    if a.dim == 0:
-        return SearchResult("class2", 0, Subspace.zero(a.p, 0), True, 0)
-    forms, z, comp = class2_form_tuple(a)
-    res = largest_common_isotropic(forms.stack(), a.p, budget=budget).require_complete()
-    emb = np.zeros((len(res.basis), a.dim), dtype=np.int64)
-    emb[:, comp] = res.basis
-    witness = Subspace.span(a.p, np.concatenate([emb, z.basis.a], axis=0), a.dim)
-    return SearchResult("class2", z.dim + len(res.basis), witness, True, res.nodes_visited)
+    witness, res = _isotropic_over_center(a, _class2_center(a), budget)
+    res.require_complete()
+    return SearchResult("class2", witness.dim, witness, True, res.nodes_visited)
 
 
 def _grow(start: Subspace, system: Callable[[Subspace], np.ndarray]) -> Subspace:

@@ -109,6 +109,13 @@ def test_bound_table_lower_below_upper():
                 assert lo <= hi, (n, fc, name)
 
 
+def test_bound_table_rejects_an_upper_bound_below_its_lower_bound():
+    with pytest.raises(ValueError, match="a_K upper bound -294 below its lower bound 2"):
+        bound_table(3, "closed", c=-100)
+    # the largest c that keeps a_K's upper bound (n^2 + (2c+1)n)/2 at its lower bound 2
+    assert bound_table(3, "closed", c=Fraction(-4, 3)).get("a_K", "upper") == 2
+
+
 def test_bound_entry_json_exact_strings():
     rep = bound_table(2, "C")
     entry = next(e for e in rep.entries if e.name == "a_C" and e.side == "lower")

@@ -55,6 +55,14 @@ def test_bounds_zero_denominator_is_a_domain_error(capsys):
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
 
 
+def test_bounds_inverted_by_c_is_a_domain_error(capsys):
+    code, out = run(capsys, "bounds", "--n", "3", "--field", "closed", "--c", "-100")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    assert "below its lower bound" in json.loads(lines[0])["error"]
+
+
 def test_simple_table_single(capsys):
     code, obj = run_json(capsys, "simple-table", "--type", "E8")
     assert code == 0
@@ -196,14 +204,19 @@ def test_reverify_budget_abort_exit_2(tmp_path, capsys):
 
 def test_negative_budget_is_a_domain_error(tmp_path, capsys):
     cert_path, alg_path = str(tmp_path / "cert.json"), str(tmp_path / "alg.json")
+    zero_path = str(tmp_path / "zero.json")
     certify = ["certify", "--n", "3", "--t", "4", "--k", "3", "--p", "2", "--seed", "7", "--max-attempts", "100"]
     assert run_json(capsys, *certify, "-o", cert_path)[0] == 0
     with open(alg_path, "w") as fh:
         json.dump(_ALG, fh)
+    with open(zero_path, "w") as fh:
+        json.dump({"kind": "lie", "p": 3, "dim": 0, "sc": []}, fh)
     for argv in (
         certify,
         ["search", "--alg", alg_path, "--mode", "exact"],
         ["search", "--alg", alg_path, "--mode", "class2"],
+        ["search", "--alg", zero_path, "--mode", "exact"],
+        ["search", "--alg", zero_path, "--mode", "class2"],
         ["reverify", "--cert", cert_path],
     ):
         code, out = run(capsys, *argv, "--budget", "-1")
@@ -212,6 +225,15 @@ def test_negative_budget_is_a_domain_error(tmp_path, capsys):
         assert "budget" in json.loads(lines[0])["error"]
     # budget 0 is a valid, if tiny, budget: the search aborts
     assert run_json(capsys, *certify, "--budget", "0")[0] == 2
+
+
+@pytest.mark.parametrize("attempts", ["0", "-3"])
+def test_nonpositive_max_attempts_is_a_domain_error(capsys, attempts):
+    code, out = run(capsys, "certify", "--n", "3", "--t", "4", "--k", "3", "--p", "2", "--seed", "7", "--max-attempts", attempts)
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    error = json.loads(lines[0])["error"]
+    assert "max_attempts" in error and "sampled" not in error
 
 
 def test_usage_error_is_machine_readable(capsys):

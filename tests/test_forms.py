@@ -22,6 +22,7 @@ from commdim import (
     reverify_certificate,
     sample_form_tuple,
 )
+from commdim import forms
 from commdim.forms import FORM_KINDS, MODE_ISOTROPIC, MODE_SYMMETRIC
 
 from oracles import brute_force_max_isotropic, first_common_isotropic, random_invertible
@@ -203,6 +204,17 @@ def test_certification_failure_carries_witness():
             certify_no_isotropic(2, 1, 1, F2, seed=0, max_attempts=4)
     assert exc.value.witness is not None
     assert exc.value.witness.dim == 1
+
+
+@pytest.mark.parametrize("max_attempts", [0, -3])
+def test_certify_rejects_nonpositive_max_attempts(monkeypatch, max_attempts):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a tuple was sampled")
+
+    monkeypatch.setattr(forms, "sample_form_tuple", no_sample)
+    for n in (3, 2):  # a searched claim, and a vacuous one (k > n)
+        with pytest.raises(ValueError, match="max_attempts"):
+            certify_no_isotropic(n, 4, 3, F2, seed=7, max_attempts=max_attempts)
 
 
 def test_certify_warns_when_inequality_fails():

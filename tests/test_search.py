@@ -109,23 +109,22 @@ def test_exact_witness_is_canonical_first():
     assert res.witness.basis.a.tolist() == [[1, 0, 0], [0, 0, 1]]
 
 
-def _earlier_dfs_node_counts():
-    # node counts of the DFS that max_abelian_exact ran before it moved into
-    # largest_common_isotropic
+def _exact_node_counts():
+    # node counts of max_abelian_exact's search on the complement of the center
     return [
-        (heisenberg(F2), 11),
+        (heisenberg(F2), 4),
         (sl2_gf5(), 32),
-        (filiform4(F2), 28),
-        (matrix_algebra(2, F2), 23),
-        (build_lie_from_forms(sample_form_tuple(4, 3, "alternating", F2, 77)), 1300),
-        (build_assoc_from_forms(sample_form_tuple(3, 2, "general", F2, 5)), 169),
-        (build_assoc_from_forms(sample_form_tuple(3, 3, "general", F3, 0)), 4077),
+        (filiform4(F2), 9),
+        (matrix_algebra(2, F2), 8),
+        (build_lie_from_forms(sample_form_tuple(4, 3, "alternating", F2, 77)), 19),
+        (build_assoc_from_forms(sample_form_tuple(3, 2, "general", F2, 5)), 4),
+        (build_assoc_from_forms(sample_form_tuple(3, 3, "general", F3, 0)), 15),
     ]
 
 
-def test_exact_node_counts_match_the_earlier_dfs():
-    # the search tree is unchanged
-    for alg, nodes in _earlier_dfs_node_counts():
+def test_exact_node_counts_are_pinned():
+    # the search tree is a deterministic function of the algebra
+    for alg, nodes in _exact_node_counts():
         assert max_abelian_exact(alg).nodes_visited == nodes, alg
 
 
@@ -142,8 +141,19 @@ def test_exact_nodes_reduce_once_and_solve_only_lead_columns(monkeypatch):
 
     monkeypatch.setattr(search, "rref_array", no_rref)
     monkeypatch.setattr(search, "solve_affine", consistent_solve)
-    for alg, nodes in _earlier_dfs_node_counts():
+    for alg, nodes in _exact_node_counts():
         assert max_abelian_exact(alg).nodes_visited == nodes, alg
+
+
+@pytest.mark.parametrize("n, t, k, p, dim", [(7, 5, 4, 2, 7), (7, 5, 4, 3, 7), (9, 5, 5, 2, 8)])
+def test_exact_search_on_certified_algebras(n, t, k, p, dim):
+    # the s = 8 and s = 9 pipeline algebras: the search on the complement of
+    # the center is the class-2 search, node for node
+    cert = certify_no_isotropic(n, t, k, PrimeField(p), seed=1000, max_attempts=1000)
+    alg = build_lie_from_forms(cert.forms)
+    exact, class2 = max_abelian_exact(alg), class2_exact_result(alg)
+    assert exact.exact and exact.dim == class2.dim == dim
+    assert exact.nodes_visited == class2.nodes_visited
 
 
 def test_exact_budget_abort_gives_lower_bound():
@@ -331,11 +341,23 @@ def test_searches_match_brute_force_on_small_algebras(alg):
         assert abelian_ideal_extension(alg, ideal) is None
 
 
+@settings(derandomize=True, max_examples=130, deadline=None)
+@given(two_step_algebras())
+def test_exact_witness_contains_center_and_matches_class2(alg):
+    exact = max_abelian_exact(alg)
+    assert exact.witness.contains(center(alg))
+    cls = nilpotency_class(alg)
+    if cls is not None and cls <= 2:
+        obj, class2 = exact.to_json(), class2_exact_result(alg).to_json()
+        assert obj.pop("mode") == "exact" and class2.pop("mode") == "class2"
+        assert obj == class2
+
+
 def test_search_result_json():
     res = max_abelian_exact(heisenberg(F2))
     obj = res.to_json()
     assert obj["mode"] == "exact" and obj["dim"] == 2 and obj["exact"] is True
-    assert obj["nodes_visited"] == 11
+    assert obj["nodes_visited"] == 4
     assert greedy_abelian_class2(heisenberg(F2)).to_json()["nodes_visited"] is None
     assert obj["witness"]["basis"]["rows"] == 2
 
