@@ -29,6 +29,9 @@ from .gf import (
 KIND_LIE = "lie"
 KIND_ASSOC = "assoc"
 _KIND_ALIASES = {"lie": KIND_LIE, "assoc": KIND_ASSOC, "associative": KIND_ASSOC}
+# the dense product table holds d^3 int64 entries, 33 MB at this cap; the
+# largest algebra built here, the unitalized M_12 (d = 145), stays below it
+MAX_ALGEBRA_DIM = 160
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -49,8 +52,8 @@ class StructureConstantAlgebra:
     def __init__(self, kind: str, field: PrimeField, dim: int, sc: dict, labels=None):
         if kind not in _KIND_ALIASES:
             raise ValueError(f"unknown algebra kind {kind!r}")
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative")
+        if not 0 <= dim <= MAX_ALGEBRA_DIM:
+            raise ValueError(f"dimension must lie in [0, {MAX_ALGEBRA_DIM}], got {dim}")
         self.kind = _KIND_ALIASES[kind]
         self.field = field
         self.dim = dim

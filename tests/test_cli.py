@@ -284,6 +284,8 @@ _CERT = dict(_FORMS, k=2, subspaces_checked="1", seed=1, nodes_visited=1)
         ("construct", "--from", dict(_FORMS, mats=None)),
         ("construct", "--from", dict(_FORMS, mats=[{"p": 3, "rows": 2, "cols": 2, "entries": "0120"}])),
         ("construct", "--from", dict(_FORMS, n=2.0)),
+        ("verify", "--alg", {"kind": "lie", "p": 2, "dim": 100000, "sc": []}),
+        ("search", "--alg", {"kind": "lie", "p": 2, "dim": 100000, "sc": []}),
     ],
 )
 def test_malformed_json_is_a_domain_error(tmp_path, capsys, command, flag, doc):

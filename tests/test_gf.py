@@ -1,7 +1,9 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commdim import (
     EnumerationTooLarge,
@@ -13,6 +15,7 @@ from commdim import (
     is_prime,
     rref,
 )
+from commdim import gf
 from commdim.gf import nullspace_array, rref_array, solve_affine
 
 from oracles import random_invertible
@@ -207,3 +210,48 @@ def test_solve_affine():
     assert ((a @ x0) % p).tolist() == [3, 1]  # 6 mod 5
     assert hom.shape[0] == 1
     assert solve_affine(a, np.array([1, 0]), p) is None
+
+
+# shapes with no rows or columns, and shapes just below, at and above the
+# cell count where the kernels switch from Python lists to numpy
+_T = gf.SMALL_MATRIX_CELLS
+_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    st.sampled_from([(_T // c + d, c) for c in (8, 16, 32) for d in (-1, 0, 1)]),
+)
+
+
+@st.composite
+def gf_systems(draw):
+    """(p, a, b): a is unreduced with rank at most k, zeroed rows and columns,
+    and b lies in a's column space or is drawn at random."""
+    p = draw(st.sampled_from([2, 3, 5, 8191]))
+    rows, cols = draw(_SHAPES)
+    k = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, p, (rows, k)) @ rng.integers(0, p, (k, cols))
+    a[rng.random(rows) < 0.2] = 0
+    a[:, rng.random(cols) < 0.2] = 0
+    b = a @ rng.integers(0, p, cols) if draw(st.booleans()) else rng.integers(0, p, rows)
+    return p, a, b
+
+
+def _identical(x, y) -> bool:
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+    if isinstance(x, (tuple, list)):
+        return type(x) is type(y) and len(x) == len(y) and all(map(_identical, x, y))
+    return type(x) is type(y) and x == y
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(gf_systems())
+def test_list_and_numpy_paths_agree_bit_for_bit(system):
+    p, a, b = system
+    for fn, args in ((rref_array, (a, p)), (nullspace_array, (a, p)), (solve_affine, (a, b, p))):
+        with mock.patch.object(gf, "SMALL_MATRIX_CELLS", -1):
+            numpy_path = fn(*args)
+        with mock.patch.object(gf, "SMALL_MATRIX_CELLS", 10**9):
+            list_path = fn(*args)
+        assert _identical(list_path, numpy_path), fn.__name__
+        assert _identical(fn(*args), numpy_path), fn.__name__

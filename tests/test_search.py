@@ -156,6 +156,15 @@ def test_exact_search_on_certified_algebras(n, t, k, p, dim):
     assert exact.nodes_visited == class2.nodes_visited
 
 
+@pytest.mark.parametrize("r, p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+def test_exact_matrix_algebra_meets_schur_jacobson(r, p):
+    # the largest commutative subalgebra of M_r has dimension floor(r^2/4) + 1
+    a = matrix_algebra(r, PrimeField(p))
+    res = max_abelian_exact(a)
+    assert res.exact and res.dim == r * r // 4 + 1
+    assert is_abelian_subspace(a, res.witness)
+
+
 def test_exact_budget_abort_gives_lower_bound():
     alg = build_lie_from_forms(sample_form_tuple(4, 3, "alternating", F2, 77))
     full = max_abelian_exact(alg)
