@@ -62,7 +62,6 @@ from .search import (
     class2_form_tuple,
     greedy_abelian_class2,
     largest_common_isotropic,
-    max_abelian_class2_exact,
     max_abelian_exact,
     maximal_abelian_ideal,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "largest_common_isotropic",
     "matrix_algebra",
     "matrix_commutative_subalgebra",
-    "max_abelian_class2_exact",
     "max_abelian_exact",
     "maximal_abelian_ideal",
     "nilpotency_class",

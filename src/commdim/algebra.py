@@ -47,7 +47,7 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 class StructureConstantAlgebra:
     """A finite-dimensional algebra over GF(p) given by structure constants."""
 
-    __slots__ = ("kind", "field", "dim", "sc", "labels", "_table", "_comm")
+    __slots__ = ("kind", "field", "dim", "sc", "labels", "_rows", "_table", "_comm")
 
     def __init__(self, kind: str, field: PrimeField, dim: int, sc: dict, labels=None):
         if kind not in _KIND_ALIASES:
@@ -58,17 +58,28 @@ class StructureConstantAlgebra:
         self.field = field
         self.dim = dim
         p = field.p
-        table: dict[tuple[int, int], np.ndarray] = {}
-        for key, vec in sc.items():
-            i, j = int(key[0]), int(key[1])
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"structure constant key {(i, j)} out of range")
-            v = as_gf_array(vec, p)
-            if v.shape != (dim,):
-                raise ValueError(f"structure constant vector for {(i, j)} has wrong length")
-            v.flags.writeable = False
-            table[(i, j)] = v
-        self.sc = table
+        keys = [(int(key[0]), int(key[1])) for key in sc]
+        try:
+            rows = np.array(list(sc.values()), dtype=np.int64) if keys else np.zeros((0, dim), dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            rows = None
+        in_range = all(0 <= i < dim and 0 <= j < dim for i, j in keys)
+        if rows is None or rows.shape != (len(keys), dim) or not in_range:
+            # again one entry at a time, to name the entry at fault
+            rows = []
+            for (i, j), vec in zip(keys, sc.values()):
+                if not (0 <= i < dim and 0 <= j < dim):
+                    raise ValueError(f"structure constant key {(i, j)} out of range")
+                v = as_gf_array(vec, p)
+                if v.shape != (dim,):
+                    raise ValueError(f"structure constant vector for {(i, j)} has wrong length")
+                rows.append(v)
+            rows = np.array(rows, dtype=np.int64).reshape(len(keys), dim)
+        np.mod(rows, p, out=rows)
+        rows.flags.writeable = False
+        # one (N, d) array; sc maps each key to a read-only row view of it
+        self._rows = rows
+        self.sc = dict(zip(keys, rows))
         if labels is not None:
             labels = [str(x) for x in labels]
             if len(labels) != dim:
@@ -86,12 +97,11 @@ class StructureConstantAlgebra:
         if self._table is None:
             d, p = self.dim, self.p
             t = np.zeros((d, d, d), dtype=np.int64)
-            for (i, j), v in self.sc.items():
-                t[i, j] = v
+            i, j = np.array(list(self.sc), dtype=np.intp).reshape(-1, 2).T
+            t[i, j] = self._rows
             if self.kind == KIND_LIE:
-                for (i, j), v in self.sc.items():
-                    if i != j and (j, i) not in self.sc:
-                        t[j, i] = (-v) % p
+                derived = np.array([a != b and (b, a) not in self.sc for a, b in self.sc], dtype=bool)
+                t[j[derived], i[derived]] = (-self._rows[derived]) % p
             t.flags.writeable = False
             self._table = t
         return self._table
@@ -116,10 +126,7 @@ class StructureConstantAlgebra:
 
     def to_json(self) -> dict:
         kind = "lie" if self.kind == KIND_LIE else "assoc"
-        entries = [
-            {"i": i, "j": j, "v": [int(x) for x in v]}
-            for (i, j), v in sorted(self.sc.items())
-        ]
+        entries = [{"i": i, "j": j, "v": v} for (i, j), v in sorted(zip(self.sc, self._rows.tolist()))]
         obj = {"kind": kind, "p": self.p, "dim": self.dim, "sc": entries}
         if self.labels is not None:
             obj["labels"] = list(self.labels)
@@ -128,10 +135,14 @@ class StructureConstantAlgebra:
     @classmethod
     def from_json(cls, obj: dict) -> "StructureConstantAlgebra":
         p = PrimeField(json_field(obj, "p", "int")).p
-        sc = {
-            (json_field(e, "i", "int"), json_field(e, "j", "int")): [x % p for x in json_field(e, "v", "ints")]
-            for e in json_field(obj, "sc", "list")
-        }
+        sc = {}
+        for e in json_field(obj, "sc", "list"):
+            key = (json_field(e, "i", "int"), json_field(e, "j", "int"))
+            if key in sc:
+                raise ValueError(f"duplicate structure constant key {key}")
+            v = json_field(e, "v", "ints")
+            # ints outside [0, p), which may not fit int64, are reduced before numpy sees them
+            sc[key] = v if not v or 0 <= min(v) and max(v) < p else [x % p for x in v]
         return cls(
             json_field(obj, "kind", "str"),
             PrimeField(p),
@@ -171,24 +182,37 @@ def _first_identity_violation(t: np.ndarray, p: int, kind: str) -> tuple | None:
     assoc: (e_i e_j) e_k = e_i (e_j e_k).  lie: the literal cyclic sum
     [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0, kept in this form
     because on tables that are not alternating the ad-homomorphism form
-    differs.  One (d, d, d) slab per i keeps memory at O(d^3).  The float
-    products are exact: every partial sum is an integer below 3 d p^2 < 2**53,
-    so fmod by p is zero exactly on the multiples of p.
+    differs.  Every term is sum_m T[x, y, m] T[m, z] or sum_m T[x, y, m]
+    T[z, m], so only the m in the support S -- coordinates of some product
+    that are also a factor of some product -- contribute, and the
+    contractions run over S alone.  S is empty for every two-step algebra,
+    where products of V land in U and U multiplies to zero; it is all of
+    range(d) for M_r and for any unitalization.  One (d, d, d) slab per i
+    keeps memory at O(d^3).  The float products are exact: every partial sum
+    is an integer below 3 d p^2 < 2**53, so fmod by p is zero exactly on the
+    multiples of p; it runs only on the (j, k) rows whose sum is not 0.
     """
     d = t.shape[0]
+    support = t.any(axis=(0, 1)) & (t.any(axis=(1, 2)) | t.any(axis=(0, 2)))
+    if not support.any():
+        return None
+    m = slice(None) if support.all() else np.flatnonzero(support)  # a slice keeps views
     tf = t.astype(np.float64)
-    flat = tf.reshape(d, d * d)  # flat[m, (k, l)] = T[m, k, l]
-    rows = tf.reshape(d * d, d)  # rows[(j, k), m] = T[j, k, m]
+    flat = tf.reshape(d, d * d)[m]  # flat[m, (k, l)] = T[m, k, l]
+    rows = tf.reshape(d * d, d)[:, m]  # rows[(j, k), m] = T[j, k, m]
     for i in range(d):
-        total = (tf[i] @ flat).reshape(d, d, d)  # [j, k] = (e_i e_j) e_k
+        total = (tf[i][:, m] @ flat).reshape(d, d, d)  # [j, k] = (e_i e_j) e_k
         if kind == KIND_ASSOC:
-            total -= (rows @ tf[i]).reshape(d, d, d)  # e_i (e_j e_k)
+            total -= (rows @ tf[i][m]).reshape(d, d, d)  # e_i (e_j e_k)
         else:
-            total += (rows @ tf[:, i]).reshape(d, d, d)  # [[e_j,e_k],e_i]
-            total += (tf[:, i] @ flat).reshape(d, d, d).transpose(1, 0, 2)  # [[e_k,e_i],e_j]
-        bad = np.argwhere(np.fmod(total, p).any(axis=2))
-        if bad.size:
-            return (i, int(bad[0][0]), int(bad[0][1]))
+            total += (rows @ tf[m, i]).reshape(d, d, d)  # [[e_j,e_k],e_i]
+            total += (tf[:, i][:, m] @ flat).reshape(d, d, d).transpose(1, 0, 2)  # [[e_k,e_i],e_j]
+        nonzero = np.argwhere(total.any(axis=2))
+        if nonzero.size:
+            bad = np.fmod(total[nonzero[:, 0], nonzero[:, 1]], p).any(axis=1)
+            if bad.any():
+                j, k = nonzero[bad.argmax()]
+                return (i, int(j), int(k))
     return None
 
 
@@ -257,8 +281,23 @@ def nilpotency_class(a: StructureConstantAlgebra) -> int | None:
 
 
 def pairwise_products(a: StructureConstantAlgebra, basis: np.ndarray) -> np.ndarray:
-    """(k, k, d) tensor of products of all ordered basis-row pairs."""
-    return np.einsum("ia,jb,abl->ijl", basis, basis, a.table()) % a.p
+    """(k, k, d) tensor of products of all ordered basis-row pairs.
+
+    Two matrix products with a reduction mod p between them: first x_i e_b
+    for every row x_i and every e_b some row uses, then x_i x_j = sum_b
+    x_j[b] x_i e_b.  Only the c <= d coordinates that some row uses take
+    part, so this costs k c^2 d + k^2 c d and copies c^2 d table entries.
+    Each product contracts over at most d reduced entries, so every partial
+    sum is an integer below d p^2 (about 1.1e10 at d = 160, p = 8191), far
+    under 2**53, and the float products in :func:`_mulmod` are exact.
+    """
+    d, p = a.dim, a.p
+    basis = np.asarray(basis, dtype=np.int64) % p
+    used = np.flatnonzero(basis.any(axis=0))
+    x, c = basis[:, used], len(used)
+    t = a.table()[np.ix_(used, used)].reshape(c, c * d)
+    by_unit = _mulmod(x, t, p).reshape(len(basis), c, d)  # [i, b] = x_i e_b
+    return _mulmod(x, by_unit, p)  # [i, j] = sum_b x_j[b] x_i e_b
 
 
 def is_abelian_subspace(a: StructureConstantAlgebra, s: Subspace) -> bool:

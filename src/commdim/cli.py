@@ -9,6 +9,7 @@ explicit --seed, so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # built on the first main() call, then reused; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="commdim")
     sub = ap.add_subparsers(dest="command", required=True)

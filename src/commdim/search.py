@@ -222,14 +222,6 @@ def max_abelian_exact(
     return SearchResult("exact", witness.dim, witness, res.complete, res.nodes_visited)
 
 
-def max_abelian_class2_exact(forms: FormTuple, budget: int = DEFAULT_SEARCH_BUDGET) -> int:
-    """t plus the largest k admitting a common isotropic k-dim subspace."""
-    if forms.kind != "alternating":
-        raise ValueError("class-2 reduction needs alternating forms")
-    res = largest_common_isotropic(forms.stack(), forms.p, budget=budget).require_complete()
-    return forms.t + len(res.basis)
-
-
 def _class2_center(a: StructureConstantAlgebra) -> Subspace:
     """The center of a, which must be nilpotent of class at most 2."""
     cls = nilpotency_class(a)

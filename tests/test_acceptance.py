@@ -25,7 +25,6 @@ from commdim import (
     is_abelian_subspace,
     matrix_algebra,
     matrix_commutative_subalgebra,
-    max_abelian_class2_exact,
     max_abelian_exact,
     nilpotency_class,
     sample_form_tuple,
@@ -34,7 +33,7 @@ from commdim import (
     unitalize,
 )
 
-from oracles import brute_force_max_abelian, is_commutative_subspace, is_subalgebra
+from oracles import brute_force_max_abelian, class2_dim, is_commutative_subspace, is_subalgebra
 
 F2 = PrimeField(2)
 
@@ -58,7 +57,7 @@ def test_criterion_1_lower_bound_pipeline():
             params.n, params.t, params.k, F2, seed=20240800 + s, max_attempts=1000
         )
         alg = build_lie_from_forms(cert.forms)
-        max_ab = max_abelian_class2_exact(cert.forms)
+        max_ab = class2_dim(cert.forms)
         dim_ok = alg.dim == params.n + params.t
         floor_ok = alg.dim >= math.ceil((s * s + 4 * s - 5) / 8)
         ab_ok = max_ab <= s
@@ -80,7 +79,7 @@ def test_criterion_2_reduction_equivalence():
         t = rng.randrange(1, 8 - n)
         ft = sample_form_tuple(n, t, "alternating", F2, rng.randrange(10**9))
         alg = build_lie_from_forms(ft)
-        a = max_abelian_class2_exact(ft)
+        a = class2_dim(ft)
         b = max_abelian_exact(alg)
         c = brute_force_max_abelian(alg)
         ok = ok and b.exact and a == b.dim == c

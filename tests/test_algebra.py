@@ -3,24 +3,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from commdim import (
     NotASubalgebra,
     PrimeField,
     StructureConstantAlgebra,
     Subspace,
+    build_assoc_from_forms,
     build_lie_from_forms,
     center,
     centralizer,
     enumerate_subspaces,
     is_abelian_subspace,
+    matrix_algebra,
     maximal_abelian_ideal,
     nilpotency_class,
     sample_form_tuple,
+    unitalize,
     verify_axioms,
 )
-from oracles import abelian_ideal_extension, first_axiom_violation
+from commdim.algebra import pairwise_products
+from oracles import abelian_ideal_extension, first_axiom_violation, is_commutative_subspace, is_subalgebra
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -114,20 +118,84 @@ def test_axioms_associative_violation():
 
 @st.composite
 def small_tables(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
-    d = draw(st.integers(0, 5))
-    kind = draw(st.sampled_from(["lie", "assoc"]))
-    entry = st.sampled_from([0] * draw(st.integers(1, 20)) + list(range(1, p)))  # mostly sparse tables
-    raw = np.array(draw(st.lists(entry, min_size=d**3, max_size=d**3)), dtype=np.int64).reshape(d, d, d)
-    if draw(st.booleans()):  # alternating: zero diagonal, T[j,i] = -T[i,j]
+    """Random tables whose identity-check support S (coordinates of some
+    product that are also a factor of some product) is partial or full
+    ("random"), empty ("two-step": the first n basis vectors multiply into
+    the others, which multiply to zero) or full ("unital": a two-step assoc
+    table with an identity adjoined)."""
+    p = draw(st.sampled_from([2, 3, 5, 8191]))
+    d = draw(st.integers(0, 8))
+    style = draw(st.sampled_from(["random", "random", "two-step", "unital"]))
+    kind = "assoc" if style == "unital" else draw(st.sampled_from(["lie", "assoc"]))
+    # mostly sparse tables: at most 40 nonzero constants, dense only for d <= 3
+    value = st.one_of(st.sampled_from([1, p - 1]), st.integers(1, p - 1))
+    raw = np.zeros(d**3, dtype=np.int64)
+    if d:
+        for pos, v in draw(st.lists(st.tuples(st.integers(0, d**3 - 1), value), max_size=40)):
+            raw[pos] = v
+    raw = raw.reshape(d, d, d)
+    if style != "random":
+        n = draw(st.integers(0, max(d - 1, 0)))
+        mask = np.zeros((d, d, d), dtype=np.int64)
+        mask[:n, :n, n:] = 1
+        raw = raw * mask
+    if style != "unital" and draw(st.booleans()):  # alternating: zero diagonal, T[j,i] = -T[i,j]
         upper = raw * np.triu(np.ones((d, d), dtype=np.int64), 1)[:, :, None]
         raw = (upper - upper.transpose(1, 0, 2)) % p
     sc = {(i, j): raw[i, j] for i in range(d) for j in range(d) if raw[i, j].any()}
+    a = StructureConstantAlgebra(kind, PrimeField(p), d, sc)
+    return unitalize(a) if style == "unital" and d < 8 else a
+
+
+def jacobi_totals(t: np.ndarray, kind: str) -> np.ndarray:
+    """The identity's integer sums [i, j, k, l] before any reduction mod p."""
+    out = np.einsum("ijm,mkl->ijkl", t, t)
+    if kind == "assoc":
+        return out - np.einsum("jkm,iml->ijkl", t, t)
+    return out + np.einsum("jkm,mil->ijkl", t, t) + np.einsum("kim,mjl->ijkl", t, t)
+
+
+# tables whose first row (j, k) with a nonzero integer sum, at the i of the
+# first violation, sums to a multiple of p: (kind, p, table, that row)
+VANISHING_MOD_P = [
+    ("lie", 2, [[[0, 0, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 0], [1, 0, 0]],
+                [[0, 0, 1], [1, 0, 0], [0, 0, 0]]], (0, 0, 2)),
+    ("lie", 8191, [[[0, 0, 0], [1, 1, 0], [8190, 0, 0]], [[8190, 8190, 0], [0, 0, 0], [8190, 0, 0]],
+                   [[1, 0, 0], [1, 0, 0], [0, 0, 0]]], (0, 0, 1)),
+    ("assoc", 8191, [[[8190, 8190, 8190], [8190, 0, 0], [1, 0, 0]], [[0, 0, 0], [0, 0, 8190], [8190, 8190, 0]],
+                     [[0, 0, 0], [0, 1, 0], [0, 1, 0]]], (0, 0, 0)),
+    ("assoc", 3, [[[2, 0], [1, 0]], [[2, 1], [0, 0]]], (0, 1, 0)),
+]
+
+
+def _table_algebra(kind, p, table):
+    d = len(table)
+    sc = {(i, j): table[i][j] for i in range(d) for j in range(d) if any(table[i][j])}
     return StructureConstantAlgebra(kind, PrimeField(p), d, sc)
+
+
+@pytest.mark.parametrize("kind, p, table, row", VANISHING_MOD_P)
+def test_vanishing_mod_p_tables_sum_to_multiples_of_p(kind, p, table, row):
+    # the premise of the examples below: a nonzero integer sum that is 0 mod p
+    # comes first, and a real violation at the same i comes later
+    total = jacobi_totals(np.array(table, dtype=np.int64), kind)
+    assert total[row].any() and not (total[row] % p).any()
+    assert not total[row[0]].reshape(-1, len(table))[: row[1] * len(table) + row[2]].any()
+    rep = verify_axioms(_table_algebra(kind, p, table))
+    assert rep.first_violation[0] == row[0] and rep.first_violation > row
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(small_tables())
+@example(build_lie_from_forms(sample_form_tuple(5, 3, "alternating", PrimeField(8191), 3)))
+@example(unitalize(build_assoc_from_forms(sample_form_tuple(4, 3, "general", PrimeField(8191), 3))))
+@example(matrix_algebra(2, PrimeField(8191)))
+@example(_table_algebra(*VANISHING_MOD_P[0][:3]))
+@example(_table_algebra(*VANISHING_MOD_P[1][:3]))
+@example(_table_algebra(*VANISHING_MOD_P[2][:3]))
+@example(_table_algebra(*VANISHING_MOD_P[3][:3]))
+@example(_table_algebra("assoc", 2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]))  # e_1 only a right factor
+@example(_table_algebra("assoc", 2, [[[0, 0], [0, 0]], [[0, 1], [0, 0]]]))  # e_1 only a left factor
 def test_axioms_match_triple_loop_oracle(a):
     want = first_axiom_violation(a.table(), a.p, a.kind)
     rep = verify_axioms(a)
@@ -136,17 +204,22 @@ def test_axioms_match_triple_loop_oracle(a):
 
 
 def test_axiom_check_memory_is_cubic_in_dim():
-    # a d^4 tensor at d = 48 is 5.3 M entries, about 42 MB of int64 alone
-    a = build_lie_from_forms(sample_form_tuple(40, 8, "alternating", F2, 7))
-    assert a.dim == 48
-    a.table()
-    tracemalloc.start()
-    try:
-        assert verify_axioms(a).passed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20, peak
+    # a d^4 tensor at d = 48 is 5.3 M entries, about 42 MB of int64 alone; the
+    # two-step table has an empty support and skips the contraction loop, the
+    # unitalized one (d = 49) has full support and runs it for every i
+    lie = build_lie_from_forms(sample_form_tuple(40, 8, "alternating", F2, 7))
+    unital = unitalize(build_assoc_from_forms(sample_form_tuple(40, 8, "general", F2, 7)))
+    assert (lie.dim, unital.dim) == (48, 49)
+    assert unital.table().any(axis=(0, 1)).all()
+    for a in (lie, unital):
+        a.table()
+        tracemalloc.start()
+        try:
+            assert verify_axioms(a).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, (a.dim, peak)
 
 
 def test_axiom_report_json():
@@ -255,6 +328,40 @@ def test_not_a_subalgebra_witness():
     with pytest.raises(NotASubalgebra) as exc:
         is_abelian_subspace(h, Subspace.span(2, [[1, 0, 0], [0, 1, 0]]))
     assert exc.value.pair == (0, 1)
+
+
+@st.composite
+def algebras_with_subspaces(draw):
+    """A table from small_tables, or a two-step algebra, with a random span.
+
+    Spans that contain U (the f coordinates) of a two-step algebra are always
+    subalgebras, so both outcomes of the closure check show up.
+    """
+    if draw(st.booleans()):
+        a = draw(small_tables())
+        gens = draw(st.lists(st.lists(st.integers(0, a.p - 1), min_size=a.dim, max_size=a.dim), max_size=4))
+    else:
+        p = draw(st.sampled_from([2, 3, 8191]))
+        n, t = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        forms = sample_form_tuple(n, t, draw(st.sampled_from(["alternating", "general"])), PrimeField(p), draw(st.integers(0, 99)))
+        a = build_lie_from_forms(forms) if forms.kind == "alternating" else build_assoc_from_forms(forms)
+        gens = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n + t, max_size=n + t), max_size=3))
+        if draw(st.booleans()):
+            gens += np.eye(n + t, dtype=np.int64)[n:].tolist()
+    return a, Subspace.span(a.p, gens, a.dim)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(algebras_with_subspaces())
+def test_is_abelian_subspace_matches_oracles(case):
+    a, sub = case
+    b = sub.basis.a
+    assert np.array_equal(pairwise_products(a, b), np.einsum("ia,jb,abl->ijl", b, b, a.table()) % a.p)
+    if is_subalgebra(a, sub):
+        assert is_abelian_subspace(a, sub) == is_commutative_subspace(a, sub)
+    else:
+        with pytest.raises(NotASubalgebra):
+            is_abelian_subspace(a, sub)
 
 
 def test_zero_subspace_is_abelian():

@@ -243,6 +243,16 @@ def test_usage_error_is_machine_readable(capsys):
     assert code == 1 and "error" in obj
 
 
+def test_usage_error_between_calls_leaves_later_result_unchanged(capsys):
+    # the parser is built once per process and shared by every main() call
+    first = run(capsys, "bounds", "--n", "3", "--field", "closed")
+    assert run_json(capsys, "bounds", "--n", "3", "--field", "closed", "--format", "xml")[0] == 1
+    assert run(capsys, "bounds", "--n", "3", "--field", "closed", "--c", "1/2", "--format", "table")[0] == 0
+    assert run_json(capsys, "bounds", "--n", "3")[0] == 1
+    assert run(capsys, "bounds", "--n", "3", "--field", "closed") == first
+    assert first[0] == 0 and json.loads(first[1])["n"] == 3
+
+
 def test_missing_file_is_domain_error(capsys):
     code, obj = run_json(capsys, "verify", "--alg", "/nonexistent/alg.json")
     assert code == 1
@@ -286,6 +296,8 @@ _CERT = dict(_FORMS, k=2, subspaces_checked="1", seed=1, nodes_visited=1)
         ("construct", "--from", dict(_FORMS, n=2.0)),
         ("verify", "--alg", {"kind": "lie", "p": 2, "dim": 100000, "sc": []}),
         ("search", "--alg", {"kind": "lie", "p": 2, "dim": 100000, "sc": []}),
+        ("search", "--alg", dict(_ALG, sc=[{"i": 0, "j": 1, "v": [0, 0, 1]}, {"i": 0, "j": 1, "v": [0, 0, 0]}])),
+        ("verify", "--alg", dict(_ALG, sc=[{"i": 0, "j": 1, "v": [0, 0, 1]}, {"i": 0, "j": 1, "v": [0, 0, 1]}])),
     ],
 )
 def test_malformed_json_is_a_domain_error(tmp_path, capsys, command, flag, doc):

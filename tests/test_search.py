@@ -20,7 +20,6 @@ from commdim import (
     is_abelian_subspace,
     matrix_algebra,
     maximal_abelian_ideal,
-    max_abelian_class2_exact,
     max_abelian_exact,
     nilpotency_class,
     sample_form_tuple,
@@ -29,7 +28,7 @@ from commdim import (
 )
 
 from commdim import gf, search
-from oracles import abelian_ideal_extension, brute_force_max_abelian, extends_abelian_ideal
+from oracles import abelian_ideal_extension, brute_force_max_abelian, class2_dim, extends_abelian_ideal
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -188,23 +187,17 @@ def test_exact_assoc_witness_closed():
 
 def test_class2_zero_forms():
     ft = FormTuple(2, 2, "alternating", F2, [np.zeros((2, 2), int)] * 2)
-    assert max_abelian_class2_exact(ft) == 4
+    assert class2_dim(ft) == 4
 
 
 def test_class2_heisenberg():
     ft = FormTuple(2, 1, "alternating", F2, [[[0, 1], [1, 0]]])
-    assert max_abelian_class2_exact(ft) == 2
+    assert class2_dim(ft) == 2
 
 
 def test_class2_certified_instance():
     cert = certify_no_isotropic(7, 5, 4, F2, seed=1000, max_attempts=1000)
-    assert max_abelian_class2_exact(cert.forms) <= 8  # k + t - 1
-
-
-def test_class2_requires_alternating():
-    ft = FormTuple(2, 1, "general", F2, [[[0, 1], [0, 0]]])
-    with pytest.raises(ValueError):
-        max_abelian_class2_exact(ft)
+    assert class2_dim(cert.forms) <= 8  # k + t - 1
 
 
 def test_class2_agrees_with_exact():
@@ -214,7 +207,7 @@ def test_class2_agrees_with_exact():
         t = rng.randrange(1, min(4, 8 - n))
         ft = sample_form_tuple(n, t, "alternating", F2, rng.randrange(10**6))
         alg = build_lie_from_forms(ft)
-        assert max_abelian_class2_exact(ft) == max_abelian_exact(alg).dim
+        assert class2_dim(ft) == max_abelian_exact(alg).dim
 
 
 def test_class2_result_on_algebra():
