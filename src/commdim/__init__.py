@@ -51,7 +51,6 @@ from .gf import (
     MatrixGF,
     PrimeField,
     Subspace,
-    enumerate_subspaces,
     gaussian_binomial,
     is_prime,
     rref,
@@ -95,7 +94,6 @@ __all__ = [
     "check_structural_bound",
     "class2_exact_result",
     "class2_form_tuple",
-    "enumerate_subspaces",
     "exceptional_entries",
     "extremal_params",
     "find_common_isotropic",

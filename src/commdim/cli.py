@@ -42,7 +42,10 @@ def _emit(obj, out_path: str | None = None) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -2,7 +2,7 @@
 
 
 class EnumerationTooLarge(RuntimeError):
-    """A subspace enumeration or search would exceed the configured budget."""
+    """The isotropic-subspace search ran out of its node budget."""
 
     def __init__(self, message: str, count: int):
         super().__init__(message)

@@ -184,7 +184,7 @@ def find_common_isotropic(
     mode: str = MODE_ISOTROPIC,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Subspace | None:
-    """The first matching k-dim subspace in canonical enumeration order.
+    """The matching k-dim subspace with the least (pivots, free values) key.
 
     A subspace matches when all forms restrict to zero on it (mode
     "isotropic") or to symmetric matrices (mode "symmetric-restriction").
@@ -272,6 +272,8 @@ def certify_no_isotropic(
     subspaces ruled out go into the certificate.  When k exceeds n the claim
     is vacuously true and the certificate is issued without a search.
     """
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     if seed is None:
         raise ValueError("certification requires an explicit seed")
     if t < 1 or n < 0 or k < 0:
@@ -308,6 +310,8 @@ def reverify_certificate(cert: GenericityCertificate, budget: int = DEFAULT_SEAR
     A recorded node count must be met exactly.  Running out of budget proves
     nothing either way, so it raises EnumerationTooLarge.
     """
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     if cert.verdict != "certified" or cert.method not in (None, METHOD) or cert.seed is None:
         return False
     try:

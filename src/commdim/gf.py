@@ -3,9 +3,9 @@
 Matrices are numpy int64 arrays with entries reduced mod p.  Everything is
 deterministic: row reduction yields the unique reduced row echelon form,
 subspaces are held in a canonical basis (so equal subspaces compare equal
-bit for bit), and the subspace stream of :func:`enumerate_subspaces` is
-emitted in a fixed order -- lexicographic on pivot columns, then odometer
-order on the free entries.
+bit for bit), and subspaces of one dimension are ordered by their
+(pivots, free values) key: lexicographic on pivot columns, then on the free
+entries of the canonical basis, row by row.
 
 Row reduction takes one of two paths by size: a matrix of at most
 ``SMALL_MATRIX_CELLS`` cells is converted once to lists of Python ints and
@@ -22,10 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EnumerationTooLarge
-
 MAX_PRIME = 8191
-DEFAULT_ENUM_BUDGET = 10**8  # subspaces streamed by enumerate_subspaces
 DEFAULT_SEARCH_BUDGET = 5_000_000  # nodes of the isotropic-subspace search
 # matrices of at most this many cells are row reduced on lists of Python ints,
 # larger ones with numpy row operations: on dense random matrices the lists win
@@ -114,10 +111,6 @@ class MatrixGF:
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "MatrixGF":
         return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "MatrixGF":
-        return cls(p, np.eye(n, dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -312,10 +305,6 @@ class Subspace:
     def zero(cls, p: int, n: int) -> "Subspace":
         return cls(n, MatrixGF.zeros(p, 0, n), _canonical=True)
 
-    @classmethod
-    def full(cls, p: int, n: int) -> "Subspace":
-        return cls(n, MatrixGF.identity(p, n), _canonical=True)
-
     @property
     def p(self) -> int:
         return self.basis.p
@@ -334,15 +323,6 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         stacked = np.concatenate([self.basis.a, other.basis.a], axis=0)
         return Subspace(self.ambient_dim, MatrixGF(self.p, stacked))
-
-    def annihilator(self) -> "Subspace":
-        """The subspace {w : B @ w = 0} for the basis matrix B."""
-        ns = nullspace_array(self.basis.a, self.p)
-        return Subspace(self.ambient_dim, MatrixGF(self.p, ns), _canonical=True)
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        # (U^perp + W^perp)^perp; the standard pairing is nondegenerate.
-        return self.annihilator().sum(other.annihilator()).annihilator()
 
     def __eq__(self, other) -> bool:
         return (
@@ -399,30 +379,3 @@ def rref_arrays_for_pivots(pivots: tuple[int, ...], n: int, p: int) -> Iterator[
         m = base.copy()
         m[rows, cols] = vals
         yield m
-
-
-def iter_rref_arrays(n: int, k: int, p: int) -> Iterator[np.ndarray]:
-    """Raw canonical bases of all k-dim subspaces of GF(p)^n, in canonical order."""
-    if k == 0:
-        yield np.zeros((0, n), dtype=np.int64)
-        return
-    for pivots in itertools.combinations(range(n), k):
-        yield from rref_arrays_for_pivots(pivots, n, p)
-
-
-def enumerate_subspaces(
-    n: int, k: int, field: PrimeField, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[Subspace]:
-    """Stream every k-dim subspace of GF(p)^n exactly once, canonically ordered."""
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    total = gaussian_binomial(n, k, field.p)
-    if total > budget:
-        raise EnumerationTooLarge(
-            f"enumeration of {total} subspaces (n={n}, k={k}, p={field.p}) "
-            f"exceeds budget {budget}",
-            count=total,
-        )
-    p = field.p
-    for a in iter_rref_arrays(n, k, p):
-        yield Subspace(n, MatrixGF(p, a), _canonical=True)

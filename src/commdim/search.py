@@ -86,8 +86,9 @@ def largest_common_isotropic(
     form M; unless the stack is alternating it also solves (v M) w = 0 and
     must satisfy v M v = 0.  A branch is cut when its extension space cannot
     lift the dimension to the target, k or the best found so far.  The
-    witness has the least (pivots, free values) key among subspaces of its
-    dimension, so it is the first one in :func:`enumerate_subspaces` order.
+    witness has the least (pivots, free values) key among the subspaces of
+    its dimension: pivot columns compared first, then the entries of the
+    canonical basis row by row.
     """
     stack = np.asarray(stack, dtype=np.int64) % p
     n = stack.shape[2]
@@ -182,19 +183,27 @@ def _subalgebra_closure(a: StructureConstantAlgebra, sub: Subspace) -> Subspace:
         cur = bigger
 
 
+def _split_over_center(a: StructureConstantAlgebra, z: Subspace) -> tuple[list[int], np.ndarray]:
+    """(complement coordinates, commutator table on them) for the center z.
+
+    The complement of z is spanned by the unit vectors at the non-pivot
+    coordinates comp of z's canonical basis; the table's [i, j] entry is
+    [e_comp[i], e_comp[j]], with all d coordinates.
+    """
+    comp = [c for c in range(a.dim) if c not in set(z.pivots)]
+    return comp, a.commutator_table()[np.ix_(comp, comp)]
+
+
 def _isotropic_over_center(
     a: StructureConstantAlgebra, z: Subspace, budget: int
 ) -> tuple[Subspace, IsotropicSearch]:
     """The center z plus the first largest common isotropic subspace of the
-    commutator forms on the complement of z.
-
-    The complement is spanned by the unit vectors at the non-pivot
-    coordinates of z's canonical basis; forms that vanish there are dropped.
+    commutator forms on the complement of z; forms that vanish there are dropped.
     """
-    comp = [c for c in range(a.dim) if c not in set(z.pivots)]
+    comp, comm = _split_over_center(a, z)
     # form k sends (y, x) to [x, y]_k: the rows of a basis vector y are then
     # those of _centralizer_system
-    forms = a.commutator_table()[np.ix_(comp, comp)].transpose(2, 1, 0)
+    forms = comm.transpose(2, 1, 0)
     res = largest_common_isotropic(forms[forms.any(axis=(1, 2))], a.p, budget=budget)
     emb = np.zeros((len(res.basis), a.dim), dtype=np.int64)
     emb[:, comp] = res.basis
@@ -208,16 +217,17 @@ def max_abelian_exact(
 
     The center plus the largest common isotropic subspace of the commutator
     forms on the complement coordinates of the center; the witness is the
-    center plus the canonically first such subspace of maximal dimension,
-    closed under the product for the assoc kind.  If the node budget is
-    exhausted the result is flagged as a lower bound.
+    center plus the canonically first such subspace of maximal dimension.
+    If the node budget is exhausted the result is flagged as a lower bound,
+    and for the assoc kind its witness is closed under the product; a
+    complete witness already is (see the module docstring).
     """
     # the center's nullspace call is made here, not through algebra.center,
     # so that it is counted with the search's own calls
     system = _centralizer_system(a, np.eye(a.dim, dtype=np.int64))
     z = Subspace(a.dim, MatrixGF(a.p, nullspace_array(system, a.p)), _canonical=True)
     witness, res = _isotropic_over_center(a, z, budget)
-    if a.kind == "assoc":
+    if a.kind == "assoc" and not res.complete:
         witness = _subalgebra_closure(a, witness)
     return SearchResult("exact", witness.dim, witness, res.complete, res.nodes_visited)
 
@@ -235,19 +245,15 @@ def class2_form_tuple(
 ) -> tuple[FormTuple, Subspace, list[int]]:
     """Split a class-<=2 algebra into (induced forms, center, complement coords).
 
-    The complement of the center is spanned by the unit vectors at the
-    non-pivot coordinates of the center's canonical basis; commutators of
-    those unit vectors land in the center and their coefficients along the
-    center basis are the induced alternating forms.
+    Commutators of the complement's unit vectors (see
+    :func:`_split_over_center`) land in the center, and their coefficients
+    along the center basis, read at its pivots, are the induced alternating
+    forms.
     """
     z = _class2_center(a)
-    d, p = a.dim, a.p
-    comp = [c for c in range(d) if c not in set(z.pivots)]
-    comm = a.commutator_table()
-    sub = comm[np.ix_(comp, comp, list(z.pivots))]  # (m, m, t)
-    mats = [MatrixGF(p, sub[:, :, m]) for m in range(z.dim)]
-    forms = FormTuple(len(comp), z.dim, "alternating", a.field, mats)
-    return forms, z, comp
+    comp, comm = _split_over_center(a, z)
+    mats = [MatrixGF(a.p, comm[:, :, c]) for c in z.pivots]
+    return FormTuple(len(comp), z.dim, "alternating", a.field, mats), z, comp
 
 
 def class2_exact_result(

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 Everything here goes through plain enumeration and is deliberately kept
-separate from the search/scan implementations it validates.
+separate from the search it validates; exhaustive subspace enumeration
+lives only here.
 """
 
 import itertools
@@ -10,15 +11,26 @@ import random
 import numpy as np
 
 from commdim import (
+    MatrixGF,
     PrimeField,
     StructureConstantAlgebra,
     Subspace,
-    enumerate_subspaces,
     is_abelian_subspace,
     largest_common_isotropic,
     sample_form_tuple,
 )
 from commdim.errors import NotASubalgebra
+from commdim.gf import rref_arrays_for_pivots
+
+
+def enumerate_subspaces(n: int, k: int, field: PrimeField):
+    """Every k-dim subspace of GF(p)^n exactly once, in canonical order:
+    pivot columns lexicographic, then free entries odometer-style."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    for pivots in itertools.combinations(range(n), k):
+        for a in rref_arrays_for_pivots(pivots, n, field.p):
+            yield Subspace(n, MatrixGF(field.p, a), _canonical=True)
 
 
 def brute_force_max_abelian(alg: StructureConstantAlgebra) -> int:

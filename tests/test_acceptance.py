@@ -18,7 +18,6 @@ from commdim import (
     build_lie_from_forms,
     certify_no_isotropic,
     check_structural_bound,
-    enumerate_subspaces,
     extremal_params,
     gaussian_binomial,
     greedy_abelian_class2,
@@ -33,7 +32,7 @@ from commdim import (
     unitalize,
 )
 
-from oracles import brute_force_max_abelian, class2_dim, is_commutative_subspace, is_subalgebra
+from oracles import brute_force_max_abelian, class2_dim, enumerate_subspaces, is_commutative_subspace, is_subalgebra
 
 F2 = PrimeField(2)
 

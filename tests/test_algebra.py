@@ -14,7 +14,6 @@ from commdim import (
     build_lie_from_forms,
     center,
     centralizer,
-    enumerate_subspaces,
     is_abelian_subspace,
     matrix_algebra,
     maximal_abelian_ideal,
@@ -24,7 +23,7 @@ from commdim import (
     verify_axioms,
 )
 from commdim.algebra import pairwise_products
-from oracles import abelian_ideal_extension, first_axiom_violation, is_commutative_subspace, is_subalgebra
+from oracles import abelian_ideal_extension, enumerate_subspaces, first_axiom_violation, is_commutative_subspace, is_subalgebra
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -232,7 +231,7 @@ def test_axiom_report_json():
 
 
 def test_center_abelian():
-    assert center(abelian(F2, 4)) == Subspace.full(2, 4)
+    assert center(abelian(F2, 4)) == Subspace.span(2, np.eye(4, dtype=int))
 
 
 def test_center_heisenberg():
@@ -257,7 +256,7 @@ def test_center_associative_commutator():
 
 
 def test_centralizer_empty_gens():
-    assert centralizer(heisenberg(F2), []) == Subspace.full(2, 3)
+    assert centralizer(heisenberg(F2), []) == Subspace.span(2, np.eye(3, dtype=int))
 
 
 def test_centralizer_heisenberg_x():
@@ -279,7 +278,7 @@ def test_center_inside_centralizer_and_antitone():
     for alg in (heisenberg(F3), sl2_gf5(), filiform4(F5)):
         z = center(alg)
         gens = []
-        prev = Subspace.full(alg.p, alg.dim)
+        prev = Subspace.span(alg.p, np.eye(alg.dim, dtype=int))
         for _ in range(4):
             gens.append([rng.randrange(alg.p) for _ in range(alg.dim)])
             cur = centralizer(alg, gens)
@@ -320,7 +319,7 @@ def test_one_dim_always_abelian():
 def test_heisenberg_subspaces():
     h = heisenberg(F2)
     assert is_abelian_subspace(h, Subspace.span(2, [[1, 0, 0], [0, 0, 1]]))
-    assert not is_abelian_subspace(h, Subspace.full(2, 3))
+    assert not is_abelian_subspace(h, Subspace.span(2, np.eye(3, dtype=int)))
 
 
 def test_not_a_subalgebra_witness():
@@ -372,7 +371,7 @@ def test_zero_subspace_is_abelian():
 
 
 def test_maximal_abelian_ideal_abelian():
-    assert maximal_abelian_ideal(abelian(F3, 4)) == Subspace.full(3, 4)
+    assert maximal_abelian_ideal(abelian(F3, 4)) == Subspace.span(3, np.eye(4, dtype=int))
 
 
 def test_maximal_abelian_ideal_heisenberg():
@@ -405,7 +404,7 @@ def test_maximal_abelian_ideal_zero_forms():
 
     ft = FormTuple(2, 1, "alternating", F2, [np.zeros((2, 2), dtype=int)])
     alg = build_lie_from_forms(ft)
-    assert maximal_abelian_ideal(alg) == Subspace.full(2, 3)
+    assert maximal_abelian_ideal(alg) == Subspace.span(2, np.eye(3, dtype=int))
 
 
 def test_maximal_abelian_ideal_rejects_non_nilpotent():

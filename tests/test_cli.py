@@ -211,8 +211,13 @@ def test_negative_budget_is_a_domain_error(tmp_path, capsys):
         json.dump(_ALG, fh)
     with open(zero_path, "w") as fh:
         json.dump({"kind": "lie", "p": 3, "dim": 0, "sc": []}, fh)
+    vacuous_path = str(tmp_path / "vacuous.json")
+    vacuous = ["certify", "--n", "2", "--t", "3", "--k", "3", "--p", "2", "--seed", "1"]
+    assert run_json(capsys, *vacuous, "-o", vacuous_path)[1]["vacuous"] is True
     for argv in (
         certify,
+        vacuous,
+        ["reverify", "--cert", vacuous_path],
         ["search", "--alg", alg_path, "--mode", "exact"],
         ["search", "--alg", alg_path, "--mode", "class2"],
         ["search", "--alg", zero_path, "--mode", "exact"],
@@ -306,6 +311,26 @@ def test_malformed_json_is_a_domain_error(tmp_path, capsys, command, flag, doc):
         json.dump(doc, fh)
     extra = {"search": ["--mode", "exact"], "construct": ["--kind", "lie"]}.get(command, [])
     code, out = run(capsys, command, flag, path, *extra)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, extra",
+    [
+        ("verify", "--alg", []),
+        ("search", "--alg", ["--mode", "exact"]),
+        ("construct", "--from", ["--kind", "lie"]),
+        ("unitalize", "--alg", []),
+        ("reverify", "--cert", []),
+    ],
+)
+def test_deeply_nested_json_is_a_domain_error(tmp_path, capsys, command, flag, extra):
+    # json.dump cannot write this, and json.load runs out of recursion on it
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out = run(capsys, command, flag, str(path), *extra)
     assert code == 1
     lines = out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}

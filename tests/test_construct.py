@@ -135,7 +135,7 @@ def test_assoc_zero_forms_commutative():
     ft = FormTuple(2, 2, "general", F2, [np.zeros((2, 2), int)] * 2)
     alg = build_assoc_from_forms(ft)
     assert alg.dim == 4
-    assert is_abelian_subspace(alg, Subspace.full(2, 4))
+    assert is_abelian_subspace(alg, Subspace.span(2, np.eye(4, dtype=int)))
 
 
 def test_assoc_nonsymmetric_form():
@@ -153,7 +153,7 @@ def test_assoc_nonsymmetric_form():
 def test_assoc_symmetric_form_fully_commutative():
     ft = FormTuple(2, 1, "general", F2, [[[1, 1], [1, 0]]])
     alg = build_assoc_from_forms(ft)
-    assert is_abelian_subspace(alg, Subspace.full(2, 3))
+    assert is_abelian_subspace(alg, Subspace.span(2, np.eye(3, dtype=int)))
 
 
 def test_assoc_triple_products_vanish():

@@ -14,7 +14,6 @@ from commdim import (
     PrimeField,
     Subspace,
     certify_no_isotropic,
-    enumerate_subspaces,
     find_common_isotropic,
     gaussian_binomial,
     is_common_isotropic,
@@ -25,7 +24,7 @@ from commdim import (
 from commdim import forms
 from commdim.forms import FORM_KINDS, MODE_ISOTROPIC, MODE_SYMMETRIC
 
-from oracles import brute_force_max_isotropic, first_common_isotropic, random_invertible
+from oracles import brute_force_max_isotropic, enumerate_subspaces, first_common_isotropic, random_invertible
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from commdim import (
     class2_form_tuple,
     greedy_abelian_class2,
     is_abelian_subspace,
+    largest_common_isotropic,
     matrix_algebra,
     maximal_abelian_ideal,
     max_abelian_exact,
@@ -62,7 +64,7 @@ def test_exact_abelian_full_space():
     for d in (1, 3, 5):
         res = max_abelian_exact(abelian(F2, d))
         assert res.dim == d and res.exact
-        assert res.witness == Subspace.full(2, d)
+        assert res.witness == Subspace.span(2, np.eye(d, dtype=int))
 
 
 def test_exact_heisenberg():
@@ -164,14 +166,42 @@ def test_exact_matrix_algebra_meets_schur_jacobson(r, p):
     assert is_abelian_subspace(a, res.witness)
 
 
+def dual_matrix_algebra(field):
+    """M_2 over the dual numbers K[t]/(t^2), on the basis t^k E_ij ordered by (k, i, j)."""
+    basis = list(itertools.product(range(2), repeat=3))
+    sc = {}
+    for (x, (k, i, j)), (y, (l, a, b)) in itertools.product(enumerate(basis), repeat=2):
+        if j == a and k + l < 2:
+            sc[(x, y)] = [int(m == basis.index((k + l, i, b))) for m in range(8)]
+    return StructureConstantAlgebra("assoc", field, 8, sc)
+
+
 def test_exact_budget_abort_gives_lower_bound():
-    alg = build_lie_from_forms(sample_form_tuple(4, 3, "alternating", F2, 77))
-    full = max_abelian_exact(alg)
-    for budget in (0, 5):
-        partial = max_abelian_exact(alg, budget=budget)
-        assert not partial.exact
-        assert partial.dim <= full.dim
-        assert is_abelian_subspace(alg, partial.witness)
+    # an aborted assoc search closes its witness under the product, which
+    # is_abelian_subspace requires: on the dual-number M_2 the best subspace
+    # after 5 nodes is not closed
+    lie = build_lie_from_forms(sample_form_tuple(4, 3, "alternating", F2, 77))
+    for alg in (lie, matrix_algebra(3, F3), dual_matrix_algebra(F2)):
+        full = max_abelian_exact(alg)
+        for budget in (0, 5):
+            partial = max_abelian_exact(alg, budget=budget)
+            assert not partial.exact
+            assert partial.dim <= full.dim
+            assert is_abelian_subspace(alg, partial.witness)
+
+
+def test_complete_exact_search_skips_the_closure(monkeypatch):
+    # a commuting subspace of largest dimension is already a subalgebra, so a
+    # complete search returns its witness unclosed, and it still passes
+    def no_closure(a, sub):
+        raise AssertionError("a complete search ran _subalgebra_closure")
+
+    unital = unitalize(build_assoc_from_forms(sample_form_tuple(3, 2, "general", F2, 5)))
+    monkeypatch.setattr(search, "_subalgebra_closure", no_closure)
+    for alg in (matrix_algebra(2, F2), matrix_algebra(3, F3), unital):
+        res = max_abelian_exact(alg)
+        assert res.exact
+        assert is_abelian_subspace(alg, res.witness)
 
 
 def test_exact_assoc_witness_closed():
@@ -220,17 +250,6 @@ def test_class2_result_on_algebra():
     assert is_abelian_subspace(alg, res.witness)
 
 
-def test_class2_form_tuple_round_trip():
-    ft = sample_form_tuple(3, 2, "alternating", F2, 8)
-    alg = build_lie_from_forms(ft)
-    forms, z, comp = class2_form_tuple(alg)
-    assert forms.t == z.dim
-    assert forms.n == alg.dim - z.dim
-    assert forms.kind == "alternating"
-    # centre contains the value space U
-    assert z.dim >= 2
-
-
 def test_class2_rejects_higher_class():
     with pytest.raises(ValueError):
         class2_exact_result(filiform4(F2))
@@ -245,7 +264,7 @@ def test_greedy_abelian_algebra():
     for d in (1, 4):
         res = greedy_abelian_class2(abelian(F3, d))
         assert res.dim == d
-        assert res.witness == Subspace.full(3, d)
+        assert res.witness == Subspace.span(3, np.eye(d, dtype=int))
 
 
 def test_greedy_heisenberg():
@@ -353,6 +372,10 @@ def test_exact_witness_contains_center_and_matches_class2(alg):
         obj, class2 = exact.to_json(), class2_exact_result(alg).to_json()
         assert obj.pop("mode") == "exact" and class2.pop("mode") == "class2"
         assert obj == class2
+        # the induced forms on the complement give the same dimension
+        forms, z, comp = class2_form_tuple(alg)
+        assert (forms.n, forms.t) == (len(comp), z.dim)
+        assert forms.t + len(largest_common_isotropic(forms.stack(), alg.p).basis) == class2["dim"]
 
 
 def test_search_result_json():
