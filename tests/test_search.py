@@ -250,6 +250,17 @@ def test_class2_result_on_algebra():
     assert is_abelian_subspace(alg, res.witness)
 
 
+def test_class2_form_tuple_round_trip():
+    ft = sample_form_tuple(3, 2, "alternating", F2, 8)
+    alg = build_lie_from_forms(ft)
+    forms, z, comp = class2_form_tuple(alg)
+    assert forms.t == z.dim
+    assert forms.n == alg.dim - z.dim
+    assert forms.kind == "alternating"
+    # centre contains the value space U
+    assert z.dim >= 2
+
+
 def test_class2_rejects_higher_class():
     with pytest.raises(ValueError):
         class2_exact_result(filiform4(F2))
