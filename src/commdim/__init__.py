@@ -48,12 +48,10 @@ from .forms import (
     sample_form_tuple,
 )
 from .gf import (
-    MatrixGF,
     PrimeField,
     Subspace,
     gaussian_binomial,
     is_prime,
-    rref,
 )
 from .search import (
     SearchResult,
@@ -77,7 +75,6 @@ __all__ = [
     "ExtremalParams",
     "FormTuple",
     "GenericityCertificate",
-    "MatrixGF",
     "NotASubalgebra",
     "PrimeField",
     "SearchResult",
@@ -109,7 +106,6 @@ __all__ = [
     "maximal_abelian_ideal",
     "nilpotency_class",
     "reverify_certificate",
-    "rref",
     "sample_form_tuple",
     "seven_n_check",
     "simple_lie_data",

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import NotASubalgebra
 from .gf import (
-    MatrixGF,
     PrimeField,
     Subspace,
     as_gf_array,
@@ -246,14 +245,14 @@ def _centralizer_system(a: StructureConstantAlgebra, gens: np.ndarray) -> np.nda
 
 def centralizer(a: StructureConstantAlgebra, gens) -> Subspace:
     """Solution space of [x, g] = 0 for every generator g."""
-    system = _centralizer_system(a, Subspace.span(a.p, gens, a.dim).basis.a)
-    return Subspace(a.dim, MatrixGF(a.p, nullspace_array(system, a.p)), _canonical=True)
+    system = _centralizer_system(a, Subspace.span(a.p, gens, a.dim).basis)
+    return Subspace(a.p, nullspace_array(system, a.p), _canonical=True)
 
 
 def center(a: StructureConstantAlgebra) -> Subspace:
     """Solution space of [x, e_j] = 0 for all j (commutator for assoc kind)."""
     system = _centralizer_system(a, np.eye(a.dim, dtype=np.int64))
-    return Subspace(a.dim, MatrixGF(a.p, nullspace_array(system, a.p)), _canonical=True)
+    return Subspace(a.p, nullspace_array(system, a.p), _canonical=True)
 
 
 def nilpotency_class(a: StructureConstantAlgebra) -> int | None:
@@ -309,7 +308,7 @@ def is_abelian_subspace(a: StructureConstantAlgebra, s: Subspace) -> bool:
     """
     if s.ambient_dim != a.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
-    b = s.basis.a
+    b = s.basis
     prods = pairwise_products(a, b)
     resid = reduce_against_rref(prods, b, s.pivots, a.p)
     outside = np.argwhere(resid.any(axis=2))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .algebra import StructureConstantAlgebra, verify_axioms
@@ -34,10 +35,11 @@ from .search import (
 
 def _emit(obj, out_path: str | None = None) -> None:
     text = json.dumps(obj)
-    print(text)
+    # the file first, so that a reader closing stdout early cannot cut it short
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
+    print(text, flush=True)
 
 
 def _load_json(path: str) -> dict:
@@ -160,7 +162,7 @@ def _run(args) -> int:
     if cmd == "bounds":
         report = bound_table(args.n, args.field, c=args.c)
         if args.format == "table":
-            print(report.table())
+            print(report.table(), flush=True)
         else:
             _emit(report.to_json())
         return 0
@@ -208,6 +210,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
+    except BrokenPipeError:
+        # stdout was closed early (say by `| head`); the flush at exit would
+        # fail on it again, so it goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except EnumerationTooLarge as exc:
         print(json.dumps({"error": str(exc)}))
         return 2

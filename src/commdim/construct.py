@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import StructureConstantAlgebra, is_abelian_subspace
 from .forms import FormTuple
-from .gf import MatrixGF, PrimeField, Subspace, json_field
+from .gf import PrimeField, Subspace, json_field
 
 MATRIX_ALGEBRA_CAP = 12
 
@@ -127,7 +127,6 @@ def matrix_commutative_subalgebra(
         raise ValueError(f"unknown construction {construction!r}")
     ambient = matrix_algebra(r, field)
     d = r * r
-    p = field.p
     if construction == "diagonal":
         positions = [a_ * r + a_ for a_ in range(r)]
     elif r == 1:
@@ -136,7 +135,7 @@ def matrix_commutative_subalgebra(
         positions = [a_ * r + b for a_ in range(r // 2) for b in range(r // 2, r)]
     basis = np.zeros((len(positions), d), dtype=np.int64)
     basis[np.arange(len(positions)), positions] = 1
-    sub = Subspace(d, MatrixGF(p, basis), _canonical=True)
+    sub = Subspace(field.p, basis, _canonical=True)
     if not is_abelian_subspace(ambient, sub):
         raise RuntimeError("constructed subalgebra failed its commutativity check")
     return ambient, sub

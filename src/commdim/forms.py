@@ -8,6 +8,9 @@ Anyone can regenerate the tuple from the seed and replay the search, which
 must visit the same nodes.  Sampling replaces a counting argument: under
 2n < t(k-1) good tuples exist, so bounded retrying over consecutive seeds is
 sound, and failure to certify never claims that good tuples do not exist.
+
+A :class:`FormTuple` holds its t matrices as one read-only (t, n, n) array;
+its JSON form lists them in the matrix form of :mod:`commdim.gf`.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ import numpy as np
 from .errors import CertificationFailed
 from .gf import (
     DEFAULT_SEARCH_BUDGET,
-    MatrixGF,
     PrimeField,
     Subspace,
+    as_gf_array,
     gaussian_binomial,
     json_field,
+    matrix_from_json,
+    matrix_to_json,
     rref_arrays_for_pivots,  # noqa: F401  perfbench/tracer.py counts subspaces through this name
 )
 
@@ -37,9 +42,10 @@ METHOD = "isotropic-dfs"  # the certificate's provenance tag
 
 
 class FormTuple:
-    """A tuple of t bilinear forms on GF(p)^n, given by n x n matrices."""
+    """A tuple of t bilinear forms on GF(p)^n, held as one read-only,
+    reduced (t, n, n) int64 array of their matrices."""
 
-    __slots__ = ("n", "t", "kind", "p", "mats", "seed", "_stack")
+    __slots__ = ("n", "t", "kind", "p", "seed", "_stack")
 
     def __init__(self, n: int, t: int, kind: str, field: PrimeField, mats, seed: int | None = None):
         if kind not in FORM_KINDS:
@@ -50,25 +56,19 @@ class FormTuple:
         if len(mats) != t:
             raise ValueError(f"expected {t} matrices, got {len(mats)}")
         p = field.p
-        checked = []
-        for m in mats:
-            if not isinstance(m, MatrixGF):
-                m = MatrixGF(p, m)
-            if m.p != p or m.a.shape != (n, n):
-                raise ValueError("every form must be an n x n matrix over GF(p)")
-            checked.append(m)
-        self.n, self.t, self.kind, self.p = n, t, kind, p
-        self.mats = checked
-        self.seed = seed
-        self._stack = None
+        stack = as_gf_array(mats, p)
+        if stack.shape != (t, n, n):
+            raise ValueError("every form must be an n x n matrix over GF(p)")
+        transposed = stack.transpose(0, 2, 1)
         if kind == "alternating":
-            for m in checked:
-                if np.any(np.diagonal(m.a)) or np.any((m.a + m.a.T) % p):
-                    raise ValueError("alternating form needs zero diagonal and M^T = -M")
-        elif kind == "symmetric":
-            for m in checked:
-                if np.any((m.a - m.a.T) % p):
-                    raise ValueError("symmetric form needs M^T = M")
+            if np.einsum("mii->mi", stack).any() or ((stack + transposed) % p).any():
+                raise ValueError("alternating form needs zero diagonal and M^T = -M")
+        elif kind == "symmetric" and ((stack - transposed) % p).any():
+            raise ValueError("symmetric form needs M^T = M")
+        stack.flags.writeable = False
+        self.n, self.t, self.kind, self.p = n, t, kind, p
+        self.seed = seed
+        self._stack = stack
 
     @property
     def field(self) -> PrimeField:
@@ -76,17 +76,13 @@ class FormTuple:
 
     def stack(self) -> np.ndarray:
         """(t, n, n) tensor of the form matrices."""
-        if self._stack is None:
-            s = np.stack([m.a for m in self.mats])
-            s.flags.writeable = False
-            self._stack = s
         return self._stack
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FormTuple)
             and (self.n, self.t, self.kind, self.p) == (other.n, other.t, other.kind, other.p)
-            and all(a == b for a, b in zip(self.mats, other.mats))
+            and bool(np.array_equal(self._stack, other._stack))
         )
 
     def __repr__(self) -> str:
@@ -98,7 +94,7 @@ class FormTuple:
             "t": self.t,
             "kind": self.kind,
             "p": self.p,
-            "mats": [m.to_json() for m in self.mats],
+            "mats": [matrix_to_json(self.p, m) for m in self._stack],
         }
         if self.seed is not None:
             obj["seed"] = self.seed
@@ -106,14 +102,16 @@ class FormTuple:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FormTuple":
-        return cls(
-            json_field(obj, "n", "int"),
-            json_field(obj, "t", "int"),
-            json_field(obj, "kind", "str"),
-            PrimeField(json_field(obj, "p", "int")),
-            [MatrixGF.from_json(m) for m in json_field(obj, "mats", "list")],
-            seed=json_field(obj, "seed", "int", default=None),
-        )
+        n, t = json_field(obj, "n", "int"), json_field(obj, "t", "int")
+        kind = json_field(obj, "kind", "str")
+        field = PrimeField(json_field(obj, "p", "int"))
+        mats = []
+        for m in json_field(obj, "mats", "list"):
+            p, a = matrix_from_json(m)
+            if p != field.p or a.shape != (n, n):
+                raise ValueError("every form must be an n x n matrix over GF(p)")
+            mats.append(a)
+        return cls(n, t, kind, field, mats, seed=json_field(obj, "seed", "int", default=None))
 
 
 def sample_form_tuple(n: int, t: int, kind: str, field: PrimeField, seed: int) -> FormTuple:
@@ -121,34 +119,21 @@ def sample_form_tuple(n: int, t: int, kind: str, field: PrimeField, seed: int) -
 
     Free entries (strict upper triangle for alternating, upper triangle plus
     diagonal for symmetric, everything for general) are drawn row-major from
-    a single Mersenne-Twister stream, so the same seed reproduces the tuple
-    bit for bit.
+    a single Mersenne-Twister stream, one matrix after the other, so the same
+    seed reproduces the tuple bit for bit.
     """
     if kind not in FORM_KINDS:
         raise ValueError(f"unknown form kind {kind!r}")
     p = field.p
     rng = random.Random(seed)
-    mats = []
-    for _ in range(t):
-        m = np.zeros((n, n), dtype=np.int64)
-        if kind == "alternating":
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = rng.randrange(p)
-                    m[i, j] = v
-                    m[j, i] = (-v) % p
-        elif kind == "symmetric":
-            for i in range(n):
-                for j in range(i, n):
-                    v = rng.randrange(p)
-                    m[i, j] = v
-                    m[j, i] = v
-        else:
-            for i in range(n):
-                for j in range(n):
-                    m[i, j] = rng.randrange(p)
-        mats.append(MatrixGF(p, m))
-    return FormTuple(n, t, kind, field, mats, seed=seed)
+    # row-major free positions; an offset of -n takes in every position
+    rows, cols = np.triu_indices(n, {"alternating": 1, "symmetric": 0, "general": -n}[kind])
+    vals = np.array([rng.randrange(p) for _ in range(t * len(rows))], dtype=np.int64).reshape(t, len(rows))
+    stack = np.zeros((t, n, n), dtype=np.int64)
+    stack[:, rows, cols] = vals
+    if kind != "general":
+        stack[:, cols, rows] = vals if kind == "symmetric" else (-vals) % p
+    return FormTuple(n, t, kind, field, stack, seed=seed)
 
 
 def _mode_stack(forms: FormTuple, mode: str) -> np.ndarray:
@@ -165,7 +150,7 @@ def is_common_isotropic(forms: FormTuple, sub: Subspace, mode: str = MODE_ISOTRO
     stack = _mode_stack(forms, mode)
     if sub.ambient_dim != forms.n or sub.p != forms.p:
         raise ValueError("subspace does not live on the forms' space")
-    b = sub.basis.a
+    b = sub.basis
     return not (np.einsum("ka,mab,lb->mkl", b, stack, b) % forms.p).any()
 
 
@@ -174,7 +159,7 @@ def _search(forms: FormTuple, k: int, mode: str, budget: int) -> tuple[Subspace 
     from .search import largest_common_isotropic  # search imports this module
 
     res = largest_common_isotropic(_mode_stack(forms, mode), forms.p, k=k, budget=budget).require_complete()
-    witness = None if res.basis is None else Subspace(forms.n, MatrixGF(forms.p, res.basis), _canonical=True)
+    witness = None if res.basis is None else Subspace(forms.p, res.basis, _canonical=True)
     return witness, res.nodes_visited
 
 

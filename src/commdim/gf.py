@@ -1,6 +1,10 @@
 """Exact linear algebra over prime fields GF(p).
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Everything is
+Matrices are numpy int64 arrays with entries reduced mod p; a type that owns
+such data (:class:`Subspace` here, ``FormTuple`` in :mod:`commdim.forms`)
+holds it read-only and checks its own invariants.  Only this module knows
+the matrix JSON form {"p", "rows", "cols", "entries"}
+(:func:`matrix_to_json`, :func:`matrix_from_json`).  Everything is
 deterministic: row reduction yields the unique reduced row echelon form,
 subspaces are held in a canonical basis (so equal subspaces compare equal
 bit for bit), and subspaces of one dimension are ordered by their
@@ -61,12 +65,9 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-def as_gf_array(entries, p: int, shape=None) -> np.ndarray:
+def as_gf_array(entries, p: int) -> np.ndarray:
     """Coerce to a reduced int64 array over GF(p)."""
-    a = np.asarray(entries, dtype=np.int64)
-    if shape is not None:
-        a = a.reshape(shape)
-    return np.mod(a, p)
+    return np.mod(np.asarray(entries, dtype=np.int64), p)
 
 
 _JSON_TYPES = {
@@ -95,61 +96,21 @@ def json_field(obj, key: str, kind: str, default=_REQUIRED):
     return value
 
 
-class MatrixGF:
-    """A rows x cols matrix over GF(p): plain data, entries stored reduced, row-major."""
+def matrix_to_json(p: int, a: np.ndarray) -> dict:
+    """The JSON form of a 2-dimensional array over GF(p), entries row-major."""
+    rows, cols = a.shape
+    return {"p": p, "rows": rows, "cols": cols, "entries": [int(x) for x in a.reshape(-1)]}
 
-    __slots__ = ("p", "a")
 
-    def __init__(self, p: int, entries, shape=None):
-        self.p = PrimeField(p).p
-        a = as_gf_array(entries, self.p, shape)
-        if a.ndim != 2:
-            raise ValueError(f"matrix must be 2-dimensional, got shape {a.shape}")
-        a.flags.writeable = False
-        self.a = a
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "MatrixGF":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatrixGF)
-            and self.p == other.p
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.a.shape, self.a.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"MatrixGF(p={self.p}, {self.a.tolist()!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [int(x) for x in self.a.reshape(-1)],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MatrixGF":
-        p = PrimeField(json_field(obj, "p", "int")).p
-        rows, cols = json_field(obj, "rows", "int"), json_field(obj, "cols", "int")
-        entries = [x % p for x in json_field(obj, "entries", "ints")]
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match rows*cols")
-        return cls(p, entries, shape=(rows, cols))
+def matrix_from_json(obj) -> tuple[int, np.ndarray]:
+    """(p, reduced (rows, cols) array) from the JSON form of :func:`matrix_to_json`."""
+    p = PrimeField(json_field(obj, "p", "int")).p
+    rows, cols = json_field(obj, "rows", "int"), json_field(obj, "cols", "int")
+    # ints outside [0, p), which may not fit int64, are reduced before numpy sees them
+    entries = [x % p for x in json_field(obj, "entries", "ints")]
+    if len(entries) != rows * cols:
+        raise ValueError("entry count does not match rows*cols")
+    return p, np.array(entries, dtype=np.int64).reshape(rows, cols)
 
 
 def _rref_rows(m: list[list[int]], p: int) -> tuple[int, list[int]]:
@@ -219,36 +180,34 @@ def rref_array(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
     return r, m, pivots
 
 
-def rref(m: MatrixGF) -> tuple[int, MatrixGF]:
-    """Canonical row reduction: (rank, echelon with zero rows dropped)."""
-    rank, red, _ = rref_array(m.a, m.p)
-    return rank, MatrixGF(m.p, red[:rank])
-
-
 def nullspace_array(a: np.ndarray, p: int) -> np.ndarray:
-    """Canonical (RREF) row basis of {x : a @ x = 0} over GF(p)."""
-    a = np.asarray(a, dtype=np.int64)
+    """Canonical (RREF) row basis of {x : a @ x = 0} over GF(p).
+
+    One elimination, on the columns in reverse order: the solution read off
+    a free column f is then 1 at f, 0 at the other free columns and nonzero
+    only at pivot columns right of f, so these solutions, ordered by f, are
+    already the RREF basis.
+    """
+    a = np.asarray(a, dtype=np.int64)[:, ::-1]
     ncols = a.shape[1]
     if a.size <= SMALL_MATRIX_CELLS:
         rows = np.mod(a, p).tolist()
         _, pivots = _rref_rows(rows, p)
         basis = []
-        for f in range(ncols):
+        for f in reversed(range(ncols)):
             if f not in pivots:
                 v = [0] * ncols
                 v[f] = 1
                 for row, pc in zip(rows, pivots):
                     v[pc] = -row[f] % p
-                basis.append(v)
-        _rref_rows(basis, p)
+                basis.append(v[::-1])
         return np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
     rank, red, pivots = rref_array(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    free = [c for c in reversed(range(ncols)) if c not in pivots]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-red[:rank, free].T) % p
-    _, basis, _ = rref_array(basis, p)
-    return basis[: len(free)]
+    return np.ascontiguousarray(basis[:, ::-1])
 
 
 def solve_affine(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -280,18 +239,23 @@ def reduce_against_rref(v: np.ndarray, basis: np.ndarray, pivots: Iterable[int],
 
 
 class Subspace:
-    """A subspace of GF(p)^n held by its canonical RREF basis (no zero rows)."""
+    """A subspace of GF(p)^n held by its canonical RREF basis: a read-only,
+    reduced (k, n) int64 array with no zero rows."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("p", "basis", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: MatrixGF, _canonical: bool = False):
-        if basis.cols != ambient_dim:
-            raise ValueError(f"basis has {basis.cols} columns, ambient dim is {ambient_dim}")
-        if not _canonical:
-            _, basis = rref(basis)
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = tuple(int(np.argmax(row != 0)) for row in basis.a)
+    def __init__(self, p: int, basis, _canonical: bool = False):
+        p = PrimeField(p).p
+        basis = as_gf_array(basis, p)
+        if basis.ndim != 2:
+            raise ValueError(f"basis must be 2-dimensional, got shape {basis.shape}")
+        if _canonical:
+            pivots = (basis != 0).argmax(axis=1).tolist() if basis.size else []
+        else:
+            rank, basis, pivots = rref_array(basis, p)
+            basis = basis[:rank]
+        basis.flags.writeable = False
+        self.p, self.basis, self.pivots = p, basis, tuple(pivots)
 
     @classmethod
     def span(cls, p: int, rows, ambient_dim: int | None = None) -> "Subspace":
@@ -299,50 +263,54 @@ class Subspace:
         n = a.shape[-1] if ambient_dim is None else ambient_dim
         if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != n):
             raise ValueError(f"rows of shape {a.shape} do not lie in GF({p})^{n}")
-        return cls(n, MatrixGF(p, a.reshape(len(a), n)))
+        return cls(p, a.reshape(len(a), n))
 
     @classmethod
     def zero(cls, p: int, n: int) -> "Subspace":
-        return cls(n, MatrixGF.zeros(p, 0, n), _canonical=True)
+        return cls(p, np.zeros((0, n), dtype=np.int64), _canonical=True)
 
     @property
-    def p(self) -> int:
-        return self.basis.p
+    def ambient_dim(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return self.basis.shape[0]
 
     def contains_vector(self, v) -> bool:
-        res = reduce_against_rref(as_gf_array(v, self.p), self.basis.a, self.pivots, self.p)
+        res = reduce_against_rref(as_gf_array(v, self.p), self.basis, self.pivots, self.p)
         return not np.any(res)
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.basis.a)
+        return all(self.contains_vector(row) for row in other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        stacked = np.concatenate([self.basis.a, other.basis.a], axis=0)
-        return Subspace(self.ambient_dim, MatrixGF(self.p, stacked))
+        return Subspace(self.p, np.concatenate([self.basis, other.basis]))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.p == other.p
+            and self.basis.shape == other.basis.shape
+            and bool(np.array_equal(self.basis, other.basis))
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.p, self.basis.shape, self.basis.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, p={self.p})"
 
     def to_json(self) -> dict:
-        return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json()}
+        return {"ambient_dim": self.ambient_dim, "basis": matrix_to_json(self.p, self.basis)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Subspace":
-        return cls(json_field(obj, "ambient_dim", "int"), MatrixGF.from_json(json_field(obj, "basis", "object")))
+        n = json_field(obj, "ambient_dim", "int")
+        p, basis = matrix_from_json(json_field(obj, "basis", "object"))
+        if basis.shape[1] != n:
+            raise ValueError(f"basis has {basis.shape[1]} columns, ambient dim is {n}")
+        return cls(p, basis)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -43,7 +43,6 @@ from .errors import EnumerationTooLarge
 from .forms import FormTuple, find_common_isotropic  # noqa: F401  perfbench/tracer.py wraps this name
 from .gf import (
     DEFAULT_SEARCH_BUDGET,
-    MatrixGF,
     Subspace,
     nullspace_array,
     reduce_against_rref,
@@ -176,8 +175,8 @@ def _subalgebra_closure(a: StructureConstantAlgebra, sub: Subspace) -> Subspace:
     """Smallest product-closed subspace containing sub."""
     cur = sub
     while True:
-        prods = pairwise_products(a, cur.basis.a).reshape(cur.dim**2, a.dim)
-        bigger = cur.sum(Subspace(a.dim, MatrixGF(a.p, prods)))
+        prods = pairwise_products(a, cur.basis).reshape(cur.dim**2, a.dim)
+        bigger = cur.sum(Subspace(a.p, prods))
         if bigger.dim == cur.dim:
             return cur
         cur = bigger
@@ -207,7 +206,7 @@ def _isotropic_over_center(
     res = largest_common_isotropic(forms[forms.any(axis=(1, 2))], a.p, budget=budget)
     emb = np.zeros((len(res.basis), a.dim), dtype=np.int64)
     emb[:, comp] = res.basis
-    return Subspace.span(a.p, np.concatenate([emb, z.basis.a]), a.dim), res
+    return Subspace(a.p, np.concatenate([emb, z.basis])), res
 
 
 def max_abelian_exact(
@@ -225,7 +224,7 @@ def max_abelian_exact(
     # the center's nullspace call is made here, not through algebra.center,
     # so that it is counted with the search's own calls
     system = _centralizer_system(a, np.eye(a.dim, dtype=np.int64))
-    z = Subspace(a.dim, MatrixGF(a.p, nullspace_array(system, a.p)), _canonical=True)
+    z = Subspace(a.p, nullspace_array(system, a.p), _canonical=True)
     witness, res = _isotropic_over_center(a, z, budget)
     if a.kind == "assoc" and not res.complete:
         witness = _subalgebra_closure(a, witness)
@@ -252,7 +251,7 @@ def class2_form_tuple(
     """
     z = _class2_center(a)
     comp, comm = _split_over_center(a, z)
-    mats = [MatrixGF(a.p, comm[:, :, c]) for c in z.pivots]
+    mats = comm[:, :, list(z.pivots)].transpose(2, 0, 1)
     return FormTuple(len(comp), z.dim, "alternating", a.field, mats), z, comp
 
 
@@ -286,7 +285,7 @@ def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
     """
     z = _class2_center(a)
     fix = np.eye(a.dim, dtype=np.int64)[list(z.pivots)]
-    picks = _grow(Subspace.zero(a.p, a.dim), lambda cur: np.concatenate([fix, _centralizer_system(a, cur.basis.a)]))
+    picks = _grow(Subspace.zero(a.p, a.dim), lambda cur: np.concatenate([fix, _centralizer_system(a, cur.basis)]))
     witness = picks.sum(z)
     s = witness.dim
     if a.dim > (s * s) // 4 + s:
@@ -309,7 +308,7 @@ def maximal_abelian_ideal(a: StructureConstantAlgebra) -> Subspace:
 
     def system(ideal: Subspace) -> np.ndarray:
         # [x, e_j] in ideal for all j: rows ((j, l), i) of T[i,j,:] reduced against the ideal
-        cond_ideal = reduce_against_rref(t, ideal.basis.a, ideal.pivots, p).transpose(1, 2, 0).reshape(d * d, d)
-        return np.concatenate([cond_ideal, _centralizer_system(a, ideal.basis.a)])
+        cond_ideal = reduce_against_rref(t, ideal.basis, ideal.pivots, p).transpose(1, 2, 0).reshape(d * d, d)
+        return np.concatenate([cond_ideal, _centralizer_system(a, ideal.basis)])
 
     return _grow(center(a), system)

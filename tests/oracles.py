@@ -11,7 +11,6 @@ import random
 import numpy as np
 
 from commdim import (
-    MatrixGF,
     PrimeField,
     StructureConstantAlgebra,
     Subspace,
@@ -30,7 +29,7 @@ def enumerate_subspaces(n: int, k: int, field: PrimeField):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     for pivots in itertools.combinations(range(n), k):
         for a in rref_arrays_for_pivots(pivots, n, field.p):
-            yield Subspace(n, MatrixGF(field.p, a), _canonical=True)
+            yield Subspace(field.p, a, _canonical=True)
 
 
 def brute_force_max_abelian(alg: StructureConstantAlgebra) -> int:
@@ -54,8 +53,7 @@ def class2_dim(forms) -> int:
 
 
 def _restrictions_vanish(forms, basis: np.ndarray, mode: str) -> bool:
-    mats = np.stack([m.a for m in forms.mats])
-    r = np.einsum("ka,mab,lb->mkl", basis, mats, basis) % forms.p
+    r = np.einsum("ka,mab,lb->mkl", basis, forms.stack(), basis) % forms.p
     if mode == "symmetric-restriction":
         r = (r - r.transpose(0, 2, 1)) % forms.p
     return not r.any()
@@ -65,7 +63,7 @@ def first_common_isotropic(forms, k: int, mode: str = "isotropic"):
     """The first k-dim subspace, in enumeration order, on which every form
     restricts to zero (or to a symmetric matrix); None if there is none."""
     for sub in enumerate_subspaces(forms.n, k, PrimeField(forms.p)):
-        if _restrictions_vanish(forms, sub.basis.a, mode):
+        if _restrictions_vanish(forms, sub.basis, mode):
             return sub
     return None
 
@@ -73,10 +71,10 @@ def first_common_isotropic(forms, k: int, mode: str = "isotropic"):
 def brute_force_max_isotropic(forms, mode_symmetric=False) -> int:
     """Largest k with a qualifying subspace, by scanning every subspace."""
     field = PrimeField(forms.p)
-    mats = np.stack([m.a for m in forms.mats])
+    mats = forms.stack()
     for k in range(forms.n, -1, -1):
         for sub in enumerate_subspaces(forms.n, k, field):
-            b = sub.basis.a
+            b = sub.basis
             r = np.einsum("ka,mab,lb->mkl", b, mats, b) % forms.p
             if mode_symmetric:
                 if not ((r - r.transpose(0, 2, 1)) % forms.p).any():
@@ -131,14 +129,14 @@ def extends_abelian_ideal(alg: StructureConstantAlgebra, ideal: Subspace, x) -> 
     t = alg.table()
     x = np.asarray(x, dtype=np.int64)
     in_ideal = all(ideal.contains_vector(np.einsum("a,ak->k", x, t[:, j, :]) % alg.p) for j in range(alg.dim))
-    return in_ideal and not any((np.einsum("a,b,abk->k", x, row, t) % alg.p).any() for row in ideal.basis.a)
+    return in_ideal and not any((np.einsum("a,b,abk->k", x, row, t) % alg.p).any() for row in ideal.basis)
 
 
 def abelian_ideal_extension(alg: StructureConstantAlgebra, ideal: Subspace):
     """First vector, over all lines of GF(p)^d, outside the ideal that still
     extends it to an abelian ideal; None if there is none."""
     for line in enumerate_subspaces(alg.dim, 1, PrimeField(alg.p)):
-        x = line.basis.a[0]
+        x = line.basis[0]
         if not ideal.contains_vector(x) and extends_abelian_ideal(alg, ideal, x):
             return x
     return None
@@ -146,7 +144,7 @@ def abelian_ideal_extension(alg: StructureConstantAlgebra, ideal: Subspace):
 
 def _basis_products(alg: StructureConstantAlgebra, sub: Subspace) -> np.ndarray:
     """(k, k, d) products of all basis-row pairs, in one exact int64 contraction."""
-    b = sub.basis.a
+    b = sub.basis
     return np.einsum("ia,jb,abl->ijl", b, b, alg.table()) % alg.p
 
 

@@ -167,8 +167,8 @@ def test_criterion_5_associative_commutativity_criterion():
                     continue
                 subalgebras += 1
                 commutative = is_commutative_subspace(alg, sub)
-                proj = Subspace.span(2, sub.basis.a[:, :n], n)
-                pb = proj.basis.a
+                proj = Subspace.span(2, sub.basis[:, :n], n)
+                pb = proj.basis
                 restr = np.einsum("ka,mab,lb->mkl", pb, mats, pb) % 2
                 symmetric = not ((restr - restr.transpose(0, 2, 1)) % 2).any()
                 ok = ok and (commutative == symmetric)

@@ -1,7 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import commdim
+from commdim import PrimeField, sample_form_tuple
 from commdim.cli import main
 
 
@@ -303,6 +309,8 @@ _CERT = dict(_FORMS, k=2, subspaces_checked="1", seed=1, nodes_visited=1)
         ("search", "--alg", {"kind": "lie", "p": 2, "dim": 100000, "sc": []}),
         ("search", "--alg", dict(_ALG, sc=[{"i": 0, "j": 1, "v": [0, 0, 1]}, {"i": 0, "j": 1, "v": [0, 0, 0]}])),
         ("verify", "--alg", dict(_ALG, sc=[{"i": 0, "j": 1, "v": [0, 0, 1]}, {"i": 0, "j": 1, "v": [0, 0, 1]}])),
+        ("construct", "--from", dict(_FORMS, mats=[{"p": 5, "rows": 2, "cols": 2, "entries": [0, 1, 4, 0]}])),
+        ("construct", "--from", dict(_FORMS, mats=[{"p": 3, "rows": 3, "cols": 3, "entries": [0] * 9}])),
     ],
 )
 def test_malformed_json_is_a_domain_error(tmp_path, capsys, command, flag, doc):
@@ -353,3 +361,25 @@ def test_greedy_bound_failure_is_a_domain_error(tmp_path, capsys):
     assert code == 1
     lines = out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
+def test_closed_stdout_is_quiet_and_keeps_the_output_file(tmp_path):
+    # the algebra's JSON (about 100 kB) overflows the pipe, whose reader is
+    # gone before the first write
+    forms = tmp_path / "f40.json"
+    forms.write_text(json.dumps(sample_form_tuple(40, 8, "alternating", PrimeField(2), 1).to_json()))
+    alg = tmp_path / "alg.json"
+    src = str(pathlib.Path(commdim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "commdim", "construct", "--from", str(forms), "--kind", "lie", "-o", str(alg)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+    doc = json.loads(alg.read_text())
+    assert doc["kind"] == "lie" and doc["dim"] == 48

@@ -121,7 +121,7 @@ def test_isotropic_witness_spans_abelian_subalgebra():
             if w is None:
                 continue
             emb = np.zeros((k, n + t), dtype=np.int64)
-            emb[:, :n] = w.basis.a
+            emb[:, :n] = w.basis
             u_rows = np.concatenate([np.zeros((t, n), np.int64), np.eye(t, dtype=np.int64)], axis=1)
             span = Subspace.span(2, np.concatenate([emb, u_rows]), n + t)
             assert span.dim == k + t

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -45,22 +46,22 @@ def symplectic_gf2_4():
 def test_sample_empty_space():
     ft = sample_form_tuple(0, 2, "alternating", F2, 7)
     assert ft.n == 0 and ft.t == 2
-    assert all(m.a.shape == (0, 0) for m in ft.mats)
+    assert ft.stack().shape == (2, 0, 0)
 
 
 def test_sample_alternating_invariants():
     for seed in range(5):
         for p in (2, 3, 5):
             ft = sample_form_tuple(4, 2, "alternating", PrimeField(p), seed)
-            for m in ft.mats:
-                assert not np.diagonal(m.a).any()
-                assert not ((m.a + m.a.T) % p).any()
+            for m in ft.stack():
+                assert not np.diagonal(m).any()
+                assert not ((m + m.T) % p).any()
 
 
 def test_sample_symmetric_invariants():
     ft = sample_form_tuple(3, 2, "symmetric", F3, 11)
-    for m in ft.mats:
-        assert np.array_equal(m.a, m.a.T)
+    for m in ft.stack():
+        assert np.array_equal(m, m.T)
 
 
 def test_sample_deterministic():
@@ -78,6 +79,40 @@ def test_sample_matches_golden_file():
     assert ft.to_json() == expected
 
 
+# sha256 of json.dumps(to_json()) for tuples sampled before the draws were
+# vectorized: seeded replay depends on the order of the draws
+_PINNED_SAMPLES = {
+    (5, 3, 3, 2024, "alternating"): "eeeb905738fc83d72fbbf8be9118de6765a709f055af073ad1975103e09eecec",
+    (5, 3, 3, 2024, "symmetric"): "4979bd07558ff163d9cb0ec5727a0305c4aa72138b693ed921e6252943e2600e",
+    (5, 3, 3, 2024, "general"): "3fd37dc6b45a274623123007237816707250ff23ece287e5952670b0617df245",
+    (40, 8, 2, 1, "alternating"): "445794e43b089538e196c5741c0b17e79f47e55659e00b4cb015d77f1d514db3",
+    (40, 8, 2, 1, "symmetric"): "ddbac5bd51cce50d839052a6505fc0afd0d00e2c45a6fc327399459ad625b647",
+    (40, 8, 2, 1, "general"): "9a46a2d7e9898055368a456a085988e8170e85dcb490ce747a2031525d751a03",
+    (4, 2, 8191, 7, "alternating"): "46f2b854544d4c606f3ab58cf5d5ea992ea1e56b85dcc3ab7bdba8236d191aa4",
+    (4, 2, 8191, 7, "symmetric"): "f4a9dd3b6bc92464133d32e187e9fdc7efa2c9e38dbec3dd15c29cd745591222",
+    (4, 2, 8191, 7, "general"): "6b7caac3fdae1e60a82929ee14a5d2caaaf85053f90d74f7f2707b075ac6278c",
+}
+
+
+@pytest.mark.parametrize("n, t, p, seed, kind", sorted(_PINNED_SAMPLES))
+def test_sample_replays_pinned_tuples(n, t, p, seed, kind):
+    ft = sample_form_tuple(n, t, kind, PrimeField(p), seed)
+    digest = hashlib.sha256(json.dumps(ft.to_json()).encode()).hexdigest()
+    assert digest == _PINNED_SAMPLES[(n, t, p, seed, kind)]
+
+
+@pytest.mark.parametrize("kind", FORM_KINDS)
+def test_form_stack_is_read_only_and_reduced(kind):
+    field = PrimeField(5)
+    ft = FormTuple(3, 2, kind, field, sample_form_tuple(3, 2, kind, field, 4).stack() + 5 * np.arange(9).reshape(3, 3))
+    s = ft.stack()
+    assert s.dtype == np.int64 and s.shape == (2, 3, 3) and not s.flags.writeable
+    assert ((0 <= s) & (s < 5)).all()
+    assert ft == sample_form_tuple(3, 2, kind, field, 4)
+    with pytest.raises(ValueError):
+        s[0, 0, 1] = 1
+
+
 def test_form_tuple_validation():
     with pytest.raises(ValueError):
         FormTuple(2, 1, "alternating", F3, [[[0, 1], [1, 0]]])  # not skew
@@ -85,11 +120,17 @@ def test_form_tuple_validation():
         FormTuple(2, 1, "symmetric", F3, [[[0, 1], [2, 0]]])
     with pytest.raises(ValueError):
         FormTuple(2, 2, "general", F3, [[[0, 1], [2, 0]]])  # wrong count
+    with pytest.raises(ValueError):
+        FormTuple(2, 1, "general", F3, [np.eye(3, dtype=int)])  # wrong size
 
 
 def test_form_tuple_json_round_trip():
     ft = sample_form_tuple(3, 2, "general", F3, 5)
     assert FormTuple.from_json(ft.to_json()) == ft
+    obj = ft.to_json()
+    for bad in (dict(obj["mats"][0], p=5), dict(obj["mats"][0], rows=1, entries=obj["mats"][0]["entries"][:3])):
+        with pytest.raises(ValueError, match="n x n matrix over GF"):
+            FormTuple.from_json(dict(obj, mats=[bad, obj["mats"][1]]))
 
 
 # ---------------------------------------------------------------- scanning
@@ -132,7 +173,7 @@ def test_isotropy_is_basis_independent():
     for sub in enumerate_subspaces(4, 2, F3):
         status = is_common_isotropic(ft, sub)
         e = random_invertible(3, sub.dim, rng)
-        scrambled = Subspace.span(3, (e @ sub.basis.a) % 3)
+        scrambled = Subspace.span(3, (e @ sub.basis) % 3)
         assert scrambled == sub
         assert is_common_isotropic(ft, scrambled) == status
 
@@ -331,4 +372,4 @@ def test_engine_matches_enumeration_oracle(ft):
         res = largest_common_isotropic(stack, ft.p)
         kmax = brute_force_max_isotropic(ft, mode_symmetric=mode == MODE_SYMMETRIC)
         assert res.complete and len(res.basis) == kmax, mode
-        assert res.basis.tolist() == first_common_isotropic(ft, kmax, mode).basis.a.tolist()
+        assert res.basis.tolist() == first_common_isotropic(ft, kmax, mode).basis.tolist()

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commdim import (
-    MatrixGF,
     PrimeField,
     Subspace,
     gaussian_binomial,
     is_prime,
-    rref,
 )
 from commdim import gf
-from commdim.gf import nullspace_array, rref_array, solve_affine
+from commdim.gf import matrix_from_json, matrix_to_json, nullspace_array, rref_array, solve_affine
 
 from oracles import enumerate_subspaces, random_invertible
 
@@ -36,22 +34,22 @@ def test_is_prime_small():
 
 
 def test_rref_identity():
-    m = MatrixGF(5, np.eye(3, dtype=int))
-    rank, ech = rref(m)
-    assert rank == 3
-    assert ech == m
+    m = np.eye(3, dtype=np.int64)
+    rank, ech, pivots = rref_array(m, 5)
+    assert rank == 3 and pivots == [0, 1, 2]
+    assert np.array_equal(ech, m)
 
 
 def test_rref_zero():
-    rank, ech = rref(MatrixGF.zeros(2, 2, 4))
-    assert rank == 0
-    assert ech.rows == 0 and ech.cols == 4
+    rank, ech, pivots = rref_array(np.zeros((2, 4), dtype=np.int64), 2)
+    assert rank == 0 and pivots == []
+    assert ech.shape == (2, 4) and not ech.any()
 
 
 def test_rref_dependent_rows():
-    rank, ech = rref(MatrixGF(2, [[1, 1], [1, 1]]))
-    assert rank == 1
-    assert ech.a.tolist() == [[1, 1]]
+    rank, ech, pivots = rref_array(np.array([[1, 1], [1, 1]]), 2)
+    assert rank == 1 and pivots == [0]
+    assert ech.tolist() == [[1, 1], [0, 0]]
 
 
 def test_rref_idempotent():
@@ -59,10 +57,10 @@ def test_rref_idempotent():
     for p in (2, 3, 5):
         for _ in range(25):
             rows, cols = rng.randrange(1, 5), rng.randrange(1, 6)
-            m = MatrixGF(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
-            _, ech = rref(m)
-            _, again = rref(ech)
-            assert again == ech
+            m = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+            rank, ech, _ = rref_array(m, p)
+            again_rank, again, _ = rref_array(ech[:rank], p)
+            assert again_rank == rank and np.array_equal(again, ech[:rank])
 
 
 def test_rref_canonical_under_row_operations():
@@ -72,9 +70,9 @@ def test_rref_canonical_under_row_operations():
             k, n = rng.randrange(1, 4), rng.randrange(2, 6)
             a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=np.int64)
             e = random_invertible(p, k, rng)
-            _, ech1 = rref(MatrixGF(p, a))
-            _, ech2 = rref(MatrixGF(p, (e @ a) % p))
-            assert ech1 == ech2
+            _, ech1, _ = rref_array(a, p)
+            _, ech2, _ = rref_array((e @ a) % p, p)
+            assert np.array_equal(ech1, ech2)
 
 
 def test_gaussian_binomial_values():
@@ -101,15 +99,15 @@ def test_gaussian_binomial_domain_error():
 
 def test_enumerate_line_in_plane():
     subs = list(enumerate_subspaces(2, 1, PrimeField(2)))
-    found = {tuple(s.basis.a.reshape(-1)) for s in subs}
+    found = {tuple(s.basis.reshape(-1)) for s in subs}
     assert found == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_enumerate_order_is_canonical():
     # pivot columns lexicographic, then free entries odometer-style
-    got = [s.basis.a.tolist() for s in enumerate_subspaces(2, 1, PrimeField(2))]
+    got = [s.basis.tolist() for s in enumerate_subspaces(2, 1, PrimeField(2))]
     assert got == [[[1, 0]], [[1, 1]], [[0, 1]]]
-    got3 = [s.basis.a.tolist() for s in enumerate_subspaces(2, 1, PrimeField(3))]
+    got3 = [s.basis.tolist() for s in enumerate_subspaces(2, 1, PrimeField(3))]
     assert got3 == [[[1, 0]], [[1, 1]], [[1, 2]], [[0, 1]]]
     pivots = [s.pivots for s in enumerate_subspaces(4, 2, PrimeField(2))]
     assert pivots == sorted(pivots)
@@ -134,17 +132,24 @@ def test_enumeration_complete_and_canonical(p):
         for k in range(n + 1):
             seen = set()
             for sub in enumerate_subspaces(n, k, field):
-                _, ech = rref(sub.basis)
-                assert ech == sub.basis  # already canonical
+                rank, ech, _ = rref_array(sub.basis, p)
+                assert rank == k and np.array_equal(ech, sub.basis)  # already canonical
                 seen.add(sub)
             assert len(seen) == gaussian_binomial(n, k, p)
 
 
 def test_matrix_json_round_trip():
-    m = MatrixGF(7, [[1, 2, 3], [4, 5, 6]])
-    obj = m.to_json()
+    m = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
+    obj = matrix_to_json(7, m)
     assert obj == {"p": 7, "rows": 2, "cols": 3, "entries": [1, 2, 3, 4, 5, 6]}
-    assert MatrixGF.from_json(obj) == m
+    p, back = matrix_from_json(obj)
+    assert p == 7 and back.dtype == np.int64 and np.array_equal(back, m)
+    # ints outside [0, p), even beyond int64, are reduced before numpy sees them
+    p, big = matrix_from_json(dict(obj, entries=[7**40 + 1, -1, 0, 0, 0, 0]))
+    assert big.tolist() == [[1, 6, 0], [0, 0, 0]]
+    for bad in (dict(obj, p=6), dict(obj, rows=True), dict(obj, entries=[1, 2, 3]), dict(obj, entries=[1.0] * 6)):
+        with pytest.raises(ValueError):
+            matrix_from_json(bad)
 
 
 def test_subspace_canonical_equality():
@@ -175,20 +180,24 @@ def test_subspace_span_of_no_rows():
 def test_subspace_json_round_trip():
     s = Subspace.span(3, [[1, 2, 0], [0, 0, 1]])
     assert Subspace.from_json(s.to_json()) == s
+    with pytest.raises(ValueError, match="ambient dim"):
+        Subspace.from_json(dict(s.to_json(), ambient_dim=4))
 
 
-def test_nullspace_solves():
-    rng = random.Random(3)
-    for p in (2, 5):
-        for _ in range(20):
-            rows, cols = rng.randrange(1, 5), rng.randrange(1, 6)
-            a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
-            ns = nullspace_array(a, p)
-            assert not ((a @ ns.T) % p).any()
-            rank = rref_array(a, p)[0]
-            assert ns.shape[0] == cols - rank
-            ns_rank, ns_rref, _ = rref_array(ns, p)
-            assert ns_rank == ns.shape[0] and np.array_equal(ns_rref, ns)  # the canonical basis
+def test_subspace_basis_is_read_only_and_reduced():
+    for s in (
+        Subspace(5, [[2, 4, 7], [0, 0, 9]]),
+        Subspace(5, np.array([[1, 2, 6]]), _canonical=True),
+        Subspace.span(5, [[-4, 7, 0]]),
+        Subspace.zero(5, 3),
+    ):
+        assert s.basis.dtype == np.int64 and s.basis.ndim == 2 and s.ambient_dim == 3
+        assert not s.basis.flags.writeable
+        assert ((0 <= s.basis) & (s.basis < 5)).all()
+        assert s.pivots == tuple(int(np.flatnonzero(row)[0]) for row in s.basis)
+        with pytest.raises(ValueError):
+            s.basis[..., 0] = 1
+    assert Subspace(5, [[2, 4, 7], [0, 0, 9]]).basis.tolist() == [[1, 2, 0], [0, 0, 1]]
 
 
 def test_solve_affine():
@@ -244,3 +253,18 @@ def test_list_and_numpy_paths_agree_bit_for_bit(system):
             list_path = fn(*args)
         assert _identical(list_path, numpy_path), fn.__name__
         assert _identical(fn(*args), numpy_path), fn.__name__
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(gf_systems())
+def test_nullspace_solves(system):
+    p, a, _ = system
+    rows, cols = a.shape
+    rank = rref_array(a, p)[0]
+    for cells in (-1, 10**9):  # the numpy path, then the list path
+        with mock.patch.object(gf, "SMALL_MATRIX_CELLS", cells):
+            ns = nullspace_array(a, p)
+        assert ns.shape == (cols - rank, cols)
+        assert not ((a @ ns.T) % p).any()
+        ns_rank, ns_rref, _ = rref_array(ns, p)
+        assert ns_rank == ns.shape[0] and np.array_equal(ns_rref, ns)  # the canonical basis
