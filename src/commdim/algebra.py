@@ -6,11 +6,19 @@ zero, except that for the Lie kind a missing (j, i) is derived from a stored
 (i, j) by negation, so well-formed Lie algebras only store keys with i < j.
 Explicitly stored keys always win, which is what lets the axiom checker
 represent and detect broken input.
+
+The JSON form (schema 2) is {"schema": 2, "kind", "p", "dim", "sc",
+"labels"?}, where "sc" lists one {"i", "j", "nz": [[m, v], ...]} per stored
+key, sorted by (i, j), with the nonzero coordinates m of e_i e_j in
+increasing order.  A stored key whose product is zero keeps "nz": [].  A
+document without "schema" is version 1, whose entries {"i", "j", "v"} hold
+the dense coordinate vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +39,8 @@ _KIND_ALIASES = {"lie": KIND_LIE, "assoc": KIND_ASSOC, "associative": KIND_ASSOC
 # the dense product table holds d^3 int64 entries, 33 MB at this cap; the
 # largest algebra built here, the unitalized M_12 (d = 145), stays below it
 MAX_ALGEBRA_DIM = 160
+# the version of the JSON form that to_json writes
+ALGEBRA_SCHEMA = 2
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -43,19 +53,72 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.mod(np.rint(c).astype(np.int64), p)
 
 
+def _checked_kind(kind: str, dim: int) -> str:
+    if kind not in _KIND_ALIASES:
+        raise ValueError(f"unknown algebra kind {kind!r}")
+    if not 0 <= dim <= MAX_ALGEBRA_DIM:
+        raise ValueError(f"dimension must lie in [0, {MAX_ALGEBRA_DIM}], got {dim}")
+    return _KIND_ALIASES[kind]
+
+
+def _ints(values) -> bool:
+    return set(map(type, values)) <= {int}  # bool is a subclass of int, and not a JSON int
+
+
+def _first_repeat(items: list):
+    """The first item equal to an earlier one, or None."""
+    seen = set()
+    return next((x for x in items if x in seen or seen.add(x)), None)
+
+
+def _sc_from_json(entries: list, p: int, dim: int) -> tuple[list, np.ndarray]:
+    """(keys, (N, dim) rows) of schema-2 entries, each field type-checked once over the list."""
+    try:
+        ii = [e["i"] for e in entries]
+        jj = [e["j"] for e in entries]
+        nzs = [e["nz"] for e in entries]
+        ok = _ints(ii) and _ints(jj) and set(map(type, nzs)) <= {list}
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:  # again one entry at a time, to name the field at fault
+        for e in entries:
+            json_field(e, "i", "int"), json_field(e, "j", "int"), json_field(e, "nz", "list")
+        raise ValueError("each structure constant entry needs JSON ints i, j and a JSON list nz")
+    keys = list(zip(ii, jj))
+    if keys and not (0 <= min(ii) and max(ii) < dim and 0 <= min(jj) and max(jj) < dim):
+        bad = next(key for key in keys if not (0 <= key[0] < dim and 0 <= key[1] < dim))
+        raise ValueError(f"structure constant key {bad} out of range")
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate structure constant key {_first_repeat(keys)}")
+    pairs = list(chain.from_iterable(nzs))
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        raise ValueError("each nz item must be a pair [m, v]")
+    flat = list(chain.from_iterable(pairs))
+    if not _ints(flat):
+        raise ValueError("nz coordinates and values must be JSON ints")
+    ms, vs = flat[0::2], flat[1::2]
+    if ms and not (0 <= min(ms) and max(ms) < dim):
+        raise ValueError(f"nz coordinate out of range [0, {dim})")
+    # ints outside [0, p), which may not fit int64, are reduced before numpy sees them
+    if vs and not (0 <= min(vs) and max(vs) < p):
+        vs = [v % p for v in vs]
+    at = np.repeat(np.arange(len(keys)) * dim, list(map(len, nzs))) + np.array(ms, dtype=np.int64)
+    # the writer lists each entry's m in increasing order, which makes at increase strictly
+    if not (at[1:] > at[:-1]).all() and np.unique(at).size < at.size:
+        n, m = divmod(_first_repeat(at.tolist()), dim)
+        raise ValueError(f"nz coordinate {m} listed twice for structure constant key {keys[n]}")
+    rows = np.zeros((len(keys), dim), dtype=np.int64)
+    rows.reshape(-1)[at] = vs
+    return keys, rows
+
+
 class StructureConstantAlgebra:
     """A finite-dimensional algebra over GF(p) given by structure constants."""
 
     __slots__ = ("kind", "field", "dim", "sc", "labels", "_rows", "_table", "_comm")
 
     def __init__(self, kind: str, field: PrimeField, dim: int, sc: dict, labels=None):
-        if kind not in _KIND_ALIASES:
-            raise ValueError(f"unknown algebra kind {kind!r}")
-        if not 0 <= dim <= MAX_ALGEBRA_DIM:
-            raise ValueError(f"dimension must lie in [0, {MAX_ALGEBRA_DIM}], got {dim}")
-        self.kind = _KIND_ALIASES[kind]
-        self.field = field
-        self.dim = dim
+        kind = _checked_kind(kind, dim)
         p = field.p
         keys = [(int(key[0]), int(key[1])) for key in sc]
         try:
@@ -74,7 +137,24 @@ class StructureConstantAlgebra:
                     raise ValueError(f"structure constant vector for {(i, j)} has wrong length")
                 rows.append(v)
             rows = np.array(rows, dtype=np.int64).reshape(len(keys), dim)
-        np.mod(rows, p, out=rows)
+        self._init(kind, field, dim, keys, rows, labels)
+
+    @classmethod
+    def _from_rows(cls, kind: str, field: PrimeField, dim: int, keys: list, rows: np.ndarray, labels=None):
+        """The algebra with e_i e_j = rows[n] for (i, j) = keys[n], n < N.
+
+        keys must be distinct pairs of ints in [0, dim) and rows an (N, dim)
+        int64 array, which the algebra takes over and reduces in place.
+        """
+        a = cls.__new__(cls)
+        a._init(_checked_kind(kind, dim), field, dim, keys, rows, labels)
+        return a
+
+    def _init(self, kind: str, field: PrimeField, dim: int, keys: list, rows: np.ndarray, labels) -> None:
+        self.kind = kind
+        self.field = field
+        self.dim = dim
+        np.mod(rows, field.p, out=rows)
         rows.flags.writeable = False
         # one (N, d) array; sc maps each key to a read-only row view of it
         self._rows = rows
@@ -124,15 +204,32 @@ class StructureConstantAlgebra:
         return np.einsum("a,b,abk->k", x, y, self.table()) % self.p
 
     def to_json(self) -> dict:
+        """The schema-2 JSON form: entries sorted by (i, j), their nz pairs by m."""
+        rows = self._rows
+        r, m = np.nonzero(rows)  # row-major, so grouped by entry and sorted by m
+        nz = list(map(list, zip(m.tolist(), rows[r, m].tolist())))
+        ends = np.bincount(r, minlength=len(rows)).cumsum().tolist()
+        groups = [nz[a:b] for a, b in zip([0, *ends], ends)]
+        entries = [{"i": i, "j": j, "nz": g} for (i, j), g in sorted(zip(self.sc, groups))]
         kind = "lie" if self.kind == KIND_LIE else "assoc"
-        entries = [{"i": i, "j": j, "v": v} for (i, j), v in sorted(zip(self.sc, self._rows.tolist()))]
-        obj = {"kind": kind, "p": self.p, "dim": self.dim, "sc": entries}
+        obj = {"schema": ALGEBRA_SCHEMA, "kind": kind, "p": self.p, "dim": self.dim, "sc": entries}
         if self.labels is not None:
             obj["labels"] = list(self.labels)
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructureConstantAlgebra":
+        """Read either schema; a document without "schema" is version 1."""
+        schema = json_field(obj, "schema", "int", default=1)
+        if schema == ALGEBRA_SCHEMA:
+            field = PrimeField(json_field(obj, "p", "int"))
+            kind, dim = json_field(obj, "kind", "str"), json_field(obj, "dim", "int")
+            _checked_kind(kind, dim)  # before anything of size dim is allocated
+            keys, rows = _sc_from_json(json_field(obj, "sc", "list"), field.p, dim)
+            labels = json_field(obj, "labels", "list", default=None)
+            return cls._from_rows(kind, field, dim, keys, rows, labels=labels)
+        if schema != 1:
+            raise ValueError(f"unknown algebra schema {schema}")
         p = PrimeField(json_field(obj, "p", "int")).p
         sc = {}
         for e in json_field(obj, "sc", "list"):
@@ -175,6 +272,14 @@ class AxiomReport:
         }
 
 
+def _identity_index(t: np.ndarray) -> int | None:
+    """The u with e_u e_x = e_x e_u = e_x for every basis vector e_x, or None."""
+    eye = np.eye(len(t), dtype=t.dtype)
+    both = (t == eye).all(axis=(1, 2)) & (t.transpose(1, 0, 2) == eye).all(axis=(1, 2))
+    hits = np.flatnonzero(both)
+    return int(hits[0]) if hits.size else None
+
+
 def _first_identity_violation(t: np.ndarray, p: int, kind: str) -> tuple | None:
     """First basis triple (i, j, k), row-major, that breaks the kind's identity.
 
@@ -190,7 +295,21 @@ def _first_identity_violation(t: np.ndarray, p: int, kind: str) -> tuple | None:
     keeps memory at O(d^3).  The float products are exact: every partial sum
     is an integer below 3 d p^2 < 2**53, so fmod by p is zero exactly on the
     multiples of p; it runs only on the (j, k) rows whose sum is not 0.
+
+    An assoc table with a two-sided identity e_u (T[u] = T[:, u] = I, as
+    after unitalization) satisfies every triple that involves u.  When the
+    other products have no e_u coordinate either, the triples without u are
+    exactly those of the table with u deleted, which is checked instead; for
+    a unitalized two-step algebra its support is empty.  The deletion
+    repeats while the rest has such an identity, replacing the table each
+    time, so nested identities keep memory at O(d^3).
     """
+    idx = np.arange(t.shape[0])  # idx[x] is the input's index of basis vector x of t
+    while kind == KIND_ASSOC and (u := _identity_index(t)) is not None:
+        rest = np.flatnonzero(np.arange(len(t)) != u)
+        if t[np.ix_(rest, rest, [u])].any():
+            break
+        t, idx = t[np.ix_(rest, rest, rest)], idx[rest]
     d = t.shape[0]
     support = t.any(axis=(0, 1)) & (t.any(axis=(1, 2)) | t.any(axis=(0, 2)))
     if not support.any():
@@ -211,7 +330,7 @@ def _first_identity_violation(t: np.ndarray, p: int, kind: str) -> tuple | None:
             bad = np.fmod(total[nonzero[:, 0], nonzero[:, 1]], p).any(axis=1)
             if bad.any():
                 j, k = nonzero[bad.argmax()]
-                return (i, int(j), int(k))
+                return (int(idx[i]), int(idx[j]), int(idx[k]))
     return None
 
 

@@ -33,8 +33,12 @@ from .search import (
 )
 
 
+# every document printed is a tree built by a to_json, so no container repeats
+_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def _emit(obj, out_path: str | None = None) -> None:
-    text = json.dumps(obj)
+    text = _ENCODER.encode(obj)
     # the file first, so that a reader closing stdout early cannot cut it short
     if out_path:
         with open(out_path, "w") as fh:

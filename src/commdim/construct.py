@@ -62,13 +62,12 @@ def _two_step_algebra(forms: FormTuple, kind: str) -> StructureConstantAlgebra:
     pairs = mats.any(axis=0)
     if kind == "lie":
         pairs = np.triu(pairs, 1)
-    sc = {}
-    for i, j in zip(*np.nonzero(pairs)):
-        v = np.zeros(n + t, dtype=np.int64)
-        v[n:] = mats[:, i, j]
-        sc[(int(i), int(j))] = v
+    left, right = np.nonzero(pairs)
+    rows = np.zeros((len(left), n + t), dtype=np.int64)
+    rows[:, n:] = mats[:, left, right].T
+    keys = list(zip(left.tolist(), right.tolist()))
     labels = [f"e{i + 1}" for i in range(n)] + [f"f{m + 1}" for m in range(t)]
-    return StructureConstantAlgebra(kind, forms.field, n + t, sc, labels=labels)
+    return StructureConstantAlgebra._from_rows(kind, forms.field, n + t, keys, rows, labels)
 
 
 def build_lie_from_forms(forms: FormTuple) -> StructureConstantAlgebra:
@@ -87,12 +86,16 @@ def unitalize(a: StructureConstantAlgebra) -> StructureConstantAlgebra:
     """Adjoin a two-sided identity as the last basis vector."""
     if a.kind != "assoc":
         raise ValueError("unitalization applies to associative algebras only")
-    d = a.dim
-    sc = {key: np.concatenate([v, [0]]) for key, v in a.sc.items()}
-    for i, unit in enumerate(np.eye(d + 1, dtype=np.int64)):
-        sc[(i, d)] = sc[(d, i)] = unit
+    d, n = a.dim, len(a.sc)
+    # the products of a, then e_i 1 = 1 e_i = e_i for i < d, then 1 1 = 1
+    keys = list(a.sc) + [key for i in range(d) for key in ((i, d), (d, i))] + [(d, d)]
+    rows = np.zeros((n + 2 * d + 1, d + 1), dtype=np.int64)
+    rows[:n, :d] = a._rows
+    unit = np.arange(d)
+    rows[n + 2 * unit, unit] = rows[n + 2 * unit + 1, unit] = 1
+    rows[-1, d] = 1
     labels = None if a.labels is None else list(a.labels) + ["1"]
-    return StructureConstantAlgebra("assoc", a.field, d + 1, sc, labels=labels)
+    return StructureConstantAlgebra._from_rows("assoc", a.field, d + 1, keys, rows, labels)
 
 
 def matrix_algebra(r: int, field: PrimeField) -> StructureConstantAlgebra:
@@ -102,16 +105,13 @@ def matrix_algebra(r: int, field: PrimeField) -> StructureConstantAlgebra:
     if r > MATRIX_ALGEBRA_CAP:
         raise ValueError(f"matrix size capped at {MATRIX_ALGEBRA_CAP}, got {r}")
     d = r * r
-    sc = {}
-    for a_ in range(r):
-        for b in range(r):
-            for c in range(r):
-                # E_ab E_bc = E_ac
-                v = np.zeros(d, dtype=np.int64)
-                v[a_ * r + c] = 1
-                sc[(a_ * r + b, b * r + c)] = v
+    # E_ab E_bc = E_ac, for every a, b, c in row-major order
+    ia, ib, ic = np.indices((r, r, r)).reshape(3, -1)
+    rows = np.zeros((r**3, d), dtype=np.int64)
+    rows[np.arange(r**3), ia * r + ic] = 1
+    keys = list(zip((ia * r + ib).tolist(), (ib * r + ic).tolist()))
     labels = [f"E{a_ + 1}_{b + 1}" for a_ in range(r) for b in range(r)]
-    return StructureConstantAlgebra("assoc", field, d, sc, labels=labels)
+    return StructureConstantAlgebra._from_rows("assoc", field, d, keys, rows, labels)
 
 
 def matrix_commutative_subalgebra(

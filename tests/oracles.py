@@ -14,11 +14,9 @@ from commdim import (
     PrimeField,
     StructureConstantAlgebra,
     Subspace,
-    is_abelian_subspace,
     largest_common_isotropic,
     sample_form_tuple,
 )
-from commdim.errors import NotASubalgebra
 from commdim.gf import rref_arrays_for_pivots
 
 
@@ -33,15 +31,13 @@ def enumerate_subspaces(n: int, k: int, field: PrimeField):
 
 
 def brute_force_max_abelian(alg: StructureConstantAlgebra) -> int:
-    """Max dim over ALL subspaces that are commutative subalgebras."""
+    """Max dim over ALL subspaces that are commutative subalgebras: the
+    commutator test first, the closure test only on the subspaces it passes."""
     field = PrimeField(alg.p)
     for k in range(alg.dim, 0, -1):
         for sub in enumerate_subspaces(alg.dim, k, field):
-            try:
-                if is_abelian_subspace(alg, sub):
-                    return k
-            except NotASubalgebra:
-                continue
+            if is_commutative_subspace(alg, sub) and is_subalgebra(alg, sub):
+                return k
     return 0
 
 
@@ -160,6 +156,16 @@ def is_commutative_subspace(alg: StructureConstantAlgebra, sub: Subspace) -> boo
     if alg.kind == "lie":
         return not prods.any()
     return not comm.any()
+
+
+def algebra_json_v1(alg: StructureConstantAlgebra) -> dict:
+    """The version-1 JSON form, as written before schema 2: no "schema"
+    field and one dense coordinate vector "v" per stored key, in (i, j) order."""
+    entries = [{"i": i, "j": j, "v": [int(x) for x in v]} for (i, j), v in sorted(alg.sc.items())]
+    obj = {"kind": alg.kind, "p": alg.p, "dim": alg.dim, "sc": entries}
+    if alg.labels is not None:
+        obj["labels"] = list(alg.labels)
+    return obj
 
 
 def random_invertible(p: int, n: int, rng: random.Random) -> np.ndarray:

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,14 @@ from commdim import (
     verify_axioms,
 )
 from commdim.algebra import pairwise_products
-from oracles import abelian_ideal_extension, enumerate_subspaces, first_axiom_violation, is_commutative_subspace, is_subalgebra
+from oracles import (
+    abelian_ideal_extension,
+    algebra_json_v1,
+    enumerate_subspaces,
+    first_axiom_violation,
+    is_commutative_subspace,
+    is_subalgebra,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -119,13 +127,18 @@ def test_axioms_associative_violation():
 def small_tables(draw):
     """Random tables whose identity-check support S (coordinates of some
     product that are also a factor of some product) is partial or full
-    ("random"), empty ("two-step": the first n basis vectors multiply into
-    the others, which multiply to zero) or full ("unital": a two-step assoc
-    table with an identity adjoined)."""
+    ("random", with a few stored zero products), empty ("two-step": the
+    first n basis vectors multiply into the others, which multiply to zero)
+    or full ("unital": a two-step assoc table with an identity adjoined).
+    "moved" adjoins an identity to a two-step or random assoc table and moves
+    it to a random index; "tampered" changes one entry of such a table in the
+    identity's row or column, or in a product of the rest on the identity's
+    coordinate."""
     p = draw(st.sampled_from([2, 3, 5, 8191]))
-    d = draw(st.integers(0, 8))
-    style = draw(st.sampled_from(["random", "random", "two-step", "unital"]))
-    kind = "assoc" if style == "unital" else draw(st.sampled_from(["lie", "assoc"]))
+    style = draw(st.sampled_from(["random", "random", "two-step", "unital", "moved", "tampered"]))
+    unital = style in ("unital", "moved", "tampered")
+    d = draw(st.integers(0, 7 if unital else 8))
+    kind = "assoc" if unital else draw(st.sampled_from(["lie", "assoc"]))
     # mostly sparse tables: at most 40 nonzero constants, dense only for d <= 3
     value = st.one_of(st.sampled_from([1, p - 1]), st.integers(1, p - 1))
     raw = np.zeros(d**3, dtype=np.int64)
@@ -133,17 +146,35 @@ def small_tables(draw):
         for pos, v in draw(st.lists(st.tuples(st.integers(0, d**3 - 1), value), max_size=40)):
             raw[pos] = v
     raw = raw.reshape(d, d, d)
-    if style != "random":
+    if style in ("two-step", "unital") or (unital and draw(st.booleans())):
         n = draw(st.integers(0, max(d - 1, 0)))
         mask = np.zeros((d, d, d), dtype=np.int64)
         mask[:n, :n, n:] = 1
         raw = raw * mask
-    if style != "unital" and draw(st.booleans()):  # alternating: zero diagonal, T[j,i] = -T[i,j]
+    if not unital and draw(st.booleans()):  # alternating: zero diagonal, T[j,i] = -T[i,j]
         upper = raw * np.triu(np.ones((d, d), dtype=np.int64), 1)[:, :, None]
         raw = (upper - upper.transpose(1, 0, 2)) % p
     sc = {(i, j): raw[i, j] for i in range(d) for j in range(d) if raw[i, j].any()}
+    if style == "random" and d:
+        index = st.integers(0, d - 1)
+        for key in draw(st.lists(st.tuples(index, index), max_size=3)):
+            sc.setdefault(key, np.zeros(d, dtype=np.int64))
     a = StructureConstantAlgebra(kind, PrimeField(p), d, sc)
-    return unitalize(a) if style == "unital" and d < 8 else a
+    if not unital:
+        return a
+    a = unitalize(a)
+    if style == "unital":
+        return a
+    t = a.table().copy()
+    if style == "moved":
+        perm = draw(st.permutations(range(d + 1)))
+        t[np.ix_(perm, perm, perm)] = a.table()
+    else:
+        x, y = draw(st.integers(0, d)), draw(st.integers(0, d))
+        where = draw(st.sampled_from(["row", "column", "rest"] if d else ["row", "column"]))
+        at = {"row": (d, x, y), "column": (x, d, y), "rest": (x % d, y % d, d) if d else None}[where]
+        t[at] = (t[at] + draw(st.integers(1, p - 1))) % p
+    return _table_algebra("assoc", p, t)
 
 
 def jacobi_totals(t: np.ndarray, kind: str) -> np.ndarray:
@@ -194,6 +225,7 @@ def test_vanishing_mod_p_tables_sum_to_multiples_of_p(kind, p, table, row):
 @example(_table_algebra(*VANISHING_MOD_P[2][:3]))
 @example(_table_algebra(*VANISHING_MOD_P[3][:3]))
 @example(_table_algebra("assoc", 2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]))  # e_1 only a right factor
+@example(unitalize(unitalize(_table_algebra(*VANISHING_MOD_P[3][:3]))))  # two nested identities
 @example(_table_algebra("assoc", 2, [[[0, 0], [0, 0]], [[0, 1], [0, 0]]]))  # e_1 only a left factor
 def test_axioms_match_triple_loop_oracle(a):
     want = first_axiom_violation(a.table(), a.p, a.kind)
@@ -204,13 +236,18 @@ def test_axioms_match_triple_loop_oracle(a):
 
 def test_axiom_check_memory_is_cubic_in_dim():
     # a d^4 tensor at d = 48 is 5.3 M entries, about 42 MB of int64 alone; the
-    # two-step table has an empty support and skips the contraction loop, the
-    # unitalized one (d = 49) has full support and runs it for every i
+    # two-step table has an empty support and skips the contraction loop; the
+    # unitalized one (d = 49) has full support, but its adjoined identity is
+    # found in closed form and the rest, a two-step table, skips it as well
     lie = build_lie_from_forms(sample_form_tuple(40, 8, "alternating", F2, 7))
     unital = unitalize(build_assoc_from_forms(sample_form_tuple(40, 8, "general", F2, 7)))
     assert (lie.dim, unital.dim) == (48, 49)
     assert unital.table().any(axis=(0, 1)).all()
-    for a in (lie, unital):
+    # e_i e_j = e_min(i,j): e_63 is an identity, e_62 one of the rest, and so
+    # on, so the identity is deleted 64 times, each time from a new table
+    eye = np.eye(64, dtype=np.int64)
+    nested = StructureConstantAlgebra("assoc", F2, 64, {(i, j): eye[min(i, j)] for i in range(64) for j in range(64)})
+    for a in (lie, unital, nested):
         a.table()
         tracemalloc.start()
         try:
@@ -422,11 +459,82 @@ def test_maximal_abelian_ideal_rejects_non_nilpotent():
 def test_algebra_json_round_trip():
     h = heisenberg(F3)
     obj = h.to_json()
-    assert obj["kind"] == "lie" and obj["p"] == 3 and obj["dim"] == 3
-    assert obj["sc"] == [{"i": 0, "j": 1, "v": [0, 0, 1]}]
+    assert obj["schema"] == 2 and obj["kind"] == "lie" and obj["p"] == 3 and obj["dim"] == 3
+    assert obj["sc"] == [{"i": 0, "j": 1, "nz": [[2, 1]]}]
     back = StructureConstantAlgebra.from_json(obj)
     assert back.to_json() == obj
     assert np.array_equal(back.table(), h.table())
+
+
+def _stored(a):
+    return sorted((key, v.tolist()) for key, v in a.sc.items())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_tables())
+def test_algebra_json_round_trips_in_both_schemas(a):
+    obj = a.to_json()
+    back = StructureConstantAlgebra.from_json(obj)
+    assert back.to_json() == obj
+    # stored zero products keep their keys, so explicit Lie keys survive
+    assert _stored(back) == _stored(a) and np.array_equal(back.table(), a.table())
+    assert all(e["nz"] == sorted(e["nz"]) for e in obj["sc"])
+    old = StructureConstantAlgebra.from_json(algebra_json_v1(a))
+    assert _stored(old) == _stored(a) and old.to_json() == obj
+
+
+def test_stored_zero_product_keeps_its_key():
+    a = StructureConstantAlgebra("lie", F3, 2, {(0, 1): [1, 0], (1, 0): [0, 0]})
+    assert a.to_json()["sc"] == [{"i": 0, "j": 1, "nz": [[0, 1]]}, {"i": 1, "j": 0, "nz": []}]
+    back = StructureConstantAlgebra.from_json(a.to_json())
+    assert not back.table()[1, 0].any() and not verify_axioms(back).passed
+
+
+_V2 = {"schema": 2, "kind": "lie", "p": 3, "dim": 3, "sc": [{"i": 0, "j": 1, "nz": [[2, 1]]}]}
+
+
+def _with_nz(*nz):
+    return dict(_V2, sc=[{"i": 0, "j": 1, "nz": list(nz)}])
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(_V2, schema=3), "unknown algebra schema 3"),
+        (dict(_V2, schema="2"), "'schema' must be JSON int"),
+        (dict(_V2, schema=True), "'schema' must be JSON int"),
+        (_with_nz([2]), "pair"),
+        (_with_nz([2, 1, 0]), "pair"),
+        (_with_nz(2), "pair"),
+        (_with_nz([-1, 1]), "out of range"),
+        (_with_nz([3, 1]), "out of range"),
+        (_with_nz([2, 1], [0, 1], [2, 2]), "coordinate 2 listed twice for structure constant key (0, 1)"),
+        (_with_nz([2, True]), "JSON ints"),
+        (_with_nz([True, 1]), "JSON ints"),
+        (_with_nz([2, 1.0]), "JSON ints"),
+        (dict(_V2, sc=[{"i": 0, "j": 1, "nz": []}, {"i": 0, "j": 1, "nz": [[2, 1]]}]), "duplicate structure constant key (0, 1)"),
+        (dict(_V2, sc=[{"i": 0, "j": 3, "nz": []}]), "key (0, 3) out of range"),
+        (dict(_V2, sc=[{"i": 0, "j": True, "nz": []}]), "'j' must be JSON int"),
+        (dict(_V2, sc=[{"i": 0, "j": 1, "v": [0, 0, 1]}]), "missing field 'nz'"),
+        (dict(_V2, sc=[{"i": 0, "j": 1, "nz": {}}]), "'nz' must be JSON list"),
+        (dict(_V2, sc=[[0, 1, []]]), "expected a JSON object"),
+        (dict(_V2, dim=100000), "dimension must lie in"),
+        (dict(_V2, kind="jordan"), "unknown algebra kind"),
+    ],
+)
+def test_malformed_schema_2_algebra_is_rejected(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StructureConstantAlgebra.from_json(doc)
+
+
+def test_schema_2_big_values_are_reduced_before_numpy():
+    a = StructureConstantAlgebra.from_json(_with_nz([0, 7**40 + 1], [2, -(2**70)]))
+    assert a.to_json()["sc"] == [{"i": 0, "j": 1, "nz": [[0, (7**40 + 1) % 3], [2, -(2**70) % 3]]}]
+
+
+def test_schema_2_reader_accepts_unsorted_coordinates():
+    a = StructureConstantAlgebra.from_json(_with_nz([2, 1], [0, 2]))
+    assert a.to_json() == _with_nz([0, 2], [2, 1])
 
 
 def test_assoc_json_kind_string():

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import commdim
-from commdim import PrimeField, sample_form_tuple
+from commdim import PrimeField, StructureConstantAlgebra, sample_form_tuple
 from commdim.cli import main
+from oracles import algebra_json_v1
 
 
 def run(capsys, *argv):
@@ -286,6 +287,11 @@ def test_construct_assoc_from_cert(tmp_path, capsys):
 _ALG = {"kind": "lie", "p": 3, "dim": 3, "sc": [{"i": 0, "j": 1, "v": [0, 0, 1]}]}
 _FORMS = {"n": 2, "t": 1, "kind": "alternating", "p": 3, "mats": [{"p": 3, "rows": 2, "cols": 2, "entries": [0, 1, 2, 0]}]}
 _CERT = dict(_FORMS, k=2, subspaces_checked="1", seed=1, nodes_visited=1)
+_ALG2 = {"schema": 2, "kind": "lie", "p": 3, "dim": 3, "sc": [{"i": 0, "j": 1, "nz": [[2, 1]]}]}
+
+
+def _nz(*nz):
+    return dict(_ALG2, sc=[{"i": 0, "j": 1, "nz": list(nz)}])
 
 
 @pytest.mark.parametrize(
@@ -311,6 +317,18 @@ _CERT = dict(_FORMS, k=2, subspaces_checked="1", seed=1, nodes_visited=1)
         ("verify", "--alg", dict(_ALG, sc=[{"i": 0, "j": 1, "v": [0, 0, 1]}, {"i": 0, "j": 1, "v": [0, 0, 1]}])),
         ("construct", "--from", dict(_FORMS, mats=[{"p": 5, "rows": 2, "cols": 2, "entries": [0, 1, 4, 0]}])),
         ("construct", "--from", dict(_FORMS, mats=[{"p": 3, "rows": 3, "cols": 3, "entries": [0] * 9}])),
+        ("verify", "--alg", dict(_ALG2, schema=3)),
+        ("search", "--alg", dict(_ALG2, schema="2")),
+        ("unitalize", "--alg", dict(_ALG2, schema=True, kind="assoc")),
+        ("verify", "--alg", _nz([2])),
+        ("verify", "--alg", _nz([2, 1, 0])),
+        ("search", "--alg", _nz([-1, 1])),
+        ("verify", "--alg", _nz([3, 1])),
+        ("verify", "--alg", _nz([2, 1], [2, 2])),
+        ("search", "--alg", _nz([2, True])),
+        ("verify", "--alg", dict(_ALG2, sc=[{"i": 0, "j": 1, "nz": []}, {"i": 0, "j": 1, "nz": [[2, 1]]}])),
+        ("verify", "--alg", dict(_ALG2, dim=100000)),
+        ("search", "--alg", dict(_ALG2, dim=100000)),
     ],
 )
 def test_malformed_json_is_a_domain_error(tmp_path, capsys, command, flag, doc):
@@ -352,6 +370,59 @@ def test_huge_json_ints_are_reduced_mod_p(tmp_path, capsys):
     assert code == 0 and rep["passed"] is True
 
 
+def test_huge_schema_2_values_are_reduced_mod_p(tmp_path, capsys):
+    path = str(tmp_path / "alg.json")
+    with open(path, "w") as fh:
+        json.dump(_nz([2, 7**40 + 1]), fh)
+    code, rep = run_json(capsys, "verify", "--alg", path)
+    assert code == 0 and rep["passed"] is True
+    with open(path, "w") as fh:
+        json.dump(dict(_nz([2, 7**40 + 1]), kind="assoc"), fh)
+    code, unit = run_json(capsys, "unitalize", "--alg", path)
+    assert code == 0 and unit["sc"][0] == {"i": 0, "j": 1, "nz": [[2, (7**40 + 1) % 3]]}
+
+
+GOLDEN_V1 = pathlib.Path(__file__).parent / "golden" / "alg_lie_n7_t5_p2_seed1000_v1.json"
+
+
+def test_version_1_algebra_gives_the_outputs_of_its_schema_2_form(tmp_path, capsys):
+    # the golden file is the version-1 output of `construct --kind lie` on the
+    # seed-1000 certificate, from before schema 2
+    text = GOLDEN_V1.read_text()
+    alg = StructureConstantAlgebra.from_json(json.loads(text))
+    assert json.dumps(algebra_json_v1(alg)) + "\n" == text
+    v2 = tmp_path / "v2.json"
+    v2.write_text(json.dumps(alg.to_json()))
+    # the same algebra as the associative kind, for unitalize
+    assoc = StructureConstantAlgebra("assoc", alg.field, alg.dim, alg.sc, labels=alg.labels)
+    v1_assoc, v2_assoc = tmp_path / "v1_assoc.json", tmp_path / "v2_assoc.json"
+    v1_assoc.write_text(json.dumps(algebra_json_v1(assoc)))
+    v2_assoc.write_text(json.dumps(assoc.to_json()))
+    for old, new, argv in [
+        (GOLDEN_V1, v2, ["verify"]),
+        (GOLDEN_V1, v2, ["search", "--mode", "class2"]),
+        (GOLDEN_V1, v2, ["search", "--mode", "exact"]),
+        (GOLDEN_V1, v2, ["search", "--mode", "greedy"]),
+        (GOLDEN_V1, v2, ["unitalize"]),
+        (v1_assoc, v2_assoc, ["unitalize"]),
+        (v1_assoc, v2_assoc, ["verify"]),
+    ]:
+        want = run(capsys, argv[0], "--alg", str(old), *argv[1:])
+        assert run(capsys, argv[0], "--alg", str(new), *argv[1:]) == want, argv
+        assert want[0] == (1 if argv == ["unitalize"] and old == GOLDEN_V1 else 0), (argv, want)
+
+
+def test_construct_writes_schema_2(tmp_path, capsys):
+    forms = tmp_path / "forms.json"
+    forms.write_text(json.dumps(sample_form_tuple(3, 2, "alternating", PrimeField(3), 5).to_json()))
+    for kind in ("lie", "assoc"):
+        path = str(tmp_path / f"{kind}.json")
+        code, out = run(capsys, "construct", "--from", str(forms), "--kind", kind, "-o", path)
+        assert code == 0 and json.loads(out)["schema"] == 2
+        with open(path) as fh:
+            assert fh.read() == out
+
+
 def test_greedy_bound_failure_is_a_domain_error(tmp_path, capsys):
     # not associative, but of class <= 2, so greedy runs and then breaks its bound
     path = str(tmp_path / "alg.json")
@@ -364,8 +435,8 @@ def test_greedy_bound_failure_is_a_domain_error(tmp_path, capsys):
 
 
 def test_closed_stdout_is_quiet_and_keeps_the_output_file(tmp_path):
-    # the algebra's JSON (about 100 kB) overflows the pipe, whose reader is
-    # gone before the first write
+    # the pipe's reader is gone before the first write of the algebra's JSON
+    # (about 50 kB)
     forms = tmp_path / "f40.json"
     forms.write_text(json.dumps(sample_form_tuple(40, 8, "alternating", PrimeField(2), 1).to_json()))
     alg = tmp_path / "alg.json"
