@@ -17,14 +17,18 @@ subspace on which a tuple of bilinear forms vanishes; certification in
 * :func:`greedy_abelian_class2` -- the constructive procedure that solves a
   growing linear system; its output size s certifies dim <= s^2/4 + s.
 
-Each search node makes one nullspace call, whose RREF lead columns give both
-the rank bound and the pivots a child row can take.  The greedy procedure and
+A search node's extension space N, the vectors that can join its subspace,
+has an RREF basis whose lead columns give both the rank bound and the pivots
+a child row can take.  Over GF(2) each node derives N from its parent's by
+XOR on rows packed into ints; over odd p it takes N from one nullspace call
+and solves one affine system per child pivot.  The greedy procedure and
 :func:`maximal_abelian_ideal` share one growth loop, :func:`_grow`, which
 adjoins the first new solution of the current linear system until none is left.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -44,6 +48,7 @@ from .forms import FormTuple, find_common_isotropic  # noqa: F401  perfbench/tra
 from .gf import (
     DEFAULT_SEARCH_BUDGET,
     Subspace,
+    json_field,
     nullspace_array,
     reduce_against_rref,
     rref_array,  # noqa: F401  perfbench/tracer.py wraps this name
@@ -81,13 +86,22 @@ def largest_common_isotropic(
     Depth-first search over canonical RREF bases: a subspace is reached by
     peeling off its top row, and what remains is again isotropic, so each
     isotropic subspace is visited at most once.  A new top row v, with its
-    pivot left of the others, solves (w M) v = 0 for every chosen row w and
-    form M; unless the stack is alternating it also solves (v M) w = 0 and
-    must satisfy v M v = 0.  A branch is cut when its extension space cannot
-    lift the dimension to the target, k or the best found so far.  The
-    witness has the least (pivots, free values) key among the subspaces of
-    its dimension: pivot columns compared first, then the entries of the
-    canonical basis row by row.
+    pivot left of the others, lies in the node's extension space N: it solves
+    (w M) v = 0 for every chosen row w and form M, unless the stack is
+    alternating also (v M) w = 0, and it is zero at the chosen pivots.  It
+    must also satisfy v M v = 0 when the stack is not alternating.  The lead
+    columns of N's RREF basis left of the smallest pivot are the pivots a new
+    row can take, so a branch is cut when there are too few of them to lift
+    the dimension to the target, k or the best found so far.  For the lead
+    of basis row b_i the children are b_i + sum_{j>i} c_j b_j, taken in
+    itertools.product order of (c_{i+1}, ...) starting from the particular
+    solution of the affine system.  The witness has the least (pivots, free
+    values) key among the subspaces of its dimension: pivot columns compared
+    first, then the entries of the canonical basis row by row.
+
+    Only the way a node finds N and its children depends on the field: p = 2
+    runs :func:`_gf2_nodes`, odd p :func:`_general_nodes`.  The tree, its
+    order, the node count and the witness are the same either way.
     """
     stack = np.asarray(stack, dtype=np.int64) % p
     n = stack.shape[2]
@@ -99,53 +113,197 @@ def largest_common_isotropic(
         return IsotropicSearch(np.eye(n if k is None else k, n, dtype=np.int64), 0, True)
     alternating = not np.einsum("mii->mi", stack).any() and not ((stack + stack.transpose(0, 2, 1)) % p).any()
     sides = stack if alternating else np.concatenate([stack, stack.transpose(0, 2, 1)])
-    # the rows w @ lift, reshaped, are the equations (w M) x = 0 of basis row w
-    lift = sides.transpose(1, 0, 2).reshape(n, -1)
-    best_dim, best_key, best_rows = k, None, None
+    # v M v = 0 is checked on the forms themselves when they are not alternating
+    squares = 0 if alternating else len(stack)
+    if p == 2:
+        root, entries, extend, to_array = _gf2_nodes(sides, squares)
+    else:
+        root, entries, extend, to_array = _general_nodes(sides, squares, p)
+    best_dim, best_key, best_node = k, None, None
     if k is None:  # the zero subspace stands until a larger one turns up
-        best_dim, best_key, best_rows = 0, ((), []), np.zeros((0, n), dtype=np.int64)
+        best_dim, best_key, best_node = 0, ((), entries(root)), root
     nodes = 0
 
-    def visit(rows: np.ndarray, pivots: tuple[int, ...]) -> bool:
+    def visit(node, pivots: tuple[int, ...]) -> bool:
         """Search below one node; False once the budget is exhausted."""
-        nonlocal nodes, best_dim, best_key, best_rows
+        nonlocal nodes, best_dim, best_key, best_node
         nodes += 1
         if nodes > budget:
             return False
         depth = len(pivots)
         if depth >= best_dim:
             # with the pivots equal, the entries order as the free values do
-            key = (pivots, rows.ravel().tolist())
+            key = (pivots, entries(node))
             if depth > best_dim or best_key is None or key < best_key:
-                best_dim, best_key, best_rows = depth, key, rows
+                best_dim, best_key, best_node = depth, key, node
         min_pivot = pivots[0] if depth else n
         if min_pivot == 0 or depth == k:
             return True
+        leads, children = extend(node, pivots, min_pivot)
+        if depth + len(leads) < best_dim:
+            return True
+        for child, pnew in children:
+            if not visit(child, (pnew,) + pivots):
+                return False
+        return True
+
+    complete = visit(root, ())
+    return IsotropicSearch(None if best_node is None else to_array(best_node), nodes, complete)
+
+
+def _general_nodes(sides: np.ndarray, squares: int, p: int):
+    """The search node over any GF(p): a node is its rows, an (r, n) array.
+
+    Returns (root, entries, extend, to_array), as :func:`_gf2_nodes` does.
+    Each node builds its whole equation system and takes N from one
+    nullspace; each child pivot solves one affine system.
+    """
+    n = sides.shape[2]
+    # the rows w @ lift, reshaped, are the equations (w M) x = 0 of basis row w
+    lift = sides.transpose(1, 0, 2).reshape(n, -1)
+    forms = sides[:squares]
+
+    def extend(rows: np.ndarray, pivots: tuple[int, ...], min_pivot: int):
         system = (rows @ lift).reshape(-1, n) % p
-        # every further row lies in N = {x : system x = 0, zero at the current
-        # pivots} and has its pivot left of min_pivot; the pivots it can have
-        # are the lead columns of N's RREF basis there, so their count bounds
-        # the reachable extra dimension and each of them has a solution
         fix = np.eye(n, dtype=np.int64)[list(pivots)]
         leads = (nullspace_array(np.concatenate([system, fix], axis=0), p) != 0).argmax(axis=1)
         leads = leads[leads < min_pivot].tolist()
-        if depth + len(leads) < best_dim:
-            return True
+        return leads, children(rows, pivots, system, leads)
+
+    def children(rows, pivots, system, leads):
         for pnew in leads:
+            # the lead has a solution; the other coordinates are those right of it
             q_cols = [q for q in range(pnew + 1, n) if q not in pivots]
             x0, hom = solve_affine(system[:, q_cols], (-system[:, pnew]) % p, p)
+            top = np.zeros((len(rows) + 1, n), dtype=np.int64)
+            top[0, pnew] = 1
+            top[1:] = rows
             for combo in itertools.product(range(p), repeat=hom.shape[0]):
-                v = np.zeros(n, dtype=np.int64)
-                v[pnew] = 1
+                child = top.copy()
+                v = child[0]
                 v[q_cols] = (x0 + np.asarray(combo, dtype=np.int64) @ hom) % p
-                if not alternating and (np.einsum("a,mab,b->m", v, stack, v) % p).any():
+                if squares and (np.einsum("a,mab,b->m", v, forms, v) % p).any():
                     continue
-                if not visit(np.vstack([v[None, :], rows]), (pnew,) + pivots):
-                    return False
-        return True
+                yield child, pnew
 
-    complete = visit(np.zeros((0, n), dtype=np.int64), ())
-    return IsotropicSearch(best_rows, nodes, complete)
+    return np.zeros((0, n), dtype=np.int64), lambda rows: rows.ravel().tolist(), extend, lambda rows: rows
+
+
+def _gf2_nodes(sides: np.ndarray, squares: int):
+    """The search node over GF(2), on rows packed into ints: bit j is column j.
+
+    Returns (root, entries, extend, to_array): the root node, a node's rows
+    as a key that orders as their entries do, the extension step (the leads
+    left of the smallest pivot, and the children in search order), and the
+    witness array of a node.
+
+    A node is (rows, basis, gram, equations, i), its rows top row first.  Its
+    extension space N is derived from its parent's when it is expanded: the
+    parent's N has the RREF basis b_0..b_{r-1} (a row's lead is its lowest
+    set bit), and the new row v = sum c_a b_a took the lead of b_i, so N is
+    the x = sum y_a b_a with y_i = 0 and (v S) x = 0 for every side S.  In
+    these coordinates the equations are the XOR of the parent's Gram rows,
+    gram[a] bit s*r + b = b_a S_s b_b, over the support of c.  They are
+    eliminated by XOR, and each pivot coordinate (an equation's highest bit)
+    is taken out by adding its basis row to the others, which keeps the basis
+    in RREF.  The children of a lead step through c in odometer order, so
+    each one updates c, v and its equations by one precomputed XOR each.
+    """
+    ns, n = len(sides), sides.shape[2]
+    lift = sides.transpose(1, 0, 2).reshape(n, ns * n)
+    columns = np.arange(n)
+
+    def entries(node):
+        # each row read from column 0 as the high bit: ints then order as the
+        # rows' entry lists do
+        return tuple(int(f"{row:0{n}b}"[::-1], 2) for row in node[0])
+
+    def to_array(node):
+        return (np.array(node[0], dtype=np.int64).reshape(-1, 1) >> columns) & 1
+
+    def space(node):
+        """(basis, leads) of the node's extension space N."""
+        _, basis, gram, eqs, i = node
+        if gram is None:
+            return basis, list(range(n))
+        r = len(basis)
+        basis = list(basis)
+        mask = ((1 << r) - 1) ^ (1 << i)
+        keep = mask  # the coordinates still free
+        found = []  # (pivot, equation), highest pivot first
+        for s in range(ns):
+            eq = eqs >> (s * r) & mask
+            for c, q in found:
+                if eq >> c & 1:
+                    eq ^= q
+            if eq:
+                c = eq.bit_length() - 1
+                keep ^= 1 << c
+                bc, rest = basis[c], eq ^ (1 << c)
+                while rest:
+                    low = rest & -rest
+                    basis[low.bit_length() - 1] ^= bc
+                    rest ^= low
+                found.append((c, eq))
+                found.sort(reverse=True)
+        basis = [row for a, row in enumerate(basis) if keep >> a & 1]
+        return basis, [(row & -row).bit_length() - 1 for row in basis]
+
+    def extend(node, pivots, min_pivot):
+        basis, leads = space(node)
+        below = bisect.bisect_left(leads, min_pivot)
+        return leads[:below], children(node[0], basis, leads, below)
+
+    def children(rows, basis, leads, below):
+        r = len(basis)
+        b = (np.array(basis, dtype=np.int64).reshape(r, 1) >> columns) & 1
+        g = ((b @ lift).reshape(r, ns, n) @ b.T & 1).astype(np.uint8).reshape(r, ns * r)
+        packed = np.packbits(g, axis=1, bitorder="little")
+        width = packed.shape[1]
+        data = packed.tobytes()
+        gram = [int.from_bytes(data[a * width : (a + 1) * width], "little") for a in range(r)]
+        # the particular solution for lead i: b_i reduced by a right-to-left
+        # echelon of b_{i+1}, ... (the top bit of each of its rows cleared)
+        starts = [0] * below
+        echelon: list[tuple[int, int]] = []
+        for i in range(r - 1, -1, -1):
+            x = basis[i]
+            for top, row in echelon:
+                if x >> top & 1:
+                    x ^= row
+            if i < below:
+                starts[i] = x
+            echelon.append((x.bit_length() - 1, x))
+            echelon.sort(reverse=True)
+        # one odometer step flips the last q coordinates: their coefficient
+        # mask, vector and equations, for q = 1..r
+        flip_c, flip_v, flip_e = [0], [0], [0]
+        for a in range(r - 1, -1, -1):
+            flip_c.append(flip_c[-1] | 1 << a)
+            flip_v.append(flip_v[-1] ^ basis[a])
+            flip_e.append(flip_e[-1] ^ gram[a])
+        for i in range(below):
+            v = starts[i]
+            coef = 1 << i
+            for j in range(i + 1, r):
+                if v >> leads[j] & 1:
+                    coef |= 1 << j
+            eqs = 0
+            for a in range(r):
+                if coef >> a & 1:
+                    eqs ^= gram[a]
+            for step in range(1 << (r - 1 - i)):
+                if step:
+                    q = (step ^ (step - 1)).bit_length()
+                    coef ^= flip_c[q]
+                    v ^= flip_v[q]
+                    eqs ^= flip_e[q]
+                # v S v is the parity of the equation bits on the support of v
+                if squares and any((eqs >> (s * r) & coef).bit_count() & 1 for s in range(squares)):
+                    continue
+                yield ((v,) + rows, basis, gram, eqs, i), leads[i]
+
+    return ((), [1 << j for j in range(n)], None, 0, 0), entries, extend, to_array
 
 
 @dataclass
@@ -169,6 +327,20 @@ class SearchResult:
             "exact": self.exact,
             "nodes_visited": self.nodes_visited,
         }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "SearchResult":
+        witness = json_field(obj, "witness", "object", default=None)
+        res = cls(
+            json_field(obj, "mode", "str"),
+            json_field(obj, "dim", "int"),
+            None if witness is None else Subspace.from_json(witness),
+            json_field(obj, "exact", "bool"),
+            json_field(obj, "nodes_visited", "int", default=None),
+        )
+        if res.witness is not None and res.witness.dim != res.dim:
+            raise ValueError(f"witness has dim {res.witness.dim}, result has dim {res.dim}")
+        return res
 
 
 def _subalgebra_closure(a: StructureConstantAlgebra, sub: Subspace) -> Subspace:

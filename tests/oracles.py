@@ -17,7 +17,8 @@ from commdim import (
     largest_common_isotropic,
     sample_form_tuple,
 )
-from commdim.gf import rref_arrays_for_pivots
+from commdim.gf import nullspace_array, rref_arrays_for_pivots, solve_affine
+from commdim.search import IsotropicSearch
 
 
 def enumerate_subspaces(n: int, k: int, field: PrimeField):
@@ -46,6 +47,62 @@ def class2_dim(forms) -> int:
     the class-2 reduction run on the forms themselves, with no algebra, center
     or commutator table in between."""
     return forms.t + len(largest_common_isotropic(forms.stack(), forms.p).require_complete().basis)
+
+
+def reference_common_isotropic(stack, p: int, k=None, budget: int = 5_000_000) -> IsotropicSearch:
+    """The isotropic-subspace DFS with the general GF(p) node, for every p.
+
+    The reference for the engine's packed GF(2) node: each node builds its
+    whole equation system, takes one nullspace of it, and solves one affine
+    system per child pivot.  Same tree, order, budget and witness key as
+    :func:`commdim.largest_common_isotropic`.
+    """
+    stack = np.asarray(stack, dtype=np.int64) % p
+    n = stack.shape[2]
+    if not stack.any():
+        return IsotropicSearch(np.eye(n if k is None else k, n, dtype=np.int64), 0, True)
+    alternating = not np.einsum("mii->mi", stack).any() and not ((stack + stack.transpose(0, 2, 1)) % p).any()
+    sides = stack if alternating else np.concatenate([stack, stack.transpose(0, 2, 1)])
+    lift = sides.transpose(1, 0, 2).reshape(n, -1)
+    best_dim, best_key, best_rows = k, None, None
+    if k is None:
+        best_dim, best_key, best_rows = 0, ((), []), np.zeros((0, n), dtype=np.int64)
+    nodes = 0
+
+    def visit(rows, pivots):
+        nonlocal nodes, best_dim, best_key, best_rows
+        nodes += 1
+        if nodes > budget:
+            return False
+        depth = len(pivots)
+        if depth >= best_dim:
+            key = (pivots, rows.ravel().tolist())
+            if depth > best_dim or best_key is None or key < best_key:
+                best_dim, best_key, best_rows = depth, key, rows
+        min_pivot = pivots[0] if depth else n
+        if min_pivot == 0 or depth == k:
+            return True
+        system = (rows @ lift).reshape(-1, n) % p
+        fix = np.eye(n, dtype=np.int64)[list(pivots)]
+        leads = (nullspace_array(np.concatenate([system, fix], axis=0), p) != 0).argmax(axis=1)
+        leads = leads[leads < min_pivot].tolist()
+        if depth + len(leads) < best_dim:
+            return True
+        for pnew in leads:
+            q_cols = [q for q in range(pnew + 1, n) if q not in pivots]
+            x0, hom = solve_affine(system[:, q_cols], (-system[:, pnew]) % p, p)
+            for combo in itertools.product(range(p), repeat=hom.shape[0]):
+                v = np.zeros(n, dtype=np.int64)
+                v[pnew] = 1
+                v[q_cols] = (x0 + np.asarray(combo, dtype=np.int64) @ hom) % p
+                if not alternating and (np.einsum("a,mab,b->m", v, stack, v) % p).any():
+                    continue
+                if not visit(np.vstack([v[None, :], rows]), (pnew,) + pivots):
+                    return False
+        return True
+
+    complete = visit(np.zeros((0, n), dtype=np.int64), ())
+    return IsotropicSearch(best_rows, nodes, complete)
 
 
 def _restrictions_vanish(forms, basis: np.ndarray, mode: str) -> bool:

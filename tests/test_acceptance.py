@@ -5,9 +5,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from commdim import (
     PrimeField,
@@ -18,6 +20,7 @@ from commdim import (
     build_lie_from_forms,
     certify_no_isotropic,
     check_structural_bound,
+    class2_exact_result,
     extremal_params,
     gaussian_binomial,
     greedy_abelian_class2,
@@ -26,6 +29,7 @@ from commdim import (
     matrix_commutative_subalgebra,
     max_abelian_exact,
     nilpotency_class,
+    reverify_certificate,
     sample_form_tuple,
     seven_n_check,
     simple_lie_data,
@@ -326,3 +330,28 @@ def test_criterion_10_excluded_items_are_formula_only():
 
         ok = ok and not hasattr(commdim, f"build_compact_form_{field}")
     report(10, ok, "real/complex and Lie-group items covered by formula evaluators only")
+
+
+@pytest.mark.parametrize(
+    "s, cert_nodes, dim, search_nodes",
+    [(9, 542, 8, 1835), (10, 3103, 9, 12598)],
+)
+def test_criterion_11_certified_pipeline_p2(s, cert_nodes, dim, search_nodes):
+    """params -> certify -> construct lie -> class2 and exact -> reverify at p = 2, seed 1000."""
+    params = extremal_params(s)
+    start = time.perf_counter()
+    cert = certify_no_isotropic(params.n, params.t, params.k, F2, seed=1000, max_attempts=1000)
+    alg = build_lie_from_forms(cert.forms)
+    class2, exact = class2_exact_result(alg), max_abelian_exact(alg)
+    replayed = reverify_certificate(cert)
+    wall = time.perf_counter() - start
+    ok = cert.seed == 1000 and cert.nodes_visited == cert_nodes and alg.dim == params.n + params.t
+    ok = ok and exact.exact and exact.dim == class2.dim == dim
+    ok = ok and exact.nodes_visited == class2.nodes_visited == search_nodes
+    ok = ok and dim <= params.k + params.t - 1 and replayed
+    report(
+        11,
+        ok,
+        f"s={s} (n, t, k) = ({params.n}, {params.t}, {params.k}): certify {cert.nodes_visited} nodes, "
+        f"dim {alg.dim}, max abelian {exact.dim} in {exact.nodes_visited} nodes, replayed; {wall:.2f} s",
+    )

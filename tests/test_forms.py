@@ -281,6 +281,44 @@ def test_certificate_json_round_trip():
     assert reverify_certificate(back)
 
 
+@st.composite
+def form_tuples(draw):
+    """Form tuples over GF(2), GF(3) or GF(5) with n <= 4, with or without a seed."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n, t = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(FORM_KINDS))
+    ft = sample_form_tuple(n, t, kind, PrimeField(p), draw(st.integers(0, 10**6)))
+    return ft if draw(st.booleans()) else FormTuple(n, t, kind, PrimeField(p), ft.stack())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(form_tuples())
+def test_form_tuple_json_round_trips(ft):
+    obj = ft.to_json()
+    assert FormTuple.from_json(obj).to_json() == obj
+    with pytest.raises(ValueError, match="'t' must be JSON int"):
+        FormTuple.from_json(dict(obj, t=str(ft.t)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    form_tuples(),
+    st.integers(0, 6),
+    st.integers(0, 10**40),
+    st.booleans(),
+    st.sampled_from([MODE_ISOTROPIC, MODE_SYMMETRIC]),
+    st.sampled_from(["certified", "failed"]),
+    st.sampled_from([None, forms.METHOD]),
+    st.none() | st.integers(0, 10**7),
+)
+def test_certificate_json_round_trips(ft, k, checked, vacuous, mode, verdict, method, nodes):
+    cert = GenericityCertificate(ft, k, checked, vacuous, mode, verdict, method, nodes)
+    obj = cert.to_json()
+    assert GenericityCertificate.from_json(obj).to_json() == obj
+    with pytest.raises(ValueError):
+        GenericityCertificate.from_json(dict(obj, subspaces_checked=f"{checked}!"))
+
+
 def test_reverify_detects_tampered_matrix():
     with pytest.warns(UserWarning):
         cert = certify_no_isotropic(2, 3, 2, F2, seed=0)

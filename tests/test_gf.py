@@ -184,6 +184,25 @@ def test_subspace_json_round_trip():
         Subspace.from_json(dict(s.to_json(), ambient_dim=4))
 
 
+@st.composite
+def subspaces(draw):
+    """Spans of up to n random rows in GF(p)^n, n <= 5."""
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 5))
+    k = draw(st.integers(0, n))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+    return Subspace.span(p, np.array(entries, dtype=np.int64).reshape(k, n), n)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(subspaces())
+def test_subspace_json_round_trips(s):
+    obj = s.to_json()
+    assert Subspace.from_json(obj).to_json() == obj
+    longer = dict(obj["basis"], entries=obj["basis"]["entries"] + [0])
+    with pytest.raises(ValueError, match="entry count"):
+        Subspace.from_json(dict(obj, basis=longer))
+
+
 def test_subspace_basis_is_read_only_and_reduced():
     for s in (
         Subspace(5, [[2, 4, 7], [0, 0, 9]]),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from commdim import (
     FormTuple,
     PrimeField,
+    SearchResult,
     StructureConstantAlgebra,
     Subspace,
     build_assoc_from_forms,
@@ -30,7 +32,13 @@ from commdim import (
 )
 
 from commdim import gf, search
-from oracles import abelian_ideal_extension, brute_force_max_abelian, class2_dim, extends_abelian_ideal
+from oracles import (
+    abelian_ideal_extension,
+    brute_force_max_abelian,
+    class2_dim,
+    extends_abelian_ideal,
+    reference_common_isotropic,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -130,12 +138,17 @@ def test_exact_node_counts_are_pinned():
 
 
 def test_exact_nodes_reduce_once_and_solve_only_lead_columns(monkeypatch):
-    # a node's one nullspace gives both the rank bound and the child pivots:
-    # no direct row reduction, and every solve it asks for has a solution
+    # at odd p a node's one nullspace gives both the rank bound and the child
+    # pivots: no direct row reduction, and every solve it asks for has a
+    # solution; the GF(2) node derives each extension space from its parent's
+    # by XOR and calls neither
+    solves = Counter()
+
     def no_rref(a, p):
         raise AssertionError("the search node called rref_array directly")
 
     def consistent_solve(a, b, p):
+        solves[p] += 1
         sol = gf.solve_affine(a, b, p)
         assert sol is not None, "solve_affine ran on a pivot column with no solution"
         return sol
@@ -144,6 +157,40 @@ def test_exact_nodes_reduce_once_and_solve_only_lead_columns(monkeypatch):
     monkeypatch.setattr(search, "solve_affine", consistent_solve)
     for alg, nodes in _exact_node_counts():
         assert max_abelian_exact(alg).nodes_visited == nodes, alg
+    assert solves[2] == 0 and solves[3] > 0 and solves[5] > 0
+
+
+@st.composite
+def gf2_stacks(draw):
+    """(t, n, n) stacks of alternating, symmetric or general forms over GF(2), n <= 8."""
+    n = draw(st.integers(1, 8))
+    t = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["alternating", "symmetric", "general"]))
+    return sample_form_tuple(n, t, kind, F2, draw(st.integers(0, 10**6))).stack()
+
+
+def _same_search(got, want):
+    return (
+        got.nodes_visited == want.nodes_visited
+        and got.complete == want.complete
+        and (got.basis is None) == (want.basis is None)
+        and (got.basis is None or np.array_equal(got.basis, want.basis))
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(gf2_stacks())
+def test_gf2_node_matches_general_node(stack):
+    # the packed GF(2) node walks the general node's tree: same node count,
+    # completeness and witness for every k, also when the budget runs out
+    n = stack.shape[2]
+    for k in [None, *range(n + 1)]:
+        full = reference_common_isotropic(stack, 2, k)
+        assert _same_search(largest_common_isotropic(stack, 2, k), full), k
+        cut = full.nodes_visited // 2
+        partial = largest_common_isotropic(stack, 2, k, budget=cut)
+        assert _same_search(partial, reference_common_isotropic(stack, 2, k, budget=cut)), (k, cut)
+        assert partial.complete == (full.nodes_visited == 0)
 
 
 @pytest.mark.parametrize("n, t, k, p, dim", [(7, 5, 4, 2, 7), (7, 5, 4, 3, 7), (9, 5, 5, 2, 8)])
@@ -396,6 +443,33 @@ def test_search_result_json():
     assert obj["nodes_visited"] == 4
     assert greedy_abelian_class2(heisenberg(F2)).to_json()["nodes_visited"] is None
     assert obj["witness"]["basis"]["rows"] == 2
+
+
+@st.composite
+def search_results(draw):
+    """Search results with a random witness in GF(p)^n (or none) and random fields."""
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 5))
+    k = draw(st.integers(0, n))
+    rows = draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+    witness = draw(st.none() | st.just(Subspace.span(p, np.array(rows, dtype=np.int64).reshape(k, n), n)))
+    dim = draw(st.integers(0, 40)) if witness is None else witness.dim
+    mode = draw(st.sampled_from(["exact", "class2", "greedy"]))
+    return SearchResult(mode, dim, witness, draw(st.booleans()), draw(st.none() | st.integers(0, 10**7)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(search_results())
+def test_search_result_json_round_trips(res):
+    obj = res.to_json()
+    assert SearchResult.from_json(obj).to_json() == obj
+    with pytest.raises(ValueError, match="'exact' must be JSON bool"):
+        SearchResult.from_json(dict(obj, exact=int(res.exact)))
+
+
+def test_search_result_json_rejects_a_witness_of_another_dim():
+    obj = max_abelian_exact(heisenberg(F2)).to_json()
+    with pytest.raises(ValueError, match="witness has dim 2"):
+        SearchResult.from_json(dict(obj, dim=3))
 
 
 @pytest.mark.parametrize("kind", ["lie", "assoc"])
