@@ -175,16 +175,13 @@ def _general_nodes(sides: np.ndarray, squares: int, p: int):
             # the lead has a solution; the other coordinates are those right of it
             q_cols = [q for q in range(pnew + 1, n) if q not in pivots]
             x0, hom = solve_affine(system[:, q_cols], (-system[:, pnew]) % p, p)
-            top = np.zeros((len(rows) + 1, n), dtype=np.int64)
-            top[0, pnew] = 1
-            top[1:] = rows
             for combo in itertools.product(range(p), repeat=hom.shape[0]):
-                child = top.copy()
-                v = child[0]
+                v = np.zeros(n, dtype=np.int64)
+                v[pnew] = 1
                 v[q_cols] = (x0 + np.asarray(combo, dtype=np.int64) @ hom) % p
                 if squares and (np.einsum("a,mab,b->m", v, forms, v) % p).any():
                     continue
-                yield child, pnew
+                yield np.vstack([v[None, :], rows]), pnew
 
     return np.zeros((0, n), dtype=np.int64), lambda rows: rows.ravel().tolist(), extend, lambda rows: rows
 
@@ -211,15 +208,21 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
     """
     ns, n = len(sides), sides.shape[2]
     lift = sides.transpose(1, 0, 2).reshape(n, ns * n)
-    columns = np.arange(n)
+    width = (n + 7) // 8
 
     def entries(node):
         # each row read from column 0 as the high bit: ints then order as the
         # rows' entry lists do
         return tuple(int(f"{row:0{n}b}"[::-1], 2) for row in node[0])
 
+    def unpack(rows):
+        """The (len(rows), n) 0/1 array of packed rows; n may exceed 63."""
+        data = b"".join(row.to_bytes(width, "little") for row in rows)
+        bits = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+        return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
+
     def to_array(node):
-        return (np.array(node[0], dtype=np.int64).reshape(-1, 1) >> columns) & 1
+        return unpack(node[0])
 
     def space(node):
         """(basis, leads) of the node's extension space N."""
@@ -256,12 +259,12 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
 
     def children(rows, basis, leads, below):
         r = len(basis)
-        b = (np.array(basis, dtype=np.int64).reshape(r, 1) >> columns) & 1
+        b = unpack(basis)
         g = ((b @ lift).reshape(r, ns, n) @ b.T & 1).astype(np.uint8).reshape(r, ns * r)
         packed = np.packbits(g, axis=1, bitorder="little")
-        width = packed.shape[1]
+        gwidth = packed.shape[1]
         data = packed.tobytes()
-        gram = [int.from_bytes(data[a * width : (a + 1) * width], "little") for a in range(r)]
+        gram = [int.from_bytes(data[a * gwidth : (a + 1) * gwidth], "little") for a in range(r)]
         # the particular solution for lead i: b_i reduced by a right-to-left
         # echelon of b_{i+1}, ... (the top bit of each of its rows cleared)
         starts = [0] * below

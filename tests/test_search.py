@@ -193,6 +193,19 @@ def test_gf2_node_matches_general_node(stack):
         assert partial.complete == (full.nodes_visited == 0)
 
 
+@pytest.mark.parametrize("kind", ["alternating", "symmetric", "general"])
+@pytest.mark.parametrize("n", [64, 70])
+def test_gf2_node_matches_general_node_past_63_columns(kind, n):
+    # a packed row with a bit at column 63 or beyond does not fit an int64;
+    # the budget stops the search long before it is complete
+    stack = sample_form_tuple(n, 2, kind, F2, 7).stack()
+    for k in [None, 3]:
+        for budget in [1, 40, 300]:
+            got = largest_common_isotropic(stack, 2, k, budget=budget)
+            assert not got.complete and (got.basis is None or got.basis.shape[1] == n)
+            assert _same_search(got, reference_common_isotropic(stack, 2, k, budget=budget)), (k, budget)
+
+
 @pytest.mark.parametrize("n, t, k, p, dim", [(7, 5, 4, 2, 7), (7, 5, 4, 3, 7), (9, 5, 5, 2, 8)])
 def test_exact_search_on_certified_algebras(n, t, k, p, dim):
     # the s = 8 and s = 9 pipeline algebras: the search on the complement of
