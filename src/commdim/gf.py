@@ -132,14 +132,13 @@ def _rref_rows(m: list[list[int]], p: int) -> tuple[int, list[int]]:
         row = m[pr]
         m[pr] = m[r]
         if row[c] != 1:
-            inv = _inv_mod(row[c], p)
+            inv = pow(row[c], p - 2, p)
             row = [x * inv % p for x in row]
         m[r] = row
         support = [(j, y) for j, y in enumerate(row) if y]
-        for i in range(nrows):
-            other = m[i]
+        for other in m:
             f = other[c]
-            if f and i != r:
+            if f and other is not row:
                 for j, y in support:
                     other[j] = (other[j] - f * y) % p
         pivots.append(c)

@@ -20,8 +20,11 @@ subspace on which a tuple of bilinear forms vanishes; certification in
 A search node's extension space N, the vectors that can join its subspace,
 has an RREF basis whose lead columns give both the rank bound and the pivots
 a child row can take.  Over GF(2) each node derives N from its parent's by
-XOR on rows packed into ints; over odd p it takes N from one nullspace call
-and solves one affine system per child pivot.  The greedy procedure and
+XOR on rows packed into ints.  Over odd p a node takes N from one nullspace
+call on its equations restricted to the columns that are not pivots, and
+solves one affine system per child pivot; that pivot's children then step
+through an odometer, one vector addition each, and a child holds only its
+new row until it is expanded.  The greedy procedure and
 :func:`maximal_abelian_ideal` share one growth loop, :func:`_grow`, which
 adjoins the first new solution of the current linear system until none is left.
 """
@@ -29,7 +32,6 @@ adjoins the first new solution of the current linear system until none is left.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -88,7 +90,8 @@ def largest_common_isotropic(
     isotropic subspace is visited at most once.  A new top row v, with its
     pivot left of the others, lies in the node's extension space N: it solves
     (w M) v = 0 for every chosen row w and form M, unless the stack is
-    alternating also (v M) w = 0, and it is zero at the chosen pivots.  It
+    alternating or symmetric also (v M) w = 0, and it is zero at the chosen
+    pivots.  It
     must also satisfy v M v = 0 when the stack is not alternating.  The lead
     columns of N's RREF basis left of the smallest pivot are the pivots a new
     row can take, so a branch is cut when there are too few of them to lift
@@ -111,8 +114,10 @@ def largest_common_isotropic(
         raise ValueError(f"need budget >= 0, got {budget}")
     if not stack.any():
         return IsotropicSearch(np.eye(n if k is None else k, n, dtype=np.int64), 0, True)
-    alternating = not np.einsum("mii->mi", stack).any() and not ((stack + stack.transpose(0, 2, 1)) % p).any()
-    sides = stack if alternating else np.concatenate([stack, stack.transpose(0, 2, 1)])
+    transposed = stack.transpose(0, 2, 1)
+    alternating = not np.einsum("mii->mi", stack).any() and not ((stack + transposed) % p).any()
+    # (v M) w = 0 and (w M) v = 0 are one equation when M is alternating or symmetric
+    sides = stack if alternating or np.array_equal(stack, transposed) else np.concatenate([stack, transposed])
     # v M v = 0 is checked on the forms themselves when they are not alternating
     squares = 0 if alternating else len(stack)
     if p == 2:
@@ -131,8 +136,10 @@ def largest_common_isotropic(
         if nodes > budget:
             return False
         depth = len(pivots)
-        if depth >= best_dim:
-            # with the pivots equal, the entries order as the free values do
+        # a key is built only when it can win: at a new dimension, or at the
+        # best one with pivots no greater; with the pivots equal, the entries
+        # order as the free values do
+        if depth > best_dim or depth == best_dim and (best_key is None or pivots <= best_key[0]):
             key = (pivots, entries(node))
             if depth > best_dim or best_key is None or key < best_key:
                 best_dim, best_key, best_node = depth, key, node
@@ -152,38 +159,66 @@ def largest_common_isotropic(
 
 
 def _general_nodes(sides: np.ndarray, squares: int, p: int):
-    """The search node over any GF(p): a node is its rows, an (r, n) array.
+    """The search node over any GF(p): a node is (v, rows, system).
 
     Returns (root, entries, extend, to_array), as :func:`_gf2_nodes` does.
-    Each node builds its whole equation system and takes N from one
-    nullspace; each child pivot solves one affine system.
+    A child is its new top row v with its parent's rows and equations (the
+    root's v is empty), so a child that is never expanded builds no array.
+    Expanding a node stacks v and its equations (v M) x = 0 onto its parent's
+    and takes N from one nullspace of the system on the non-pivot columns;
+    N's leads left of the smallest pivot are that nullspace's own.
+
+    Each child pivot solves one affine system; its solution x0 and homogeneous
+    basis h_0..h_{m-1} give the children x0 + sum c_j h_j in itertools.product
+    order of c, stepped as an odometer: the step to the child whose index ends
+    in z zero digits base p raises the last z + 1 digits of c by 1 each, so it
+    adds the precomputed sum of the last z + 1 rows h_j.
     """
     n = sides.shape[2]
     # the rows w @ lift, reshaped, are the equations (w M) x = 0 of basis row w
     lift = sides.transpose(1, 0, 2).reshape(n, -1)
     forms = sides[:squares]
 
-    def extend(rows: np.ndarray, pivots: tuple[int, ...], min_pivot: int):
-        system = (rows @ lift).reshape(-1, n) % p
-        fix = np.eye(n, dtype=np.int64)[list(pivots)]
-        leads = (nullspace_array(np.concatenate([system, fix], axis=0), p) != 0).argmax(axis=1)
-        leads = leads[leads < min_pivot].tolist()
-        return leads, children(rows, pivots, system, leads)
+    def entries(node):
+        v, rows, _ = node
+        return v.tolist() + rows.ravel().tolist()
 
-    def children(rows, pivots, system, leads):
+    def to_array(node):
+        v, rows, _ = node
+        return np.concatenate([v.reshape(-1, n), rows])
+
+    def extend(node, pivots, min_pivot):
+        v, rows, system = node
+        if v.size:
+            rows = np.concatenate([v[None, :], rows])
+            system = np.concatenate([(v @ lift).reshape(-1, n) % p, system])
+        free = [q for q in range(n) if q not in pivots]
+        leads = (nullspace_array(system[:, free], p) != 0).argmax(axis=1).tolist()
+        leads = leads[: bisect.bisect_left(leads, min_pivot)]
+        return leads, children(rows, system, free, leads)
+
+    def children(rows, system, free, leads):
         for pnew in leads:
-            # the lead has a solution; the other coordinates are those right of it
-            q_cols = [q for q in range(pnew + 1, n) if q not in pivots]
+            # the lead has a solution; the other coordinates are the free
+            # columns right of it, and every column left of min_pivot is free
+            q_cols = free[pnew + 1 :]
             x0, hom = solve_affine(system[:, q_cols], (-system[:, pnew]) % p, p)
-            for combo in itertools.product(range(p), repeat=hom.shape[0]):
-                v = np.zeros(n, dtype=np.int64)
-                v[pnew] = 1
-                v[q_cols] = (x0 + np.asarray(combo, dtype=np.int64) @ hom) % p
-                if squares and (np.einsum("a,mab,b->m", v, forms, v) % p).any():
-                    continue
-                yield np.vstack([v[None, :], rows]), pnew
+            v = np.zeros(n, dtype=np.int64)
+            v[pnew] = 1
+            v[q_cols] = x0
+            steps = np.zeros((len(hom), n), dtype=np.int64)
+            steps[:, q_cols] = np.cumsum(hom[::-1], axis=0) % p
+            for index in range(p ** len(hom)):
+                if index:
+                    z, rest = 0, index
+                    while rest % p == 0:
+                        z, rest = z + 1, rest // p
+                    v = (v + steps[z]) % p
+                if not (squares and ((v @ forms) @ v % p).any()):
+                    yield (v, rows, system), pnew
 
-    return np.zeros((0, n), dtype=np.int64), lambda rows: rows.ravel().tolist(), extend, lambda rows: rows
+    empty = np.zeros((0, n), dtype=np.int64)
+    return (np.zeros(0, dtype=np.int64), empty, empty), entries, extend, to_array
 
 
 def _gf2_nodes(sides: np.ndarray, squares: int):

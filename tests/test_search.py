@@ -32,6 +32,7 @@ from commdim import (
 )
 
 from commdim import gf, search
+from commdim.gf import nullspace_array, reduce_against_rref, rref_array, solve_affine
 from oracles import (
     abelian_ideal_extension,
     brute_force_max_abelian,
@@ -161,12 +162,15 @@ def test_exact_nodes_reduce_once_and_solve_only_lead_columns(monkeypatch):
 
 
 @st.composite
-def gf2_stacks(draw):
-    """(t, n, n) stacks of alternating, symmetric or general forms over GF(2), n <= 8."""
-    n = draw(st.integers(1, 8))
+def form_stacks(draw):
+    """(p, stack): (t, n, n) alternating, symmetric or general forms over
+    GF(p) for p in {2, 3, 5}; n <= 8, 7, 6 as p grows, since a node of a
+    non-alternating stack can try p^(n-1) rows that fail v M v = 0."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 8, 3: 7, 5: 6}[p]))
     t = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["alternating", "symmetric", "general"]))
-    return sample_form_tuple(n, t, kind, F2, draw(st.integers(0, 10**6))).stack()
+    return p, sample_form_tuple(n, t, kind, PrimeField(p), draw(st.integers(0, 10**6))).stack()
 
 
 def _same_search(got, want):
@@ -178,19 +182,89 @@ def _same_search(got, want):
     )
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(gf2_stacks())
-def test_gf2_node_matches_general_node(stack):
-    # the packed GF(2) node walks the general node's tree: same node count,
-    # completeness and witness for every k, also when the budget runs out
+# the reference node costs about 0.1 ms, so at odd p a search that outgrows
+# this many nodes (a single form at p = 5 can take 10^5) is compared up to
+# the budget; at p = 2 every search runs to completion
+ODD_P_BUDGET = 1000
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(form_stacks())
+def test_search_nodes_match_reference_node(case):
+    # the packed GF(2) node and the odd-p node both walk the reference
+    # node's tree: same node count, completeness and witness for every k,
+    # with the full budget and with half of the nodes it visits
+    p, stack = case
     n = stack.shape[2]
+    budget = gf.DEFAULT_SEARCH_BUDGET if p == 2 else ODD_P_BUDGET
     for k in [None, *range(n + 1)]:
-        full = reference_common_isotropic(stack, 2, k)
-        assert _same_search(largest_common_isotropic(stack, 2, k), full), k
+        full = reference_common_isotropic(stack, p, k, budget=budget)
+        assert _same_search(largest_common_isotropic(stack, p, k, budget=budget), full), k
         cut = full.nodes_visited // 2
-        partial = largest_common_isotropic(stack, 2, k, budget=cut)
-        assert _same_search(partial, reference_common_isotropic(stack, 2, k, budget=cut)), (k, cut)
+        partial = largest_common_isotropic(stack, p, k, budget=cut)
+        assert _same_search(partial, reference_common_isotropic(stack, p, k, budget=cut)), (k, cut)
         assert partial.complete == (full.nodes_visited == 0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(form_stacks().filter(lambda case: case[0] != 2))
+def test_odd_p_children_come_in_product_order(case):
+    # a lead's children, stepped through as an odometer, are x0 + c @ hom in
+    # itertools.product order of c, as the reference node builds them: the
+    # search's outputs rarely show a change in sibling order, so it is
+    # checked here on the first nodes of the tree
+    p, stack = case
+    n = stack.shape[2]
+    sides = np.concatenate([stack, stack.transpose(0, 2, 1)])
+    lift = sides.transpose(1, 0, 2).reshape(n, -1)
+    root, _, extend, to_array = search._general_nodes(sides, 0, p)
+    queue = [(root, ())]
+    for _ in range(12):
+        if not queue:
+            break
+        node, pivots = queue.pop(0)
+        if pivots and pivots[0] == 0:
+            continue
+        leads, children = extend(node, pivots, pivots[0] if pivots else n)
+        got = list(itertools.islice(children, 300))
+        system = (to_array(node) @ lift).reshape(-1, n) % p
+        want = []
+        for pnew in leads:
+            q_cols = [q for q in range(pnew + 1, n) if q not in pivots]
+            x0, hom = solve_affine(system[:, q_cols], -system[:, pnew] % p, p)
+            for combo in itertools.product(range(p), repeat=len(hom)):
+                v = np.zeros(n, dtype=np.int64)
+                v[pnew] = 1
+                v[q_cols] = (x0 + np.asarray(combo, dtype=np.int64) @ hom) % p
+                want.append((pnew, v.tolist()))
+        assert [(pnew, to_array(child)[0].tolist()) for child, pnew in got] == want[:300]
+        queue += [(child, (pnew,) + pivots) for child, pnew in got[:3]]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(form_stacks().filter(lambda case: case[0] != 2), st.data())
+def test_lead_solve_is_read_off_the_extension_basis(case, data):
+    # for the lead l_i of row b_i of the RREF basis of a node's extension
+    # space, on the columns right of l_i, the affine solve returns the
+    # homogeneous basis b_{i+1}, ... and b_i reduced by a right-to-left
+    # echelon of it (solve_affine zeroes the free columns of a forward
+    # elimination): the basis already holds everything the solve returns
+    p, stack = case
+    n = stack.shape[2]
+    sides = np.concatenate([stack, stack.transpose(0, 2, 1)])
+    lift = sides.transpose(1, 0, 2).reshape(n, -1)
+    rows = np.array(data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=3)))
+    node = Subspace(p, rows.reshape(len(rows), n))
+    free = [q for q in range(n) if q not in node.pivots]
+    system = (node.basis @ lift).reshape(-1, n)[:, free] % p
+    b = nullspace_array(system, p)
+    for i, lead in enumerate(int(np.flatnonzero(row)[0]) for row in b):
+        right = list(range(lead + 1, len(free)))
+        x0, hom = solve_affine(system[:, right], -system[:, lead] % p, p)
+        hom = hom.reshape(len(hom), len(right))
+        assert np.array_equal(hom, b[i + 1 :, right])
+        rank, echelon, cols = rref_array(hom[:, ::-1], p)
+        assert np.array_equal(x0, reduce_against_rref(b[i, right][::-1], echelon[:rank], cols, p)[::-1])
 
 
 @pytest.mark.parametrize("kind", ["alternating", "symmetric", "general"])
