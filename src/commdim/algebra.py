@@ -12,11 +12,13 @@ The JSON form (schema 2) is {"schema": 2, "kind", "p", "dim", "sc",
 key, sorted by (i, j), with the nonzero coordinates m of e_i e_j in
 increasing order.  A stored key whose product is zero keeps "nz": [].  A
 document without "schema" is version 1, whose entries {"i", "j", "v"} hold
-the dense coordinate vector.
+the dense coordinate vector.  Version-1 entries and the constructor's dict
+are rewritten as schema-2 entries for the one reader, :func:`_checked_sc`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -71,8 +73,19 @@ def _first_repeat(items: list):
     return next((x for x in items if x in seen or seen.add(x)), None)
 
 
-def _sc_from_json(entries: list, p: int, dim: int) -> tuple[list, np.ndarray]:
-    """(keys, (N, dim) rows) of schema-2 entries, each field type-checked once over the list."""
+def _dense_entries(items, dim: int) -> list:
+    """Schema-2 entries of ((i, j), dense vector) items, each vector a list of dim ints."""
+    entries = []
+    for (i, j), v in items:
+        if np.shape(v) != (dim,):
+            raise ValueError(f"structure constant vector for {(i, j)} has wrong length")
+        entries.append({"i": i, "j": j, "nz": [[m, x] for m, x in enumerate(v) if x]})
+    return entries
+
+
+def _checked_sc(entries: list, p: int, dim: int) -> tuple[list, np.ndarray]:
+    """(keys, (N, dim) rows) of schema-2 entries, each field type-checked once over the list;
+    the dict constructor and version-1 documents reach it through :func:`_dense_entries`."""
     try:
         ii = [e["i"] for e in entries]
         jj = [e["j"] for e in entries]
@@ -119,24 +132,8 @@ class StructureConstantAlgebra:
 
     def __init__(self, kind: str, field: PrimeField, dim: int, sc: dict, labels=None):
         kind = _checked_kind(kind, dim)
-        p = field.p
-        keys = [(int(key[0]), int(key[1])) for key in sc]
-        try:
-            rows = np.array(list(sc.values()), dtype=np.int64) if keys else np.zeros((0, dim), dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            rows = None
-        in_range = all(0 <= i < dim and 0 <= j < dim for i, j in keys)
-        if rows is None or rows.shape != (len(keys), dim) or not in_range:
-            # again one entry at a time, to name the entry at fault
-            rows = []
-            for (i, j), vec in zip(keys, sc.values()):
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise ValueError(f"structure constant key {(i, j)} out of range")
-                v = as_gf_array(vec, p)
-                if v.shape != (dim,):
-                    raise ValueError(f"structure constant vector for {(i, j)} has wrong length")
-                rows.append(v)
-            rows = np.array(rows, dtype=np.int64).reshape(len(keys), dim)
+        items = [((operator.index(i), operator.index(j)), as_gf_array(v, field.p).tolist()) for (i, j), v in sc.items()]
+        keys, rows = _checked_sc(_dense_entries(items, dim), field.p, dim)
         self._init(kind, field, dim, keys, rows, labels)
 
     @classmethod
@@ -221,31 +218,17 @@ class StructureConstantAlgebra:
     def from_json(cls, obj: dict) -> "StructureConstantAlgebra":
         """Read either schema; a document without "schema" is version 1."""
         schema = json_field(obj, "schema", "int", default=1)
-        if schema == ALGEBRA_SCHEMA:
-            field = PrimeField(json_field(obj, "p", "int"))
-            kind, dim = json_field(obj, "kind", "str"), json_field(obj, "dim", "int")
-            _checked_kind(kind, dim)  # before anything of size dim is allocated
-            keys, rows = _sc_from_json(json_field(obj, "sc", "list"), field.p, dim)
-            labels = json_field(obj, "labels", "list", default=None)
-            return cls._from_rows(kind, field, dim, keys, rows, labels=labels)
-        if schema != 1:
+        if schema not in (1, ALGEBRA_SCHEMA):
             raise ValueError(f"unknown algebra schema {schema}")
-        p = PrimeField(json_field(obj, "p", "int")).p
-        sc = {}
-        for e in json_field(obj, "sc", "list"):
-            key = (json_field(e, "i", "int"), json_field(e, "j", "int"))
-            if key in sc:
-                raise ValueError(f"duplicate structure constant key {key}")
-            v = json_field(e, "v", "ints")
-            # ints outside [0, p), which may not fit int64, are reduced before numpy sees them
-            sc[key] = v if not v or 0 <= min(v) and max(v) < p else [x % p for x in v]
-        return cls(
-            json_field(obj, "kind", "str"),
-            PrimeField(p),
-            json_field(obj, "dim", "int"),
-            sc,
-            labels=json_field(obj, "labels", "list", default=None),
-        )
+        field = PrimeField(json_field(obj, "p", "int"))
+        kind, dim = json_field(obj, "kind", "str"), json_field(obj, "dim", "int")
+        _checked_kind(kind, dim)  # before anything of size dim is allocated
+        entries = json_field(obj, "sc", "list")
+        if schema == 1:
+            ijv = [((json_field(e, "i", "int"), json_field(e, "j", "int")), json_field(e, "v", "ints")) for e in entries]
+            entries = _dense_entries(ijv, dim)
+        keys, rows = _checked_sc(entries, field.p, dim)
+        return cls._from_rows(kind, field, dim, keys, rows, labels=json_field(obj, "labels", "list", default=None))
 
     def __repr__(self) -> str:
         return f"StructureConstantAlgebra(kind={self.kind!r}, p={self.p}, dim={self.dim})"

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .algebra import MAX_ALGEBRA_DIM
 from .errors import CertificationFailed
 from .gf import (
     DEFAULT_SEARCH_BUDGET,
@@ -41,6 +42,14 @@ _MODES = (MODE_ISOTROPIC, MODE_SYMMETRIC)
 METHOD = "isotropic-dfs"  # the certificate's provenance tag
 
 
+def _check_shape(n: int, t: int, kind: str) -> None:
+    """Reject an unknown kind, or an n or t outside its range before any n x n array is allocated."""
+    if kind not in FORM_KINDS:
+        raise ValueError(f"unknown form kind {kind!r}")
+    if not (0 <= n <= MAX_ALGEBRA_DIM and 1 <= t <= MAX_ALGEBRA_DIM):
+        raise ValueError(f"need n in [0, {MAX_ALGEBRA_DIM}] and t in [1, {MAX_ALGEBRA_DIM}], got n = {n}, t = {t}")
+
+
 class FormTuple:
     """A tuple of t bilinear forms on GF(p)^n, held as one read-only,
     reduced (t, n, n) int64 array of their matrices."""
@@ -48,10 +57,7 @@ class FormTuple:
     __slots__ = ("n", "t", "kind", "p", "seed", "_stack")
 
     def __init__(self, n: int, t: int, kind: str, field: PrimeField, mats, seed: int | None = None):
-        if kind not in FORM_KINDS:
-            raise ValueError(f"unknown form kind {kind!r}")
-        if n < 0 or t < 1:
-            raise ValueError("need n >= 0 and t >= 1")
+        _check_shape(n, t, kind)
         mats = list(mats)
         if len(mats) != t:
             raise ValueError(f"expected {t} matrices, got {len(mats)}")
@@ -122,8 +128,7 @@ def sample_form_tuple(n: int, t: int, kind: str, field: PrimeField, seed: int) -
     a single Mersenne-Twister stream, one matrix after the other, so the same
     seed reproduces the tuple bit for bit.
     """
-    if kind not in FORM_KINDS:
-        raise ValueError(f"unknown form kind {kind!r}")
+    _check_shape(n, t, kind)
     p = field.p
     rng = random.Random(seed)
     # row-major free positions; an offset of -n takes in every position

@@ -66,8 +66,19 @@ def _inv_mod(a: int, p: int) -> int:
 
 
 def as_gf_array(entries, p: int) -> np.ndarray:
-    """Coerce to a reduced int64 array over GF(p)."""
-    return np.mod(np.asarray(entries, dtype=np.int64), p)
+    """Coerce to a reduced int64 array over GF(p).
+
+    Integral floats, such as np.eye's default output, are accepted; any other
+    non-integral entry raises ValueError instead of being truncated.
+    """
+    a = np.asarray(entries)
+    if a.dtype != np.int64:
+        with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, caught below
+            ints = a.astype(np.int64)
+        if a.dtype.kind not in "biu" and not (ints == a).all():
+            raise ValueError(f"entries must be ints, got non-integral {a[ints != a].tolist()[0]!r}")
+        a = ints
+    return np.mod(a, p)
 
 
 _JSON_TYPES = {

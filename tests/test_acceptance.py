@@ -332,15 +332,11 @@ def test_criterion_10_excluded_items_are_formula_only():
     report(10, ok, "real/complex and Lie-group items covered by formula evaluators only")
 
 
-@pytest.mark.parametrize(
-    "s, cert_nodes, dim, search_nodes",
-    [(9, 542, 8, 1835), (10, 3103, 9, 12598)],
-)
-def test_criterion_11_certified_pipeline_p2(s, cert_nodes, dim, search_nodes):
-    """params -> certify -> construct lie -> class2 and exact -> reverify at p = 2, seed 1000."""
+def _certified_pipeline(field, s, cert_nodes, dim, search_nodes):
+    """params -> certify -> construct lie -> class2 and exact -> reverify at seed 1000."""
     params = extremal_params(s)
     start = time.perf_counter()
-    cert = certify_no_isotropic(params.n, params.t, params.k, F2, seed=1000, max_attempts=1000)
+    cert = certify_no_isotropic(params.n, params.t, params.k, field, seed=1000, max_attempts=1000)
     alg = build_lie_from_forms(cert.forms)
     class2, exact = class2_exact_result(alg), max_abelian_exact(alg)
     replayed = reverify_certificate(cert)
@@ -352,6 +348,19 @@ def test_criterion_11_certified_pipeline_p2(s, cert_nodes, dim, search_nodes):
     report(
         11,
         ok,
-        f"s={s} (n, t, k) = ({params.n}, {params.t}, {params.k}): certify {cert.nodes_visited} nodes, "
+        f"s={s}, p={field.p} (n, t, k) = ({params.n}, {params.t}, {params.k}): certify {cert.nodes_visited} nodes, "
         f"dim {alg.dim}, max abelian {exact.dim} in {exact.nodes_visited} nodes, replayed; {wall:.2f} s",
     )
+
+
+@pytest.mark.parametrize(
+    "s, cert_nodes, dim, search_nodes",
+    [(9, 542, 8, 1835), (10, 3103, 9, 12598)],
+)
+def test_criterion_11_certified_pipeline_p2(s, cert_nodes, dim, search_nodes):
+    _certified_pipeline(F2, s, cert_nodes, dim, search_nodes)
+
+
+def test_criterion_11_certified_pipeline_p3():
+    """s = 9 at p = 3, which runs the odd-p search node: (n, t, k) = (9, 5, 5), an algebra of dim 14."""
+    _certified_pipeline(PrimeField(3), 9, 9882, 8, 41841)

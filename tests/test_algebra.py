@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import tracemalloc
@@ -481,6 +482,9 @@ def test_algebra_json_round_trips_in_both_schemas(a):
     assert all(e["nz"] == sorted(e["nz"]) for e in obj["sc"])
     old = StructureConstantAlgebra.from_json(algebra_json_v1(a))
     assert _stored(old) == _stored(a) and old.to_json() == obj
+    # the dict constructor, the third entrance to the one reader
+    new = StructureConstantAlgebra(a.kind, a.field, a.dim, a.sc, labels=a.labels)
+    assert _stored(new) == _stored(a) and np.array_equal(new.table(), a.table()) and new.to_json() == obj
 
 
 def test_stored_zero_product_keeps_its_key():
@@ -525,6 +529,45 @@ def _with_nz(*nz):
 def test_malformed_schema_2_algebra_is_rejected(doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         StructureConstantAlgebra.from_json(doc)
+
+
+def _through(entrance: str, entries: list) -> StructureConstantAlgebra:
+    """The p = 3 Lie algebra of dim 3 with (i, j, dense vector) entries, built through one entrance."""
+    if entrance == "dict":
+        return StructureConstantAlgebra("lie", F3, 3, {(i, j): v for i, j, v in entries})
+    doc = {"kind": "lie", "p": 3, "dim": 3}
+    if entrance == "v1":
+        return StructureConstantAlgebra.from_json(dict(doc, sc=[{"i": i, "j": j, "v": v} for i, j, v in entries]))
+    sc = [{"i": i, "j": j, "nz": [[m, x] for m, x in enumerate(v) if x]} for i, j, v in entries]
+    return StructureConstantAlgebra.from_json(dict(doc, schema=2, sc=sc))
+
+
+@pytest.mark.parametrize(
+    "entrances, entries, message",
+    [
+        (("dict", "v1", "v2"), [(0, 3, [0, 0, 1])], re.escape("structure constant key (0, 3) out of range")),
+        (("dict", "v1"), [(0, 1, [0, 1])], re.escape("structure constant vector for (0, 1) has wrong length")),
+        (("dict", "v1"), [(0, 1, [0, 0, 1, 0])], re.escape("structure constant vector for (0, 1) has wrong length")),
+        # Python values and JSON values are named in their own terms
+        (("dict", "v1", "v2"), [(0, 1, [0, 0, 1.5])], "must be (JSON )?ints"),
+        (("v1", "v2"), [(0, 1, [0, 0, 1]), (0, 1, [0, 0, 2])], re.escape("duplicate structure constant key (0, 1)")),
+    ],
+    ids=["key-out-of-range", "short-vector", "long-vector", "non-integral", "duplicate-key"],
+)
+def test_every_entrance_rejects_a_bad_entry_alike(entrances, entries, message):
+    for entrance in entrances:
+        with pytest.raises(ValueError, match=message):
+            _through(entrance, entries)
+    # the same entrances read the entries once the fault is mended
+    good = [(0, 1, [0, 0, 1])]
+    assert len({json.dumps(_through(e, good).to_json()) for e in entrances}) == 1
+
+
+def test_version_1_values_are_reduced_mod_p_and_zeros_keep_their_key():
+    a = StructureConstantAlgebra.from_json({"kind": "lie", "p": 3, "dim": 3, "sc": [
+        {"i": 0, "j": 1, "v": [3, -(2**70), 7**40 + 1]}, {"i": 1, "j": 0, "v": [0, 0, 0]}]})
+    assert a.to_json()["sc"] == [{"i": 0, "j": 1, "nz": [[1, -(2**70) % 3], [2, (7**40 + 1) % 3]]},
+                                 {"i": 1, "j": 0, "nz": []}]
 
 
 def test_schema_2_big_values_are_reduced_before_numpy():

@@ -91,6 +91,15 @@ def test_matrix_comm(capsys):
     assert obj["ambient"]["dim"] == 16
 
 
+def test_certify_beyond_the_size_cap_is_a_domain_error(capsys):
+    # the claim is vacuous (k > n), so before the cap this sampled 2000 x 2000 forms and printed them
+    with pytest.warns(UserWarning, match="not guaranteed"):  # 2n < t(k-1) fails here; warn-only
+        code, out = run(capsys, "certify", "--n", "2000", "--t", "1", "--k", "2001", "--p", "2", "--seed", "1")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    assert "need n in [0, 160] and t in [1, 160]" in json.loads(lines[0])["error"]
+
+
 def test_certify_requires_seed(capsys):
     code, obj = run_json(capsys, "certify", "--n", "2", "--t", "3", "--k", "2", "--p", "2")
     assert code == 1

@@ -2,6 +2,8 @@ import hashlib
 import json
 import pathlib
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from commdim import (
     sample_form_tuple,
 )
 from commdim import forms
+from commdim.algebra import MAX_ALGEBRA_DIM
 from commdim.forms import FORM_KINDS, MODE_ISOTROPIC, MODE_SYMMETRIC
 
 from oracles import brute_force_max_isotropic, enumerate_subspaces, first_common_isotropic, random_invertible
@@ -47,6 +50,22 @@ def test_sample_empty_space():
     ft = sample_form_tuple(0, 2, "alternating", F2, 7)
     assert ft.n == 0 and ft.t == 2
     assert ft.stack().shape == (2, 0, 0)
+
+
+@pytest.mark.parametrize("n, t", [(MAX_ALGEBRA_DIM + 1, 1), (2, MAX_ALGEBRA_DIM + 1), (2000, 1)])
+def test_form_tuples_beyond_the_algebra_cap_are_rejected_before_allocation(n, t):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"t in [1, {MAX_ALGEBRA_DIM}], got n = {n}, t = {t}")):
+            sample_form_tuple(n, t, "general", F2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    with pytest.raises(ValueError, match=re.escape(f"t in [1, {MAX_ALGEBRA_DIM}], got n = {n}, t = {t}")):
+        FormTuple(n, t, "general", F2, [])
+    # the cap itself is allowed
+    assert sample_form_tuple(min(n, MAX_ALGEBRA_DIM), min(t, MAX_ALGEBRA_DIM), "general", F2, 1).stack().shape
 
 
 def test_sample_alternating_invariants():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commdim import (
+    FormTuple,
     PrimeField,
+    StructureConstantAlgebra,
     Subspace,
     gaussian_binomial,
     is_prime,
@@ -15,6 +18,25 @@ from commdim import gf
 from commdim.gf import matrix_from_json, matrix_to_json, nullspace_array, rref_array, solve_affine
 
 from oracles import enumerate_subspaces, random_invertible
+
+
+def test_non_integral_values_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match="non-integral 1.5"):
+        Subspace(3, [[1.5, 0.7]])
+    with pytest.raises(ValueError, match="non-integral 0.5"):
+        FormTuple(2, 1, "general", PrimeField(3), [[[0.5, 1.2], [2.9, 0]]])
+    with pytest.raises(ValueError, match="non-integral 1.9"):
+        StructureConstantAlgebra("lie", PrimeField(2), 3, {(0, 1): [0, 0, 1.9]})
+    # keys go through operator.index, which refuses a float
+    with pytest.raises(TypeError, match="integer"):
+        StructureConstantAlgebra("lie", PrimeField(2), 3, {(0.9, 1): [0, 0, 1.9]})
+    for bad in ([np.nan], [np.inf], ["1"], [Fraction(3, 2)]):
+        with pytest.raises(ValueError, match="non-integral"):
+            gf.as_gf_array(bad, 3)
+    # integral floats, such as np.eye's default output, read as their ints
+    assert Subspace(3, np.eye(2)) == Subspace(3, np.eye(2, dtype=np.int64))
+    assert gf.as_gf_array([[4.0, -1.0]], 3).tolist() == [[1, 2]]
+    assert gf.as_gf_array([True, False], 3).tolist() == [1, 0]
 
 
 def test_prime_field_accepts_primes():
