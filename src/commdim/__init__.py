@@ -63,7 +63,7 @@ from .search import (
     maximal_abelian_ideal,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AxiomReport",

@@ -174,7 +174,7 @@ def find_common_isotropic(
     mode: str = MODE_ISOTROPIC,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Subspace | None:
-    """The matching k-dim subspace with the least (pivots, free values) key.
+    """The first matching k-dim subspace found, leads taken right to left.
 
     A subspace matches when all forms restrict to zero on it (mode
     "isotropic") or to symmetric matrices (mode "symmetric-restriction").

@@ -6,10 +6,8 @@ holds it read-only and checks its own invariants.  Only this module knows
 the matrix JSON form {"p", "rows", "cols", "entries"}
 (:func:`matrix_to_json`, :func:`matrix_from_json`).  Everything is
 deterministic: row reduction yields the unique reduced row echelon form,
-subspaces are held in a canonical basis (so equal subspaces compare equal
-bit for bit), and subspaces of one dimension are ordered by their
-(pivots, free values) key: lexicographic on pivot columns, then on the free
-entries of the canonical basis, row by row.
+and subspaces are held in a canonical basis, so equal subspaces compare
+equal bit for bit.
 
 Row reduction takes one of two paths by size: a matrix of at most
 ``SMALL_MATRIX_CELLS`` cells is converted once to lists of Python ints and
@@ -69,13 +67,20 @@ def as_gf_array(entries, p: int) -> np.ndarray:
     """Coerce to a reduced int64 array over GF(p).
 
     Integral floats, such as np.eye's default output, are accepted; any other
-    non-integral entry raises ValueError instead of being truncated.
+    non-integral entry raises ValueError instead of being truncated.  Ints
+    beyond int64 (uint64, objects or floats to numpy) are reduced exactly.
     """
     a = np.asarray(entries)
+    if a.dtype.kind in "fuO":
+        a = np.asarray(entries, dtype=object)
+        with np.errstate(invalid="ignore"):  # nan and inf leave nan
+            frac = (a % 1 != 0).astype(bool)
+        if frac.any():
+            raise ValueError(f"entries must be ints, got non-integral {a[frac].tolist()[0]!r}")
+        a = a % p
     if a.dtype != np.int64:
-        with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, caught below
-            ints = a.astype(np.int64)
-        if a.dtype.kind not in "biu" and not (ints == a).all():
+        ints = a.astype(np.int64)
+        if a.dtype.kind not in "biO" and not (ints == a).all():
             raise ValueError(f"entries must be ints, got non-integral {a[ints != a].tolist()[0]!r}")
         a = ints
     return np.mod(a, p)
@@ -269,7 +274,7 @@ class Subspace:
 
     @classmethod
     def span(cls, p: int, rows, ambient_dim: int | None = None) -> "Subspace":
-        a = np.asarray(list(rows), dtype=np.int64)
+        a = as_gf_array(list(rows), PrimeField(p).p)
         n = a.shape[-1] if ambient_dim is None else ambient_dim
         if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != n):
             raise ValueError(f"rows of shape {a.shape} do not lie in GF({p})^{n}")

@@ -7,7 +7,7 @@ subspace on which a tuple of bilinear forms vanishes; certification in
 * :func:`max_abelian_exact` -- the center Z commutes with everything, so a
   largest commuting subspace is Z plus a largest common isotropic subspace
   of the commutator forms on the complement coordinates of Z, and the
-  witness is Z plus the canonically first such subspace.  A commuting
+  witness is Z plus the first such subspace the search finds.  A commuting
   subspace of maximal dimension is automatically closed under the product
   (its generated subalgebra is again commuting, so it cannot be larger),
   which makes the commuting-subspace maximum equal to the
@@ -19,12 +19,12 @@ subspace on which a tuple of bilinear forms vanishes; certification in
 
 A search node's extension space N, the vectors that can join its subspace,
 has an RREF basis whose lead columns give both the rank bound and the pivots
-a child row can take.  Over GF(2) each node derives N from its parent's by
-XOR on rows packed into ints.  Over odd p a node takes N from one nullspace
-call on its equations restricted to the columns that are not pivots, and
-solves one affine system per child pivot; that pivot's children then step
-through an odometer, one vector addition each, and a child holds only its
-new row until it is expanded.  The greedy procedure and
+a child row can take; leads are taken right to left, ties are cut, and the
+children of leads that cannot reach the target are counted in bulk.  Over
+GF(2) each node derives N from its parent's by XOR on rows packed into ints.
+Over odd p a node takes N from one nullspace call on its equations
+restricted to the columns that are not pivots, and one affine solve per
+lead starts an odometer over that lead's children.  The greedy procedure and
 :func:`maximal_abelian_ideal` share one growth loop, :func:`_grow`, which
 adjoins the first new solution of the current linear system until none is left.
 """
@@ -32,6 +32,7 @@ adjoins the first new solution of the current linear system until none is left.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -62,8 +63,8 @@ class IsotropicSearch(NamedTuple):
     """Outcome of :func:`largest_common_isotropic`.
 
     ``basis`` is the witness's canonical RREF basis, or None when the asked
-    dimension admits no subspace.  ``complete`` is False when the node budget
-    ran out; ``basis`` is then the best subspace found before that.
+    dimension admits no subspace.  ``complete`` is False when the budget ran
+    out; ``basis`` is then the best found before, ``nodes_visited`` budget + 1.
     """
 
     basis: np.ndarray | None
@@ -91,20 +92,23 @@ def largest_common_isotropic(
     pivot left of the others, lies in the node's extension space N: it solves
     (w M) v = 0 for every chosen row w and form M, unless the stack is
     alternating or symmetric also (v M) w = 0, and it is zero at the chosen
-    pivots.  It
-    must also satisfy v M v = 0 when the stack is not alternating.  The lead
-    columns of N's RREF basis left of the smallest pivot are the pivots a new
-    row can take, so a branch is cut when there are too few of them to lift
-    the dimension to the target, k or the best found so far.  For the lead
-    of basis row b_i the children are b_i + sum_{j>i} c_j b_j, taken in
-    itertools.product order of (c_{i+1}, ...) starting from the particular
-    solution of the affine system.  The witness has the least (pivots, free
-    values) key among the subspaces of its dimension: pivot columns compared
-    first, then the entries of the canonical basis row by row.
+    pivots.  It must also satisfy v M v = 0 when the stack is not alternating.
 
-    Only the way a node finds N and its children depends on the field: p = 2
-    runs :func:`_gf2_nodes`, odd p :func:`_general_nodes`.  The tree, its
-    order, the node count and the witness are the same either way.
+    The leads l_0 < l_1 < ... of N's RREF basis b_0, b_1, ... left of the
+    smallest pivot are the pivots a new row can take; the children on l_i are
+    b_i + sum_{j>i} c_j b_j, and they reach at most depth + 1 + i rows.  The
+    target is k, or one more than the best dimension so far, so ties are cut.
+    Leads are taken right to left, the target renewed before each; once l_i
+    falls short of it, l_0..l_i are doomed, and their children are counted
+    but never expanded: in bulk on an alternating stack (p^(r-1-i) for l_i,
+    r = dim N), else one by one, since v M v = 0 decides which count.  With
+    k given the search stops at its first k-dimensional node, and with k None
+    the witness is the first node found at the final dimension.  A k-search
+    that finds nothing counts the same nodes in any order.  Candidates that
+    fail v M v = 0 count against the budget too.
+
+    p = 2 runs :func:`_gf2_nodes`, odd p :func:`_general_nodes`; the tree,
+    its order, the node count and the witness are the same either way.
     """
     stack = np.asarray(stack, dtype=np.int64) % p
     n = stack.shape[2]
@@ -120,56 +124,60 @@ def largest_common_isotropic(
     sides = stack if alternating or np.array_equal(stack, transposed) else np.concatenate([stack, transposed])
     # v M v = 0 is checked on the forms themselves when they are not alternating
     squares = 0 if alternating else len(stack)
-    if p == 2:
-        root, entries, extend, to_array = _gf2_nodes(sides, squares)
-    else:
-        root, entries, extend, to_array = _general_nodes(sides, squares, p)
-    best_dim, best_key, best_node = k, None, None
-    if k is None:  # the zero subspace stands until a larger one turns up
-        best_dim, best_key, best_node = 0, ((), entries(root)), root
-    nodes = 0
+    root, extend, to_array = _gf2_nodes(sides, squares) if p == 2 else _general_nodes(sides, squares, p)
+    # the target is best_dim + 1; with k None the zero subspace stands first
+    best_dim, best_node = (0, root) if k is None else (k - 1, None)
+    nodes = spent = 0  # spent: nodes, and candidates that failed v M v = 0
 
-    def visit(node, pivots: tuple[int, ...]) -> bool:
-        """Search below one node; False once the budget is exhausted."""
-        nonlocal nodes, best_dim, best_key, best_node
-        nodes += 1
-        if nodes > budget:
+    def visit(node, pivots: tuple[int, ...], reach: int) -> bool:
+        """Search below a node that can reach at most reach rows, or only count
+        it if it cannot beat best_dim or failed v M v = 0 (node None); False
+        once the budget is spent or a k-dimensional node is found."""
+        nonlocal nodes, spent, best_dim, best_node
+        spent += 1
+        if spent > budget:
             return False
+        if node is None:
+            return True
+        nodes += 1
         depth = len(pivots)
-        # a key is built only when it can win: at a new dimension, or at the
-        # best one with pivots no greater; with the pivots equal, the entries
-        # order as the free values do
-        if depth > best_dim or depth == best_dim and (best_key is None or pivots <= best_key[0]):
-            key = (pivots, entries(node))
-            if depth > best_dim or best_key is None or key < best_key:
-                best_dim, best_key, best_node = depth, key, node
-        min_pivot = pivots[0] if depth else n
-        if min_pivot == 0 or depth == k:
-            return True
-        leads, children = extend(node, pivots, min_pivot)
-        if depth + len(leads) < best_dim:
-            return True
-        for child, pnew in children:
-            if not visit(child, (pnew,) + pivots):
+        if depth > best_dim:
+            best_dim, best_node = depth, node
+            if depth == k:
                 return False
+        if reach <= best_dim or depth and pivots[0] == 0:
+            return True
+        leads, r, children = extend(node, pivots, pivots[0] if depth else n)
+        if depth + len(leads) <= best_dim:
+            return True  # cut: no child can beat best_dim
+        for i in range(len(leads) - 1, -1, -1):
+            reach = depth + 1 + i  # a child on lead i keeps at most i leads
+            if reach <= best_dim and not squares:  # leads 0..i are doomed: count in bulk
+                bulk = (p**r - p ** (r - 1 - i)) // (p - 1)
+                nodes, spent = nodes + bulk, spent + bulk
+                return spent <= budget
+            for child in children(i):
+                if not visit(child, (leads[i],) + pivots, reach):
+                    return False
         return True
 
-    complete = visit(root, ())
-    return IsotropicSearch(None if best_node is None else to_array(best_node), nodes, complete)
+    visit(root, (), n)
+    basis, complete = None if best_node is None else to_array(best_node), spent <= budget
+    return IsotropicSearch(basis, nodes if complete else budget + 1, complete)
 
 
 def _general_nodes(sides: np.ndarray, squares: int, p: int):
     """The search node over any GF(p): a node is (v, rows, system).
 
-    Returns (root, entries, extend, to_array), as :func:`_gf2_nodes` does.
-    A child is its new top row v with its parent's rows and equations (the
-    root's v is empty), so a child that is never expanded builds no array.
-    Expanding a node stacks v and its equations (v M) x = 0 onto its parent's
-    and takes N from one nullspace of the system on the non-pivot columns;
-    N's leads left of the smallest pivot are that nullspace's own.
+    Returns (root, extend, to_array), as :func:`_gf2_nodes` does.  A child is
+    its new top row v with its parent's rows and equations (the root's v is
+    empty), so a child that is never expanded builds no array.  Expanding a
+    node stacks v and its equations (v M) x = 0 onto its parent's and takes N
+    from one nullspace of the system on the non-pivot columns; N's leads left
+    of the smallest pivot are that nullspace's own.
 
-    Each child pivot solves one affine system; its solution x0 and homogeneous
-    basis h_0..h_{m-1} give the children x0 + sum c_j h_j in itertools.product
+    Each lead solves one affine system; its solution x0 and homogeneous basis
+    h_0..h_{m-1} give the children x0 + sum c_j h_j in itertools.product
     order of c, stepped as an odometer: the step to the child whose index ends
     in z zero digits base p raises the last z + 1 digits of c by 1 each, so it
     adds the precomputed sum of the last z + 1 rows h_j.
@@ -178,10 +186,6 @@ def _general_nodes(sides: np.ndarray, squares: int, p: int):
     # the rows w @ lift, reshaped, are the equations (w M) x = 0 of basis row w
     lift = sides.transpose(1, 0, 2).reshape(n, -1)
     forms = sides[:squares]
-
-    def entries(node):
-        v, rows, _ = node
-        return v.tolist() + rows.ravel().tolist()
 
     def to_array(node):
         v, rows, _ = node
@@ -194,13 +198,12 @@ def _general_nodes(sides: np.ndarray, squares: int, p: int):
             system = np.concatenate([(v @ lift).reshape(-1, n) % p, system])
         free = [q for q in range(n) if q not in pivots]
         leads = (nullspace_array(system[:, free], p) != 0).argmax(axis=1).tolist()
-        leads = leads[: bisect.bisect_left(leads, min_pivot)]
-        return leads, children(rows, system, free, leads)
+        below = leads[: bisect.bisect_left(leads, min_pivot)]
 
-    def children(rows, system, free, leads):
-        for pnew in leads:
+        def children(i):
             # the lead has a solution; the other coordinates are the free
             # columns right of it, and every column left of min_pivot is free
+            pnew = below[i]
             q_cols = free[pnew + 1 :]
             x0, hom = solve_affine(system[:, q_cols], (-system[:, pnew]) % p, p)
             v = np.zeros(n, dtype=np.int64)
@@ -214,20 +217,20 @@ def _general_nodes(sides: np.ndarray, squares: int, p: int):
                     while rest % p == 0:
                         z, rest = z + 1, rest // p
                     v = (v + steps[z]) % p
-                if not (squares and ((v @ forms) @ v % p).any()):
-                    yield (v, rows, system), pnew
+                yield None if squares and ((v @ forms) @ v % p).any() else (v, rows, system)
+
+        return below, len(leads), children
 
     empty = np.zeros((0, n), dtype=np.int64)
-    return (np.zeros(0, dtype=np.int64), empty, empty), entries, extend, to_array
+    return (np.zeros(0, dtype=np.int64), empty, empty), extend, to_array
 
 
 def _gf2_nodes(sides: np.ndarray, squares: int):
     """The search node over GF(2), on rows packed into ints: bit j is column j.
 
-    Returns (root, entries, extend, to_array): the root node, a node's rows
-    as a key that orders as their entries do, the extension step (the leads
-    left of the smallest pivot, and the children in search order), and the
-    witness array of a node.
+    Returns (root, extend, to_array).  extend gives the leads left of the
+    smallest pivot, dim N and children(i), the children on lead i in search
+    order, None for a candidate that fails v M v = 0; to_array the witness.
 
     A node is (rows, basis, gram, equations, i), its rows top row first.  Its
     extension space N is derived from its parent's when it is expanded: the
@@ -238,17 +241,12 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
     gram[a] bit s*r + b = b_a S_s b_b, over the support of c.  They are
     eliminated by XOR, and each pivot coordinate (an equation's highest bit)
     is taken out by adding its basis row to the others, which keeps the basis
-    in RREF.  The children of a lead step through c in odometer order, so
-    each one updates c, v and its equations by one precomputed XOR each.
+    in RREF.  A lead's children step through c in odometer order, each by
+    one XOR into c, v and its equations from tables built on the first lead.
     """
     ns, n = len(sides), sides.shape[2]
     lift = sides.transpose(1, 0, 2).reshape(n, ns * n)
     width = (n + 7) // 8
-
-    def entries(node):
-        # each row read from column 0 as the high bit: ints then order as the
-        # rows' entry lists do
-        return tuple(int(f"{row:0{n}b}"[::-1], 2) for row in node[0])
 
     def unpack(rows):
         """The (len(rows), n) 0/1 array of packed rows; n may exceed 63."""
@@ -259,68 +257,62 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
     def to_array(node):
         return unpack(node[0])
 
-    def space(node):
-        """(basis, leads) of the node's extension space N."""
-        _, basis, gram, eqs, i = node
-        if gram is None:
-            return basis, list(range(n))
-        r = len(basis)
-        basis = list(basis)
-        mask = ((1 << r) - 1) ^ (1 << i)
-        keep = mask  # the coordinates still free
-        found = []  # (pivot, equation), highest pivot first
-        for s in range(ns):
-            eq = eqs >> (s * r) & mask
-            for c, q in found:
-                if eq >> c & 1:
-                    eq ^= q
-            if eq:
-                c = eq.bit_length() - 1
-                keep ^= 1 << c
-                bc, rest = basis[c], eq ^ (1 << c)
-                while rest:
-                    low = rest & -rest
-                    basis[low.bit_length() - 1] ^= bc
-                    rest ^= low
-                found.append((c, eq))
-                found.sort(reverse=True)
-        basis = [row for a, row in enumerate(basis) if keep >> a & 1]
-        return basis, [(row & -row).bit_length() - 1 for row in basis]
-
     def extend(node, pivots, min_pivot):
-        basis, leads = space(node)
-        below = bisect.bisect_left(leads, min_pivot)
-        return leads[:below], children(node[0], basis, leads, below)
-
-    def children(rows, basis, leads, below):
+        rows, basis, gram, eqs, taken = node
         r = len(basis)
-        b = unpack(basis)
-        g = ((b @ lift).reshape(r, ns, n) @ b.T & 1).astype(np.uint8).reshape(r, ns * r)
-        packed = np.packbits(g, axis=1, bitorder="little")
-        gwidth = packed.shape[1]
-        data = packed.tobytes()
-        gram = [int.from_bytes(data[a * gwidth : (a + 1) * gwidth], "little") for a in range(r)]
-        # the particular solution for lead i: b_i reduced by a right-to-left
-        # echelon of b_{i+1}, ... (the top bit of each of its rows cleared)
-        starts = [0] * below
-        echelon: list[tuple[int, int]] = []
-        for i in range(r - 1, -1, -1):
-            x = basis[i]
-            for top, row in echelon:
-                if x >> top & 1:
-                    x ^= row
-            if i < below:
+        if gram is not None:  # N from the parent's basis, less lead taken
+            basis = list(basis)
+            mask = ((1 << r) - 1) ^ (1 << taken)
+            keep = mask  # the coordinates still free
+            found = []  # (pivot, equation), highest pivot first
+            for s in range(ns):
+                eq = eqs >> (s * r) & mask
+                for c, q in found:
+                    if eq >> c & 1:
+                        eq ^= q
+                if eq:
+                    c = eq.bit_length() - 1
+                    keep ^= 1 << c
+                    bc, rest = basis[c], eq ^ (1 << c)
+                    while rest:
+                        low = rest & -rest
+                        basis[low.bit_length() - 1] ^= bc
+                        rest ^= low
+                    found.append((c, eq))
+                    found.sort(reverse=True)
+            basis = [row for a, row in enumerate(basis) if keep >> a & 1]
+            r = len(basis)
+        leads = [(row & -row).bit_length() - 1 for row in basis]
+        below = bisect.bisect_left(leads, min_pivot)
+
+        @functools.cache
+        def tables():
+            b = unpack(basis)
+            g = ((b @ lift).reshape(r, ns, n) @ b.T & 1).astype(np.uint8).reshape(r, ns * r)
+            gram = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(g, axis=1, bitorder="little")]
+            # the particular solution for lead i: b_i reduced by a right-to-left
+            # echelon of b_{i+1}, ... (the top bit of each of its rows cleared)
+            starts = [0] * r
+            echelon: list[tuple[int, int]] = []
+            for i in range(r - 1, -1, -1):
+                x = basis[i]
+                for top, row in echelon:
+                    if x >> top & 1:
+                        x ^= row
                 starts[i] = x
-            echelon.append((x.bit_length() - 1, x))
-            echelon.sort(reverse=True)
-        # one odometer step flips the last q coordinates: their coefficient
-        # mask, vector and equations, for q = 1..r
-        flip_c, flip_v, flip_e = [0], [0], [0]
-        for a in range(r - 1, -1, -1):
-            flip_c.append(flip_c[-1] | 1 << a)
-            flip_v.append(flip_v[-1] ^ basis[a])
-            flip_e.append(flip_e[-1] ^ gram[a])
-        for i in range(below):
+                echelon.append((x.bit_length() - 1, x))
+                echelon.sort(reverse=True)
+            # one odometer step flips the last q coordinates: their coefficient
+            # mask, vector and equations, for q = 1..r
+            flip_c, flip_v, flip_e = [0], [0], [0]
+            for a in range(r - 1, -1, -1):
+                flip_c.append(flip_c[-1] | 1 << a)
+                flip_v.append(flip_v[-1] ^ basis[a])
+                flip_e.append(flip_e[-1] ^ gram[a])
+            return gram, starts, flip_c, flip_v, flip_e
+
+        def children(i):
+            gram, starts, flip_c, flip_v, flip_e = tables()
             v = starts[i]
             coef = 1 << i
             for j in range(i + 1, r):
@@ -338,10 +330,13 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
                     eqs ^= flip_e[q]
                 # v S v is the parity of the equation bits on the support of v
                 if squares and any((eqs >> (s * r) & coef).bit_count() & 1 for s in range(squares)):
-                    continue
-                yield ((v,) + rows, basis, gram, eqs, i), leads[i]
+                    yield None
+                else:
+                    yield ((v,) + rows, basis, gram, eqs, i)
 
-    return ((), [1 << j for j in range(n)], None, 0, 0), entries, extend, to_array
+        return leads[:below], r, children
+
+    return ((), [1 << j for j in range(n)], None, 0, 0), extend, to_array
 
 
 @dataclass
@@ -406,8 +401,8 @@ def _split_over_center(a: StructureConstantAlgebra, z: Subspace) -> tuple[list[i
 def _isotropic_over_center(
     a: StructureConstantAlgebra, z: Subspace, budget: int
 ) -> tuple[Subspace, IsotropicSearch]:
-    """The center z plus the first largest common isotropic subspace of the
-    commutator forms on the complement of z; forms that vanish there are dropped.
+    """The center z plus the first largest common isotropic subspace found for
+    the commutator forms on the complement of z; forms that vanish there are dropped.
     """
     comp, comm = _split_over_center(a, z)
     # form k sends (y, x) to [x, y]_k: the rows of a basis vector y are then
@@ -426,7 +421,7 @@ def max_abelian_exact(
 
     The center plus the largest common isotropic subspace of the commutator
     forms on the complement coordinates of the center; the witness is the
-    center plus the canonically first such subspace of maximal dimension.
+    center plus the first such subspace of maximal dimension the search finds.
     If the node budget is exhausted the result is flagged as a lower bound,
     and for the assoc kind its witness is closed under the product; a
     complete witness already is (see the module docstring).

@@ -50,12 +50,16 @@ def class2_dim(forms) -> int:
 
 
 def reference_common_isotropic(stack, p: int, k=None, budget: int = 5_000_000) -> IsotropicSearch:
-    """The isotropic-subspace DFS with the general GF(p) node, for every p.
+    """The isotropic-subspace DFS of version 0.2.0, with the general GF(p) node.
 
-    The reference for the engine's packed GF(2) node: each node builds its
-    whole equation system, takes one nullspace of it, and solves one affine
-    system per child pivot.  Same tree, order, budget and witness key as
-    :func:`commdim.largest_common_isotropic`.
+    Each node builds its whole equation system, takes one nullspace of it,
+    and solves one affine system per child pivot.  It takes leads in
+    ascending column order, builds every child, expands every branch that
+    can tie the best dimension, and returns the witness with the least
+    (pivots, free values) key: the canonically first subspace.  Its tree is
+    :func:`commdim.largest_common_isotropic`'s, so a k-search that finds
+    nothing visits the same nodes in both; dimensions and completeness agree
+    wherever both finish.
     """
     stack = np.asarray(stack, dtype=np.int64) % p
     n = stack.shape[2]
@@ -105,7 +109,8 @@ def reference_common_isotropic(stack, p: int, k=None, budget: int = 5_000_000) -
     return IsotropicSearch(best_rows, nodes, complete)
 
 
-def _restrictions_vanish(forms, basis: np.ndarray, mode: str) -> bool:
+def restrictions_vanish(forms, basis: np.ndarray, mode: str = "isotropic") -> bool:
+    """Every form restricts to zero (or to a symmetric matrix) on the row space of basis."""
     r = np.einsum("ka,mab,lb->mkl", basis, forms.stack(), basis) % forms.p
     if mode == "symmetric-restriction":
         r = (r - r.transpose(0, 2, 1)) % forms.p
@@ -116,7 +121,7 @@ def first_common_isotropic(forms, k: int, mode: str = "isotropic"):
     """The first k-dim subspace, in enumeration order, on which every form
     restricts to zero (or to a symmetric matrix); None if there is none."""
     for sub in enumerate_subspaces(forms.n, k, PrimeField(forms.p)):
-        if _restrictions_vanish(forms, sub.basis, mode):
+        if restrictions_vanish(forms, sub.basis, mode):
             return sub
     return None
 

@@ -355,7 +355,7 @@ def _certified_pipeline(field, s, cert_nodes, dim, search_nodes):
 
 @pytest.mark.parametrize(
     "s, cert_nodes, dim, search_nodes",
-    [(9, 542, 8, 1835), (10, 3103, 9, 12598)],
+    [(9, 542, 8, 805), (10, 3103, 9, 5126)],
 )
 def test_criterion_11_certified_pipeline_p2(s, cert_nodes, dim, search_nodes):
     _certified_pipeline(F2, s, cert_nodes, dim, search_nodes)
@@ -363,4 +363,4 @@ def test_criterion_11_certified_pipeline_p2(s, cert_nodes, dim, search_nodes):
 
 def test_criterion_11_certified_pipeline_p3():
     """s = 9 at p = 3, which runs the odd-p search node: (n, t, k) = (9, 5, 5), an algebra of dim 14."""
-    _certified_pipeline(PrimeField(3), 9, 9882, 8, 41841)
+    _certified_pipeline(PrimeField(3), 9, 9882, 8, 12847)

@@ -21,8 +21,9 @@ from oracles import enumerate_subspaces, random_invertible
 
 
 def test_non_integral_values_are_rejected_not_truncated():
-    with pytest.raises(ValueError, match="non-integral 1.5"):
-        Subspace(3, [[1.5, 0.7]])
+    for make in (Subspace, Subspace.span):
+        with pytest.raises(ValueError, match="non-integral 1.5"):
+            make(3, [[1.5, 0.7]])
     with pytest.raises(ValueError, match="non-integral 0.5"):
         FormTuple(2, 1, "general", PrimeField(3), [[[0.5, 1.2], [2.9, 0]]])
     with pytest.raises(ValueError, match="non-integral 1.9"):
@@ -37,6 +38,18 @@ def test_non_integral_values_are_rejected_not_truncated():
     assert Subspace(3, np.eye(2)) == Subspace(3, np.eye(2, dtype=np.int64))
     assert gf.as_gf_array([[4.0, -1.0]], 3).tolist() == [[1, 2]]
     assert gf.as_gf_array([True, False], 3).tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("big", [2**63, 2**64 - 1, 2**70, -(2**70)])
+def test_ints_beyond_int64_reduce_exactly(big):
+    # numpy reads 2^63 and 2^64 - 1 as uint64, which an int64 cast would
+    # wrap, and 2^70 as a Python object; the JSON readers reduce such ints
+    # mod p, and so must the Python constructors
+    assert gf.as_gf_array([[big, 2**64 - 1]], 3).tolist() == [[big % 3, 0]]
+    assert Subspace(5, [[1, big]]).basis.tolist() == [[1, big % 5]]
+    assert Subspace.span(5, [[1, big]]) == Subspace(5, [[1, big % 5]])
+    a = StructureConstantAlgebra("lie", PrimeField(5), 3, {(0, 1): [0, big, 2**64 - 1]})
+    assert a.table()[0, 1].tolist() == [0, big % 5, (2**64 - 1) % 5]
 
 
 def test_prime_field_accepts_primes():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,11 +113,13 @@ def test_exact_matches_brute_force_corpus():
         assert res.witness.dim == res.dim
 
 
-def test_exact_witness_is_canonical_first():
-    # in the Heisenberg algebra the first canonical 2-dim abelian subspace
-    # is span(x, z): pivots (0, 2) beat (1, 2), and free entries are zero
+def test_exact_witness_is_first_found_right_to_left():
+    # in the Heisenberg algebra the search on the complement of the center
+    # z takes lead y before x: span(y) already has the final dimension, so
+    # the witness is span(y, z), and x's two children are counted in bulk
     res = max_abelian_exact(heisenberg(F2))
-    assert res.witness.basis.tolist() == [[1, 0, 0], [0, 0, 1]]
+    assert res.witness.basis.tolist() == [[0, 1, 0], [0, 0, 1]]
+    assert res.nodes_visited == 4
 
 
 def _exact_node_counts():
@@ -126,7 +129,7 @@ def _exact_node_counts():
         (sl2_gf5(), 32),
         (filiform4(F2), 9),
         (matrix_algebra(2, F2), 8),
-        (build_lie_from_forms(sample_form_tuple(4, 3, "alternating", F2, 77)), 19),
+        (build_lie_from_forms(sample_form_tuple(4, 3, "alternating", F2, 77)), 17),
         (build_assoc_from_forms(sample_form_tuple(3, 2, "general", F2, 5)), 4),
         (build_assoc_from_forms(sample_form_tuple(3, 3, "general", F3, 0)), 15),
     ]
@@ -182,6 +185,48 @@ def _same_search(got, want):
     )
 
 
+def _general_node_at_p2():
+    """The engine with the general node at p = 2 in place of the packed one."""
+    return mock.patch.object(search, "_gf2_nodes", lambda sides, squares: search._general_nodes(sides, squares, 2))
+
+
+def _check_witness(stack, p, k, res):
+    """res's witness, if any, is a canonical RREF basis of the asked
+    dimension on which every form of the stack restricts to zero."""
+    if res.basis is None:
+        return
+    b = res.basis
+    assert k is None or len(b) == k
+    rank, echelon, _ = rref_array(b, p)
+    assert rank == len(b) and np.array_equal(echelon, b)
+    assert not (np.einsum("ka,mab,lb->mkl", b, stack, b) % p).any()
+
+
+def _check_against_reference(stack, p, k, budget):
+    """Run the engine and check it against the reference search, which takes
+    leads in ascending order: wherever the reference finishes, the engine
+    does too, with the same dimension, and a k-search that finds nothing
+    visits the same nodes.  Returns the engine's result."""
+    got = largest_common_isotropic(stack, p, k, budget=budget)
+    _check_witness(stack, p, k, got)
+    want = reference_common_isotropic(stack, p, k, budget=budget)
+    if want.complete and not got.complete:
+        # only the engine's budget bounds the candidates that fail v M v = 0,
+        # and an alternating stack has none
+        alternating = not np.einsum("mii->mi", stack).any() and not ((stack + stack.transpose(0, 2, 1)) % p).any()
+        assert not alternating, k
+        got = largest_common_isotropic(stack, p, k)
+        _check_witness(stack, p, k, got)
+    if want.complete:
+        assert got.complete, k
+        assert (got.basis is None) == (want.basis is None), k
+        if want.basis is None:
+            assert got.nodes_visited == want.nodes_visited, k
+        else:
+            assert len(got.basis) == len(want.basis), k
+    return got
+
+
 # the reference node costs about 0.1 ms, so at odd p a search that outgrows
 # this many nodes (a single form at p = 5 can take 10^5) is compared up to
 # the budget; at p = 2 every search runs to completion
@@ -191,19 +236,23 @@ ODD_P_BUDGET = 1000
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(form_stacks())
 def test_search_nodes_match_reference_node(case):
-    # the packed GF(2) node and the odd-p node both walk the reference
-    # node's tree: same node count, completeness and witness for every k,
-    # with the full budget and with half of the nodes it visits
+    # dims, completeness and the node counts of k-searches that find nothing
+    # match the reference for every k, and every witness is checked; at p = 2
+    # the packed node and the general node walk one tree, node for node; a
+    # budget below a search's own count stops it at budget + 1
     p, stack = case
     n = stack.shape[2]
     budget = gf.DEFAULT_SEARCH_BUDGET if p == 2 else ODD_P_BUDGET
     for k in [None, *range(n + 1)]:
-        full = reference_common_isotropic(stack, p, k, budget=budget)
-        assert _same_search(largest_common_isotropic(stack, p, k, budget=budget), full), k
+        full = _check_against_reference(stack, p, k, budget)
+        if p == 2:
+            with _general_node_at_p2():
+                assert _same_search(largest_common_isotropic(stack, p, k, budget=budget), full), k
         cut = full.nodes_visited // 2
         partial = largest_common_isotropic(stack, p, k, budget=cut)
-        assert _same_search(partial, reference_common_isotropic(stack, p, k, budget=cut)), (k, cut)
+        _check_witness(stack, p, k, partial)
         assert partial.complete == (full.nodes_visited == 0)
+        assert partial.complete or partial.nodes_visited == cut + 1
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -212,12 +261,12 @@ def test_odd_p_children_come_in_product_order(case):
     # a lead's children, stepped through as an odometer, are x0 + c @ hom in
     # itertools.product order of c, as the reference node builds them: the
     # search's outputs rarely show a change in sibling order, so it is
-    # checked here on the first nodes of the tree
+    # checked here on the first nodes of the tree, leads in ascending order
     p, stack = case
     n = stack.shape[2]
     sides = np.concatenate([stack, stack.transpose(0, 2, 1)])
     lift = sides.transpose(1, 0, 2).reshape(n, -1)
-    root, _, extend, to_array = search._general_nodes(sides, 0, p)
+    root, extend, to_array = search._general_nodes(sides, 0, p)
     queue = [(root, ())]
     for _ in range(12):
         if not queue:
@@ -225,8 +274,8 @@ def test_odd_p_children_come_in_product_order(case):
         node, pivots = queue.pop(0)
         if pivots and pivots[0] == 0:
             continue
-        leads, children = extend(node, pivots, pivots[0] if pivots else n)
-        got = list(itertools.islice(children, 300))
+        leads, _, children = extend(node, pivots, pivots[0] if pivots else n)
+        got = list(itertools.islice(((pnew, child) for i, pnew in enumerate(leads) for child in children(i)), 300))
         system = (to_array(node) @ lift).reshape(-1, n) % p
         want = []
         for pnew in leads:
@@ -237,8 +286,8 @@ def test_odd_p_children_come_in_product_order(case):
                 v[pnew] = 1
                 v[q_cols] = (x0 + np.asarray(combo, dtype=np.int64) @ hom) % p
                 want.append((pnew, v.tolist()))
-        assert [(pnew, to_array(child)[0].tolist()) for child, pnew in got] == want[:300]
-        queue += [(child, (pnew,) + pivots) for child, pnew in got[:3]]
+        assert [(pnew, to_array(child)[0].tolist()) for pnew, child in got] == want[:300]
+        queue += [(child, (pnew,) + pivots) for pnew, child in got[:3]]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -271,13 +320,70 @@ def test_lead_solve_is_read_off_the_extension_basis(case, data):
 @pytest.mark.parametrize("n", [64, 70])
 def test_gf2_node_matches_general_node_past_63_columns(kind, n):
     # a packed row with a bit at column 63 or beyond does not fit an int64;
-    # the budget stops the search long before it is complete
+    # the budget stops most of these searches long before they are complete
     stack = sample_form_tuple(n, 2, kind, F2, 7).stack()
     for k in [None, 3]:
         for budget in [1, 40, 300]:
-            got = largest_common_isotropic(stack, 2, k, budget=budget)
-            assert not got.complete and (got.basis is None or got.basis.shape[1] == n)
-            assert _same_search(got, reference_common_isotropic(stack, 2, k, budget=budget)), (k, budget)
+            got = _check_against_reference(stack, 2, k, budget)
+            assert got.basis is None or got.basis.shape[1] == n
+            with _general_node_at_p2():
+                assert _same_search(got, largest_common_isotropic(stack, 2, k, budget=budget)), (k, budget)
+
+
+def _counting_tries(node_type, tried):
+    """node_type with every candidate its children yield counted in tried:
+    tried[True] counts those that fail v M v = 0, tried[False] the nodes."""
+
+    def nodes(*args):
+        root, extend, to_array = node_type(*args)
+
+        def counted_extend(node, pivots, min_pivot):
+            leads, r, children = extend(node, pivots, min_pivot)
+
+            def counted(i):
+                for child in children(i):
+                    tried[child is None] += 1
+                    yield child
+
+            return leads, r, counted
+
+        return root, counted_extend, to_array
+
+    return nodes
+
+
+@pytest.mark.parametrize("p, kind", [(5, "general"), (3, "symmetric"), (2, "general")])
+def test_budget_bounds_the_candidates_tried(p, kind):
+    # on a stack that is not alternating, a candidate that fails v M v = 0 is
+    # not a node, but it is tried, so it counts against the budget as well:
+    # a search stops after at most budget + 1 tries, and reports budget + 1
+    stack = sample_form_tuple(7, 3, kind, PrimeField(p), 0).stack()
+    name = "_gf2_nodes" if p == 2 else "_general_nodes"
+    tried = Counter()
+    with mock.patch.object(search, name, _counting_tries(getattr(search, name), tried)):
+        for k in (None, 3):
+            for budget in (0, 5, 50):
+                tried.clear()
+                res = largest_common_isotropic(stack, p, k, budget=budget)
+                assert not res.complete and res.nodes_visited == budget + 1, (k, budget)
+                assert sum(tried.values()) <= budget + 1, (k, budget)
+        # the tries past the nodes are the rejected candidates
+        tried.clear()
+        res = largest_common_isotropic(stack, p, 3, budget=10**6)
+        assert res.complete and tried[True] > 0 and tried[False] == res.nodes_visited - 1
+
+
+def test_p5_ties_are_cut():
+    # one nondegenerate alternating form on GF(5)^6 gives a Lie algebra of
+    # dim 7 with center of dim 1, whose largest abelian subalgebra is the
+    # center plus a Lagrangian subspace: 1 + 3 = 4.  Many branches reach
+    # dim 4; with ties expanded the search took 125 119 nodes
+    forms = sample_form_tuple(6, 1, "alternating", F5, 11)
+    assert rref_array(forms.stack()[0], 5)[0] == 6
+    alg = build_lie_from_forms(forms)
+    res = max_abelian_exact(alg)
+    assert (res.dim, res.nodes_visited, res.exact) == (4, 9499, True)
+    assert is_abelian_subspace(alg, res.witness)
 
 
 @pytest.mark.parametrize("n, t, k, p, dim", [(7, 5, 4, 2, 7), (7, 5, 4, 3, 7), (9, 5, 5, 2, 8)])
