@@ -353,9 +353,16 @@ def _certified_pipeline(field, s, cert_nodes, dim, search_nodes):
     )
 
 
+# The ids are fixed rather than derived from the values, so a change in the
+# expected node counts leaves the test names alone: they are the 0.2.0 tuples,
+# whose search_nodes (1835, 12598) fell to 805 and 5126 with the right-to-left
+# visit order of 0.3.0.
 @pytest.mark.parametrize(
     "s, cert_nodes, dim, search_nodes",
-    [(9, 542, 8, 805), (10, 3103, 9, 5126)],
+    [
+        pytest.param(9, 542, 8, 805, id="9-542-8-1835"),
+        pytest.param(10, 3103, 9, 5126, id="10-3103-9-12598"),
+    ],
 )
 def test_criterion_11_certified_pipeline_p2(s, cert_nodes, dim, search_nodes):
     _certified_pipeline(F2, s, cert_nodes, dim, search_nodes)
