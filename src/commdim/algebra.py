@@ -30,6 +30,7 @@ from .gf import (
     Subspace,
     as_gf_array,
     json_field,
+    mulmod,
     nullspace_array,
     reduce_against_rref,
     rref_array,
@@ -43,16 +44,6 @@ _KIND_ALIASES = {"lie": KIND_LIE, "assoc": KIND_ASSOC, "associative": KIND_ASSOC
 MAX_ALGEBRA_DIM = 160
 # the version of the JSON form that to_json writes
 ALGEBRA_SCHEMA = 2
-
-
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact matrix product mod p via float64 BLAS.
-
-    Entries are < p <= 8191 and the contraction length stays far below
-    2**53 / p**2, so the float product is exact.
-    """
-    c = a.astype(np.float64) @ b.astype(np.float64)
-    return np.mod(np.rint(c).astype(np.int64), p)
 
 
 def _checked_kind(kind: str, dim: int) -> str:
@@ -341,8 +332,16 @@ def _centralizer_system(a: StructureConstantAlgebra, gens: np.ndarray) -> np.nda
     if gens.shape[0] == 0:
         return np.zeros((0, d), dtype=np.int64)
     # block for g: rows (k), cols (i): sum_j C[i,j,k] g_j
-    blocks = _mulmod(gens, c.transpose(1, 0, 2).reshape(d, d * d), a.p).reshape(-1, d, d)  # (g, i, k)
+    blocks = mulmod(gens, c.transpose(1, 0, 2).reshape(d, d * d), a.p).reshape(-1, d, d)  # (g, i, k)
     return blocks.transpose(0, 2, 1).reshape(-1, d)
+
+
+def _center_system(a: StructureConstantAlgebra) -> np.ndarray:
+    """Equation rows for {x : [x, e_j] = 0 for all j}: :func:`_centralizer_system`
+    of the unit vectors, read off the commutator table as row (j, k), column i
+    = C[i, j, k]."""
+    d = a.dim
+    return a.commutator_table().transpose(1, 2, 0).reshape(d * d, d)
 
 
 def centralizer(a: StructureConstantAlgebra, gens) -> Subspace:
@@ -353,32 +352,32 @@ def centralizer(a: StructureConstantAlgebra, gens) -> Subspace:
 
 def center(a: StructureConstantAlgebra) -> Subspace:
     """Solution space of [x, e_j] = 0 for all j (commutator for assoc kind)."""
-    system = _centralizer_system(a, np.eye(a.dim, dtype=np.int64))
-    return Subspace(a.p, nullspace_array(system, a.p), _canonical=True)
+    return Subspace(a.p, nullspace_array(_center_system(a), a.p), _canonical=True)
 
 
 def nilpotency_class(a: StructureConstantAlgebra) -> int | None:
     """Length of the lower central series (power series for assoc kind).
 
     Returns the smallest c with term c+1 = 0, or None when the descending
-    series stabilizes at a nonzero subspace.
+    series stabilizes at a nonzero subspace.  Term m+1 is the span of the
+    e_i b for the rows b of term m's basis, and the table is the bracket for
+    the Lie kind and the product for the assoc kind.  Term 1 is the whole
+    space, so term 2 is spanned by the table's own rows e_i e_j.
     """
     d, p = a.dim, a.p
     if d == 0:
         return 0
-    cur = np.eye(d, dtype=np.int64)
-    m = 1
+    t = a.table()
+    prods, cur_dim, m = t.reshape(d * d, d), d, 1
     while True:
-        # next term: RREF basis of span{e_i * b : b row of cur}; the table is
-        # the bracket for the Lie kind and the product for the assoc kind
-        prods = np.tensordot(cur, a.table(), axes=([1], [1])).reshape(-1, d) % p
         rank, red, _ = rref_array(prods, p)
         if rank == 0:
             return m
-        if rank == cur.shape[0]:
+        if rank == cur_dim:
             return None
-        cur = red[:rank]
-        m += 1
+        # rows (b, i) of the next term: e_i b = sum_j b_j T[i, j]
+        prods = mulmod(red[:rank], t.transpose(1, 0, 2).reshape(d, d * d), p).reshape(-1, d)
+        cur_dim, m = rank, m + 1
 
 
 def pairwise_products(a: StructureConstantAlgebra, basis: np.ndarray) -> np.ndarray:
@@ -388,17 +387,16 @@ def pairwise_products(a: StructureConstantAlgebra, basis: np.ndarray) -> np.ndar
     for every row x_i and every e_b some row uses, then x_i x_j = sum_b
     x_j[b] x_i e_b.  Only the c <= d coordinates that some row uses take
     part, so this costs k c^2 d + k^2 c d and copies c^2 d table entries.
-    Each product contracts over at most d reduced entries, so every partial
-    sum is an integer below d p^2 (about 1.1e10 at d = 160, p = 8191), far
-    under 2**53, and the float products in :func:`_mulmod` are exact.
+    Each product contracts over at most d <= 160 reduced entries, far inside
+    the exactness bound of :func:`~commdim.gf.mulmod`.
     """
     d, p = a.dim, a.p
     basis = np.asarray(basis, dtype=np.int64) % p
     used = np.flatnonzero(basis.any(axis=0))
     x, c = basis[:, used], len(used)
     t = a.table()[np.ix_(used, used)].reshape(c, c * d)
-    by_unit = _mulmod(x, t, p).reshape(len(basis), c, d)  # [i, b] = x_i e_b
-    return _mulmod(x, by_unit, p)  # [i, j] = sum_b x_j[b] x_i e_b
+    by_unit = mulmod(x, t, p).reshape(len(basis), c, d)  # [i, b] = x_i e_b
+    return mulmod(x, by_unit, p)  # [i, j] = sum_b x_j[b] x_i e_b
 
 
 def is_abelian_subspace(a: StructureConstantAlgebra, s: Subspace) -> bool:

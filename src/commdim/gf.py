@@ -9,11 +9,15 @@ deterministic: row reduction yields the unique reduced row echelon form,
 and subspaces are held in a canonical basis, so equal subspaces compare
 equal bit for bit.
 
-Row reduction takes one of two paths by size: a matrix of at most
+Row reduction first drops the zero rows of a matrix of more than
+``SMALL_MATRIX_CELLS`` cells, and pads them back into its output.  What is
+left takes one of three paths by shape: a matrix of at most
 ``SMALL_MATRIX_CELLS`` cells is converted once to lists of Python ints and
-eliminated there, where a numpy call would cost more than the arithmetic;
-a larger one is eliminated with numpy row operations.  Both return the same
-arrays, since the reduced row echelon form is unique.
+eliminated there, where a numpy call would cost more than the arithmetic; a
+tall one, with more than twice as many rows as columns, is reduced in blocks
+(:func:`_rref_tall`); any other is eliminated with numpy row operations.  All
+return the same arrays, since the reduced row echelon form is unique.
+:func:`mulmod` is the one exact matrix product over GF(p).
 """
 
 from __future__ import annotations
@@ -162,12 +166,38 @@ def _rref_rows(m: list[list[int]], p: int) -> tuple[int, list[int]]:
     return r, pivots
 
 
+def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Matrix product a @ b mod p of arrays with entries in [0, p), via float64 BLAS.
+
+    Exact while contraction length * (p - 1)**2 < 2**53, about 1.3e8 terms at
+    p = 8191: every partial sum is then an integer that float64 holds exactly.
+    """
+    c = a.astype(np.float64) @ b.astype(np.float64)
+    return np.mod(np.rint(c).astype(np.int64), p)
+
+
 def rref_array(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
     """Reduced row echelon form of a raw array; returns (rank, rref, pivot cols).
 
     The output keeps the input shape, zero rows collected at the bottom.
     """
-    m = np.mod(np.asarray(a, dtype=np.int64), p)
+    m = np.asarray(a, dtype=np.int64)
+    if m.size <= SMALL_MATRIX_CELLS:
+        return _rref_dense(np.mod(m, p), p)
+    nonzero = m.any(axis=1)  # rows that are zero only mod p stay; every path takes zero rows
+    kept = np.mod(m if nonzero.all() else m[nonzero], p)
+    rank, red, pivots = (_rref_tall if len(kept) > 2 * m.shape[1] else _rref_dense)(kept, p)
+    if len(kept) == len(m):
+        return rank, red, pivots
+    out = np.zeros(m.shape, dtype=np.int64)
+    out[:rank] = red[:rank]
+    return rank, out, pivots
+
+
+def _rref_dense(m: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
+    """:func:`rref_array` of a reduced array m, which it may overwrite, by
+    elimination: on lists of Python ints up to ``SMALL_MATRIX_CELLS`` cells,
+    else with numpy row operations."""
     if m.size <= SMALL_MATRIX_CELLS:
         rows = m.tolist()
         rank, pivots = _rref_rows(rows, p)
@@ -193,6 +223,35 @@ def rref_array(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return r, m, pivots
+
+
+def _rref_tall(m: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
+    """:func:`rref_array` of a reduced array with more than twice as many rows
+    as columns, in blocks.
+
+    Each round replaces the next block of rows by its residual against the
+    RREF basis so far, block - block[:, pivots] @ basis (one exact product),
+    drops the residuals that are zero, and row reduces the rest together
+    with the basis by :func:`_rref_dense`.  Each row is reduced against a
+    basis once, and a block that lies in the span so far costs no
+    elimination.  The block starts at one row per column and doubles each
+    round, so a row order that adds one dimension per block still ends after
+    about log2(rows / cols) rounds, and the rounds stop at full rank.
+    """
+    ncols = m.shape[1]
+    basis, pivots, start, size = m[:0], [], 0, ncols
+    while start < len(m) and len(pivots) < ncols:
+        block = m[start : start + size]
+        if pivots:  # the residual against the basis, zero at its pivots
+            block = (block - mulmod(block[:, pivots], basis, p)) % p
+            block = block[block.any(axis=1)]
+        if len(block):
+            rank, red, pivots = _rref_dense(np.concatenate([basis, block]), p)
+            basis = red[:rank]
+        start, size = start + size, 2 * size
+    out = np.zeros_like(m)
+    out[: len(basis)] = basis
+    return len(basis), out, pivots
 
 
 def nullspace_array(a: np.ndarray, p: int) -> np.ndarray:

@@ -24,9 +24,11 @@ children of leads that cannot reach the target are counted in bulk.  Over
 GF(2) each node derives N from its parent's by XOR on rows packed into ints.
 Over odd p a node takes N from one nullspace call on its equations
 restricted to the columns that are not pivots, and one affine solve per
-lead starts an odometer over that lead's children.  The greedy procedure and
-:func:`maximal_abelian_ideal` share one growth loop, :func:`_grow`, which
-adjoins the first new solution of the current linear system until none is left.
+lead starts an odometer over that lead's children.  The greedy procedure
+carries the canonical basis of its solution space from pick to pick, and
+restricts it to the next pick's centralizer by one nullspace in its
+coordinates; :func:`maximal_abelian_ideal`, whose system is not monotone in
+the ideal, solves afresh at every step.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import (
     KIND_LIE,
     StructureConstantAlgebra,
+    _center_system,
     _centralizer_system,
     center,
     nilpotency_class,
@@ -52,6 +55,7 @@ from .gf import (
     DEFAULT_SEARCH_BUDGET,
     Subspace,
     json_field,
+    mulmod,
     nullspace_array,
     reduce_against_rref,
     rref_array,  # noqa: F401  perfbench/tracer.py wraps this name
@@ -428,8 +432,7 @@ def max_abelian_exact(
     """
     # the center's nullspace call is made here, not through algebra.center,
     # so that it is counted with the search's own calls
-    system = _centralizer_system(a, np.eye(a.dim, dtype=np.int64))
-    z = Subspace(a.p, nullspace_array(system, a.p), _canonical=True)
+    z = Subspace(a.p, nullspace_array(_center_system(a), a.p), _canonical=True)
     witness, res = _isotropic_over_center(a, z, budget)
     if a.kind == "assoc" and not res.complete:
         witness = _subalgebra_closure(a, witness)
@@ -469,28 +472,32 @@ def class2_exact_result(
     return SearchResult("class2", witness.dim, witness, True, res.nodes_visited)
 
 
-def _grow(start: Subspace, system: Callable[[Subspace], np.ndarray]) -> Subspace:
-    """Adjoin the first canonical solution of system(current) @ x = 0 outside
-    the current subspace, one at a time, until every solution lies inside."""
-    cur = start
-    while True:
-        sol = nullspace_array(system(cur), cur.p)
-        new = next((row for row in sol if not cur.contains_vector(row)), None)
-        if new is None:
-            return cur
-        cur = cur.sum(Subspace.span(cur.p, [new]))
-
-
 def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
     """Grow a commuting set in a complement of the center by linear solves.
 
     The picks are zero at the center's pivots and commute with every earlier
-    pick; the loop stops when no further pick exists.  The returned
-    dimension s (picks plus center) always satisfies dim <= floor(s^2/4) + s.
+    pick; the loop stops when no further pick exists.  Each pick is the first
+    row outside the picks' span of sol, the canonical basis of the solutions
+    so far, which is carried from pick to pick: the x = y @ sol with
+    [x, pick] = 0 have y in the nullspace of E @ sol.T, for E the pick's
+    centralizer rows, and y @ sol is again canonical, since its columns at
+    sol's pivots are y.  The returned dimension s (picks plus center) always
+    satisfies dim <= floor(s^2/4) + s.
     """
     z = _class2_center(a)
-    fix = np.eye(a.dim, dtype=np.int64)[list(z.pivots)]
-    picks = _grow(Subspace.zero(a.p, a.dim), lambda cur: np.concatenate([fix, _centralizer_system(a, cur.basis)]))
+    p = a.p
+    sol = nullspace_array(np.eye(a.dim, dtype=np.int64)[list(z.pivots)], p)
+    picks = Subspace.zero(p, a.dim)
+    while True:
+        outside = reduce_against_rref(sol, picks.basis, picks.pivots, p).any(axis=1)
+        if not outside.any():
+            break
+        new = sol[outside.argmax()]
+        picks = Subspace(p, np.vstack([picks.basis, new]))
+        # E[k, i] = sum_j C[i, j, k] new_j, the pick's rows of _centralizer_system
+        e = np.einsum("j,ijk->ki", new, a.commutator_table()) % p
+        y = nullspace_array(mulmod(e, sol.T, p), p)
+        sol = mulmod(y, sol, p)
     witness = picks.sum(z)
     s = witness.dim
     if a.dim > (s * s) // 4 + s:
@@ -501,19 +508,23 @@ def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
 def maximal_abelian_ideal(a: StructureConstantAlgebra) -> Subspace:
     """Greedily extend the center to an inclusion-maximal abelian ideal.
 
-    Each step adjoins an x outside the current ideal i with [x, g] inside i
-    for all g and [x, i] = 0.  Requires a nilpotent Lie algebra; the loop
-    then ends with an abelian ideal admitting no one-element extension.
+    Each step adjoins the first canonical solution x outside the current
+    ideal i of [x, g] inside i for all g and [x, i] = 0.  That system is not
+    monotone in i, so each step solves it afresh.  Requires a nilpotent Lie
+    algebra; the loop then ends with an abelian ideal admitting no
+    one-element extension.
     """
     if a.kind != KIND_LIE:
         raise ValueError("maximal_abelian_ideal requires a Lie algebra")
     if nilpotency_class(a) is None:
         raise ValueError("maximal_abelian_ideal requires a nilpotent Lie algebra")
     d, p, t = a.dim, a.p, a.table()
-
-    def system(ideal: Subspace) -> np.ndarray:
+    ideal = center(a)
+    while True:
         # [x, e_j] in ideal for all j: rows ((j, l), i) of T[i,j,:] reduced against the ideal
         cond_ideal = reduce_against_rref(t, ideal.basis, ideal.pivots, p).transpose(1, 2, 0).reshape(d * d, d)
-        return np.concatenate([cond_ideal, _centralizer_system(a, ideal.basis)])
-
-    return _grow(center(a), system)
+        sol = nullspace_array(np.concatenate([cond_ideal, _centralizer_system(a, ideal.basis)]), p)
+        new = next((row for row in sol if not ideal.contains_vector(row)), None)
+        if new is None:
+            return ideal
+        ideal = ideal.sum(Subspace.span(p, [new]))

@@ -17,8 +17,9 @@ from commdim import (
     largest_common_isotropic,
     sample_form_tuple,
 )
-from commdim.gf import nullspace_array, rref_arrays_for_pivots, solve_affine
-from commdim.search import IsotropicSearch
+from commdim.algebra import _centralizer_system
+from commdim.gf import nullspace_array, rref_array, rref_arrays_for_pivots, solve_affine
+from commdim.search import IsotropicSearch, SearchResult
 
 
 def enumerate_subspaces(n: int, k: int, field: PrimeField):
@@ -220,6 +221,54 @@ def is_commutative_subspace(alg: StructureConstantAlgebra, sub: Subspace) -> boo
     return not comm.any()
 
 
+def reference_center(alg: StructureConstantAlgebra) -> Subspace:
+    """The center as the centralizer of the unit vectors: the system is the
+    product of np.eye with the commutator table."""
+    system = _centralizer_system(alg, np.eye(alg.dim, dtype=np.int64))
+    return Subspace(alg.p, nullspace_array(system, alg.p), _canonical=True)
+
+
+def reference_nilpotency_class(alg: StructureConstantAlgebra) -> int | None:
+    """The lower central (power) series from term 1 = span of np.eye, each
+    next term the span of the e_i b for b in the last, by one int64 tensordot."""
+    d, p = alg.dim, alg.p
+    if d == 0:
+        return 0
+    cur, m = np.eye(d, dtype=np.int64), 1
+    while True:
+        prods = np.tensordot(cur, alg.table(), axes=([1], [1])).reshape(-1, d) % p
+        rank, red, _ = rref_array(prods, p)
+        if rank == 0:
+            return m
+        if rank == cur.shape[0]:
+            return None
+        cur, m = red[:rank], m + 1
+
+
+def reference_greedy(alg: StructureConstantAlgebra) -> SearchResult:
+    """The greedy procedure of version 0.3.0: each step solves the whole
+    system (center pivots fixed to 0, [x, g] = 0 for every row g of the picks
+    so far) from scratch and adjoins its first canonical solution outside the
+    picks, until there is none."""
+    cls = reference_nilpotency_class(alg)
+    if cls is None or cls > 2:
+        raise ValueError("algebra must be nilpotent of class at most 2")
+    z = reference_center(alg)
+    fix = np.eye(alg.dim, dtype=np.int64)[list(z.pivots)]
+    picks = Subspace.zero(alg.p, alg.dim)
+    while True:
+        sol = nullspace_array(np.concatenate([fix, _centralizer_system(alg, picks.basis)]), alg.p)
+        new = next((row for row in sol if not picks.contains_vector(row)), None)
+        if new is None:
+            break
+        picks = picks.sum(Subspace.span(alg.p, [new]))
+    witness = picks.sum(z)
+    s = witness.dim
+    if alg.dim > (s * s) // 4 + s:
+        raise ValueError(f"greedy output s = {s} breaks dim {alg.dim} <= floor(s^2/4) + s")
+    return SearchResult("greedy", s, witness, False)
+
+
 def algebra_json_v1(alg: StructureConstantAlgebra) -> dict:
     """The version-1 JSON form, as written before schema 2: no "schema"
     field and one dense coordinate vector "v" per stored key, in (i, j) order."""
@@ -231,8 +280,6 @@ def algebra_json_v1(alg: StructureConstantAlgebra) -> dict:
 
 
 def random_invertible(p: int, n: int, rng: random.Random) -> np.ndarray:
-    from commdim.gf import rref_array
-
     while True:
         m = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
         if rref_array(m, p)[0] == n:

@@ -32,6 +32,8 @@ from oracles import (
     first_axiom_violation,
     is_commutative_subspace,
     is_subalgebra,
+    reference_center,
+    reference_nilpotency_class,
 )
 
 F2 = PrimeField(2)
@@ -343,6 +345,22 @@ def test_nilpotency_class_associative():
         "assoc", F2, 1, {(0, 0): [1]}
     )
     assert nilpotency_class(unital) is None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_tables())
+@example(matrix_algebra(3, F2))
+@example(sl2_gf5())
+@example(filiform4(F3))
+@example(unitalize(build_assoc_from_forms(sample_form_tuple(4, 3, "general", F3, 3))))
+@example(build_lie_from_forms(sample_form_tuple(18, 6, "alternating", F3, 1)))
+@example(build_assoc_from_forms(sample_form_tuple(40, 8, "general", F5, 1)))
+@example(unitalize(build_assoc_from_forms(sample_form_tuple(40, 8, "alternating", F2, 1))))
+def test_center_and_nilpotency_class_match_the_unit_vector_formulation(a):
+    # the center's system read off the commutator table, and the series
+    # started from the table's rows, against products with np.eye
+    assert center(a) == reference_center(a)
+    assert nilpotency_class(a) == reference_nilpotency_class(a)
 
 
 # ---------------------------------------------------------------- abelian subspaces

@@ -264,26 +264,45 @@ def test_solve_affine():
     assert solve_affine(a, np.array([1, 0]), p) is None
 
 
-# shapes with no rows or columns, and shapes just below, at and above the
-# cell count where the kernels switch from Python lists to numpy
+# shapes with no rows or columns, shapes just below, at and above the cell
+# count where the kernels switch from Python lists to numpy, and tall shapes,
+# which numpy reduces in blocks: the center systems of d = 12 and d = 24
 _T = gf.SMALL_MATRIX_CELLS
 _SHAPES = st.one_of(
     st.tuples(st.integers(0, 12), st.integers(0, 12)),
     st.sampled_from([(_T // c + d, c) for c in (8, 16, 32) for d in (-1, 0, 1)]),
+    st.sampled_from([(144, 12), (576, 24)]),
 )
+
+
+def _block_of_row(rows: int, cols: int) -> np.ndarray:
+    """The index of the block of the tall path that each row falls in: the
+    blocks hold cols rows, then twice as many each time."""
+    return np.array([(i // cols + 1).bit_length() - 1 for i in range(rows)], dtype=np.int64)
 
 
 @st.composite
 def gf_systems(draw):
-    """(p, a, b): a is unreduced with rank at most k, zeroed rows and columns,
-    and b lies in a's column space or is drawn at random."""
+    """(p, a, b): a is unreduced with rank at most k, and b lies in a's column
+    space or is drawn at random.  The rows of a come in random order, with a
+    fifth or nine tenths of them and a fifth of the columns zeroed, or in an
+    order where each block of the tall path adds one dimension: a row of block
+    j combines the first j + 1 rows of a random basis, the last one nonzero."""
     p = draw(st.sampled_from([2, 3, 5, 8191]))
     rows, cols = draw(_SHAPES)
     k = draw(st.integers(0, min(rows, cols)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.integers(0, p, (rows, k)) @ rng.integers(0, p, (k, cols))
-    a[rng.random(rows) < 0.2] = 0
-    a[:, rng.random(cols) < 0.2] = 0
+    coef = rng.integers(0, p, (rows, k))
+    ordered = cols > 0 and draw(st.booleans())
+    if ordered:
+        block = _block_of_row(rows, cols)
+        coef[np.arange(k)[None, :] > block[:, None]] = 0
+        last = block < k
+        coef[last, block[last]] = rng.integers(1, p, int(last.sum()))
+    a = coef @ rng.integers(0, p, (k, cols))
+    if not ordered:
+        a[rng.random(rows) < draw(st.sampled_from([0.2, 0.9]))] = 0
+        a[:, rng.random(cols) < 0.2] = 0
     b = a @ rng.integers(0, p, cols) if draw(st.booleans()) else rng.integers(0, p, rows)
     return p, a, b
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from unittest import mock
@@ -40,6 +41,7 @@ from oracles import (
     class2_dim,
     extends_abelian_ideal,
     reference_common_isotropic,
+    reference_greedy,
 )
 
 F2 = PrimeField(2)
@@ -569,6 +571,49 @@ def test_greedy_never_beats_exact():
         e = max_abelian_exact(alg)
         assert g.dim <= e.dim
         assert is_abelian_subspace(alg, g.witness)
+
+
+def _greedy_outcome(greedy, alg) -> str:
+    """The greedy result's JSON text, or the message of the ValueError it raises."""
+    try:
+        return json.dumps(greedy(alg).to_json())
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_greedy_matches_the_whole_system_reference_byte_for_byte(p):
+    # the carried solution space against solving every pick's whole system
+    field = PrimeField(p)
+    algs = [abelian(field, 4), heisenberg(field), abelian(field, 0)]
+    for n, t in ((3, 2), (7, 4), (12, 5), (18, 6), (40, 8)):
+        for seed in (1, 2):
+            algs.append(build_lie_from_forms(sample_form_tuple(n, t, "alternating", field, seed)))
+            algs.append(build_assoc_from_forms(sample_form_tuple(n, t, "general", field, seed)))
+    for alg in algs:
+        want = _greedy_outcome(reference_greedy, alg)
+        assert want.startswith("{")
+        assert _greedy_outcome(greedy_abelian_class2, alg) == want, (alg, want)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from(["lie", "assoc"]),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_greedy_matches_the_reference_on_two_step_tables(p, kind, d, seed):
+    # e_0..e_{n-1} multiply into e_n.. and nothing else multiplies, so the
+    # class is at most 2; the tables need not be alternating or associative,
+    # and some break the greedy bound, which both must report alike
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, d + 1))
+    raw = np.zeros((d, d, d), dtype=np.int64)
+    raw[:n, :n, n:] = rng.integers(0, p, (n, n, d - n)) * (rng.random((n, n, 1)) < 0.5)
+    sc = {(i, j): raw[i, j] for i in range(d) for j in range(d) if raw[i, j].any()}
+    alg = StructureConstantAlgebra(kind, PrimeField(p), d, sc)
+    assert _greedy_outcome(greedy_abelian_class2, alg) == _greedy_outcome(reference_greedy, alg)
 
 
 @st.composite
