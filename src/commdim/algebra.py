@@ -326,14 +326,10 @@ def verify_axioms(a: StructureConstantAlgebra) -> AxiomReport:
 
 
 def _centralizer_system(a: StructureConstantAlgebra, gens: np.ndarray) -> np.ndarray:
-    """Equation rows for {x : [x, g] = 0 for all rows g}."""
-    d = a.dim
-    c = a.commutator_table()
-    if gens.shape[0] == 0:
-        return np.zeros((0, d), dtype=np.int64)
-    # block for g: rows (k), cols (i): sum_j C[i,j,k] g_j
-    blocks = mulmod(gens, c.transpose(1, 0, 2).reshape(d, d * d), a.p).reshape(-1, d, d)  # (g, i, k)
-    return blocks.transpose(0, 2, 1).reshape(-1, d)
+    """Equation rows for {x : [x, g] = 0 for all rows g}: row (g, k), column i
+    is sum_j C[i, j, k] g_j, one product broadcast over the table's i."""
+    d = a.dim  # an explicit row count: at d = 0, reshape(-1, 0) is ambiguous
+    return mulmod(gens, a.commutator_table(), a.p).transpose(1, 2, 0).reshape(len(gens) * d, d)
 
 
 def _center_system(a: StructureConstantAlgebra) -> np.ndarray:
@@ -360,9 +356,10 @@ def nilpotency_class(a: StructureConstantAlgebra) -> int | None:
 
     Returns the smallest c with term c+1 = 0, or None when the descending
     series stabilizes at a nonzero subspace.  Term m+1 is the span of the
-    e_i b for the rows b of term m's basis, and the table is the bracket for
-    the Lie kind and the product for the assoc kind.  Term 1 is the whole
-    space, so term 2 is spanned by the table's own rows e_i e_j.
+    e_i b for the rows b of term m's basis, one product of that basis with
+    the table, whose [i, b] row is e_i b; the table is the bracket for the
+    Lie kind and the product for the assoc kind.  Term 1 is the whole space,
+    so term 2 is spanned by the table's own rows e_i e_j.
     """
     d, p = a.dim, a.p
     if d == 0:
@@ -375,8 +372,7 @@ def nilpotency_class(a: StructureConstantAlgebra) -> int | None:
             return m
         if rank == cur_dim:
             return None
-        # rows (b, i) of the next term: e_i b = sum_j b_j T[i, j]
-        prods = mulmod(red[:rank], t.transpose(1, 0, 2).reshape(d, d * d), p).reshape(-1, d)
+        prods = mulmod(red[:rank], t, p).reshape(-1, d)
         cur_dim, m = rank, m + 1
 
 
@@ -406,8 +402,8 @@ def is_abelian_subspace(a: StructureConstantAlgebra, s: Subspace) -> bool:
     has to lie in it, otherwise NotASubalgebra is raised with the offending
     pair of indices.
     """
-    if s.ambient_dim != a.dim:
-        raise ValueError("subspace ambient dimension does not match the algebra")
+    if (s.p, s.ambient_dim) != (a.p, a.dim):
+        raise ValueError(f"{s!r} does not lie in the space of {a!r}")
     b = s.basis
     prods = pairwise_products(a, b)
     resid = reduce_against_rref(prods, b, s.pivots, a.p)

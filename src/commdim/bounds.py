@@ -87,57 +87,28 @@ def bound_table(n: int, field_class: str, c: Fraction | str | None = None) -> Bo
         raise ValueError(f"c must be a finite fraction, got {c!r}") from None
 
     low = _generic_lower(n)
+    a_up = Fraction(n * n, 2) + 5 * n
     up_l_complex = Fraction(n * n + 17 * n, 2)
+    real_l = (Fraction(2 * n * n + n), Fraction(4 * n * n + 18 * n))
     up_a_closed = Fraction(n * n, 2) + Fraction((2 * c + 1) * n, 2)
-    low_l_real = Fraction(2 * n * n + n)
-    up_l_real = Fraction(4 * n * n + 18 * n)
     up_char0 = Fraction(3 * n * n + n, 2)
     low_a1 = Fraction(n * n + 2 * n, 8)
-    class2_up = Fraction(n * n, 4) + n
-
-    fc = field_class
+    # (name, lower, upper or None) per field class, then the class-2 row
+    rows = {
+        "C": [("l_C", low, up_l_complex), ("g_C", low, up_l_complex), ("a_C", low, a_up)],
+        "R": [("l_R", *real_l), ("g_R", *real_l), ("a_R", low, a_up)],
+        "closed": [("l_K", low, None), ("a_K", low, up_a_closed), ("a1_K", low_a1, up_a_closed)],
+        "char0": [("l_K", low, None), ("a_K", low, up_char0), ("a1_K", low_a1, up_char0)],
+        "any": [("l_K", low, None), ("a_K", low, None), ("a1_K", low_a1, None)],
+    }[field_class] + [("class2", low, Fraction(n * n, 4) + n)]
     entries: list[BoundEntry] = []
-
-    def add(name, side, value):
-        entries.append(BoundEntry(name, side, value, fc))
-
-    if fc == "C":
-        add("l_C", "lower", low)
-        add("l_C", "upper", up_l_complex)
-        add("g_C", "lower", low)
-        add("g_C", "upper", up_l_complex)
-        add("a_C", "lower", low)
-        add("a_C", "upper", Fraction(n * n, 2) + 5 * n)
-    elif fc == "R":
-        add("l_R", "lower", low_l_real)
-        add("l_R", "upper", up_l_real)
-        add("g_R", "lower", low_l_real)
-        add("g_R", "upper", up_l_real)
-        add("a_R", "lower", low)
-        add("a_R", "upper", Fraction(n * n, 2) + 5 * n)
-    elif fc == "closed":
-        add("l_K", "lower", low)
-        add("a_K", "lower", low)
-        add("a_K", "upper", up_a_closed)
-        add("a1_K", "lower", low_a1)
-        add("a1_K", "upper", up_a_closed)
-    elif fc == "char0":
-        add("l_K", "lower", low)
-        add("a_K", "lower", low)
-        add("a_K", "upper", up_char0)
-        add("a1_K", "lower", low_a1)
-        add("a1_K", "upper", up_char0)
-    else:  # any field
-        add("l_K", "lower", low)
-        add("a_K", "lower", low)
-        add("a1_K", "lower", low_a1)
-    add("class2", "lower", low)
-    add("class2", "upper", class2_up)
-    lower = {e.name: e.value for e in entries if e.side == "lower"}
-    for e in entries:
-        if e.side == "upper" and e.value < lower[e.name]:
-            raise ValueError(f"c = {c} puts the {e.name} upper bound {e.value} below its lower bound {lower[e.name]}")
-    return BoundReport(n, fc, entries)
+    for name, lower, upper in rows:
+        entries.append(BoundEntry(name, "lower", lower, field_class))
+        if upper is not None:
+            if upper < lower:
+                raise ValueError(f"c = {c} puts the {name} upper bound {upper} below its lower bound {lower}")
+            entries.append(BoundEntry(name, "upper", upper, field_class))
+    return BoundReport(n, field_class, entries)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ eliminated there, where a numpy call would cost more than the arithmetic; a
 tall one, with more than twice as many rows as columns, is reduced in blocks
 (:func:`_rref_tall`); any other is eliminated with numpy row operations.  All
 return the same arrays, since the reduced row echelon form is unique.
-:func:`mulmod` is the one exact matrix product over GF(p).
+:func:`mulmod` is the one exact matrix product over GF(p), broadcast as in
+numpy's matmul; the residual against an RREF basis, which the tall path and
+:class:`Subspace` use, is one such product (:func:`reduce_against_rref`).
 """
 
 from __future__ import annotations
@@ -167,7 +169,8 @@ def _rref_rows(m: list[list[int]], p: int) -> tuple[int, list[int]]:
 
 
 def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Matrix product a @ b mod p of arrays with entries in [0, p), via float64 BLAS.
+    """Matrix product a @ b mod p of arrays with entries in [0, p), via float64 BLAS;
+    arrays of more than two dimensions broadcast as in numpy's matmul.
 
     Exact while contraction length * (p - 1)**2 < 2**53, about 1.3e8 terms at
     p = 8191: every partial sum is then an integer that float64 holds exactly.
@@ -230,8 +233,8 @@ def _rref_tall(m: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
     as columns, in blocks.
 
     Each round replaces the next block of rows by its residual against the
-    RREF basis so far, block - block[:, pivots] @ basis (one exact product),
-    drops the residuals that are zero, and row reduces the rest together
+    RREF basis so far (:func:`reduce_against_rref`, one exact product), drops
+    the residuals that are zero, and row reduces the rest together
     with the basis by :func:`_rref_dense`.  Each row is reduced against a
     basis once, and a block that lies in the span so far costs no
     elimination.  The block starts at one row per column and doubles each
@@ -242,9 +245,8 @@ def _rref_tall(m: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
     basis, pivots, start, size = m[:0], [], 0, ncols
     while start < len(m) and len(pivots) < ncols:
         block = m[start : start + size]
-        if pivots:  # the residual against the basis, zero at its pivots
-            block = (block - mulmod(block[:, pivots], basis, p)) % p
-            block = block[block.any(axis=1)]
+        block = reduce_against_rref(block, basis, pivots, p)
+        block = block[block.any(axis=1)]
         if len(block):
             rank, red, pivots = _rref_dense(np.concatenate([basis, block]), p)
             basis = red[:rank]
@@ -303,13 +305,10 @@ def solve_affine(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.n
 
 
 def reduce_against_rref(v: np.ndarray, basis: np.ndarray, pivots: Iterable[int], p: int) -> np.ndarray:
-    """Residual of v after eliminating the pivots of an RREF basis."""
-    r = np.mod(np.asarray(v, dtype=np.int64), p).copy()
-    for ri, pc in enumerate(pivots):
-        coef = r[..., pc].copy()
-        if np.any(coef):
-            r = (r - coef[..., None] * basis[ri]) % p
-    return r
+    """Residual of v, a vector or a stack of them with entries in [0, p), after
+    eliminating the pivots of an RREF basis: v - v[..., pivots] @ basis, since
+    the basis is the identity at its pivots.  The residual is zero at every pivot."""
+    return (v - mulmod(v[..., list(pivots)], basis, p)) % p
 
 
 class Subspace:
@@ -351,14 +350,22 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    def _check_same_space(self, other: "Subspace") -> None:
+        if (other.p, other.ambient_dim) != (self.p, self.ambient_dim):
+            raise ValueError(f"{other!r} does not lie in the space of {self!r}")
+
     def contains_vector(self, v) -> bool:
-        res = reduce_against_rref(as_gf_array(v, self.p), self.basis, self.pivots, self.p)
-        return not np.any(res)
+        v = as_gf_array(v, self.p)
+        if v.shape != (self.ambient_dim,):
+            raise ValueError(f"a vector of shape {v.shape} does not lie in GF({self.p})^{self.ambient_dim}")
+        return not reduce_against_rref(v, self.basis, self.pivots, self.p).any()
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.basis)
+        self._check_same_space(other)
+        return not reduce_against_rref(other.basis, self.basis, self.pivots, self.p).any()
 
     def sum(self, other: "Subspace") -> "Subspace":
+        self._check_same_space(other)
         return Subspace(self.p, np.concatenate([self.basis, other.basis]))
 
     def __eq__(self, other) -> bool:

@@ -28,7 +28,9 @@ lead starts an odometer over that lead's children.  The greedy procedure
 carries the canonical basis of its solution space from pick to pick, and
 restricts it to the next pick's centralizer by one nullspace in its
 coordinates; :func:`maximal_abelian_ideal`, whose system is not monotone in
-the ideal, solves afresh at every step.
+the ideal, solves afresh at every step.  Both take their centralizer rows
+from :func:`~commdim.algebra._centralizer_system` and their residuals from
+:func:`~commdim.gf.reduce_against_rref`, each one exact product.
 """
 
 from __future__ import annotations
@@ -479,10 +481,10 @@ def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
     pick; the loop stops when no further pick exists.  Each pick is the first
     row outside the picks' span of sol, the canonical basis of the solutions
     so far, which is carried from pick to pick: the x = y @ sol with
-    [x, pick] = 0 have y in the nullspace of E @ sol.T, for E the pick's
-    centralizer rows, and y @ sol is again canonical, since its columns at
-    sol's pivots are y.  The returned dimension s (picks plus center) always
-    satisfies dim <= floor(s^2/4) + s.
+    [x, pick] = 0 have y in the nullspace of E @ sol.T, for E the
+    :func:`_centralizer_system` of the pick alone, and y @ sol is again
+    canonical, since its columns at sol's pivots are y.  The returned
+    dimension s (picks plus center) always satisfies dim <= floor(s^2/4) + s.
     """
     z = _class2_center(a)
     p = a.p
@@ -494,9 +496,7 @@ def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
             break
         new = sol[outside.argmax()]
         picks = Subspace(p, np.vstack([picks.basis, new]))
-        # E[k, i] = sum_j C[i, j, k] new_j, the pick's rows of _centralizer_system
-        e = np.einsum("j,ijk->ki", new, a.commutator_table()) % p
-        y = nullspace_array(mulmod(e, sol.T, p), p)
+        y = nullspace_array(mulmod(_centralizer_system(a, new[None]), sol.T, p), p)
         sol = mulmod(y, sol, p)
     witness = picks.sum(z)
     s = witness.dim

@@ -17,7 +17,6 @@ from commdim import (
     largest_common_isotropic,
     sample_form_tuple,
 )
-from commdim.algebra import _centralizer_system
 from commdim.gf import nullspace_array, rref_array, rref_arrays_for_pivots, solve_affine
 from commdim.search import IsotropicSearch, SearchResult
 
@@ -221,10 +220,29 @@ def is_commutative_subspace(alg: StructureConstantAlgebra, sub: Subspace) -> boo
     return not comm.any()
 
 
+def reference_reduce(v, basis: np.ndarray, pivots, p: int) -> np.ndarray:
+    """Residual of v, a vector or a stack of them, against an RREF basis, one
+    pivot at a time: row ri of the basis is subtracted as often as the
+    residual so far has at its pivot."""
+    r = np.mod(np.asarray(v, dtype=np.int64), p).copy()
+    for ri, pc in enumerate(pivots):
+        coef = r[..., pc].copy()
+        if np.any(coef):
+            r = (r - coef[..., None] * basis[ri]) % p
+    return r
+
+
+def reference_centralizer_system(alg: StructureConstantAlgebra, gens) -> np.ndarray:
+    """Equation rows of {x : [x, g] = 0 for all rows g}, by one int64 einsum:
+    row (g, k), column i is sum_j C[i, j, k] g_j."""
+    gens, d = np.asarray(gens, dtype=np.int64), alg.dim
+    return (np.einsum("gj,ijk->gki", gens, alg.commutator_table()) % alg.p).reshape(len(gens) * d, d)
+
+
 def reference_center(alg: StructureConstantAlgebra) -> Subspace:
     """The center as the centralizer of the unit vectors: the system is the
     product of np.eye with the commutator table."""
-    system = _centralizer_system(alg, np.eye(alg.dim, dtype=np.int64))
+    system = reference_centralizer_system(alg, np.eye(alg.dim, dtype=np.int64))
     return Subspace(alg.p, nullspace_array(system, alg.p), _canonical=True)
 
 
@@ -257,7 +275,7 @@ def reference_greedy(alg: StructureConstantAlgebra) -> SearchResult:
     fix = np.eye(alg.dim, dtype=np.int64)[list(z.pivots)]
     picks = Subspace.zero(alg.p, alg.dim)
     while True:
-        sol = nullspace_array(np.concatenate([fix, _centralizer_system(alg, picks.basis)]), alg.p)
+        sol = nullspace_array(np.concatenate([fix, reference_centralizer_system(alg, picks.basis)]), alg.p)
         new = next((row for row in sol if not picks.contains_vector(row)), None)
         if new is None:
             break

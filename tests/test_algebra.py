@@ -24,7 +24,7 @@ from commdim import (
     unitalize,
     verify_axioms,
 )
-from commdim.algebra import pairwise_products
+from commdim.algebra import _centralizer_system, pairwise_products
 from oracles import (
     abelian_ideal_extension,
     algebra_json_v1,
@@ -33,6 +33,7 @@ from oracles import (
     is_commutative_subspace,
     is_subalgebra,
     reference_center,
+    reference_centralizer_system,
     reference_nilpotency_class,
 )
 
@@ -313,6 +314,18 @@ def test_centralizer_sl2_h():
     assert c.basis.tolist() == [[0, 1, 0]]
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_tables(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(StructureConstantAlgebra("lie", F3, 0, {}), 2, 0)
+@example(StructureConstantAlgebra("assoc", F2, 0, {}), 0, 0)
+@example(heisenberg(F5), 0, 0)
+def test_centralizer_system_is_the_einsum_of_generators_and_table(a, g, seed):
+    gens = np.random.default_rng(seed).integers(0, a.p, (g, a.dim))
+    got = _centralizer_system(a, gens)
+    assert got.shape == (g * a.dim, a.dim)
+    assert np.array_equal(got, reference_centralizer_system(a, gens))
+
+
 def test_center_inside_centralizer_and_antitone():
     rng = random.Random(99)
     for alg in (heisenberg(F3), sl2_gf5(), filiform4(F5)):
@@ -417,6 +430,13 @@ def test_is_abelian_subspace_matches_oracles(case):
     else:
         with pytest.raises(NotASubalgebra):
             is_abelian_subspace(a, sub)
+
+
+def test_is_abelian_subspace_refuses_a_subspace_of_another_space():
+    # a GF(5) subspace was once accepted for a GF(3) algebra
+    for sub in (Subspace.span(5, [[1, 0, 0]]), Subspace.span(3, [[1, 0, 0, 0]])):
+        with pytest.raises(ValueError, match="does not lie"):
+            is_abelian_subspace(heisenberg(F3), sub)
 
 
 def test_zero_subspace_is_abelian():

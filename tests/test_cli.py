@@ -458,7 +458,8 @@ def test_closed_stdout_is_quiet_and_keeps_the_output_file(tmp_path):
         env=env,
     )
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
     doc = json.loads(alg.read_text())

@@ -17,7 +17,7 @@ from commdim import (
 from commdim import gf
 from commdim.gf import matrix_from_json, matrix_to_json, nullspace_array, rref_array, solve_affine
 
-from oracles import enumerate_subspaces, random_invertible
+from oracles import enumerate_subspaces, random_invertible, reference_reduce
 
 
 def test_non_integral_values_are_rejected_not_truncated():
@@ -204,6 +204,56 @@ def test_subspace_membership_and_lattice():
     assert s.sum(t) == s
     with pytest.raises(ValueError, match="do not lie"):  # rows of width 3 in GF(2)^2
         Subspace.span(2, [[1, 0, 1], [0, 1, 1]], 2)
+
+
+def test_contains_vector_refuses_a_vector_of_another_length():
+    # broadcast against the basis, [1] once read as inside span(1, 1, 1)
+    s = Subspace(3, [[1, 1, 1]])
+    for v in ([1], [1, 1, 1, 1], [[1, 1, 1]]):
+        with pytest.raises(ValueError, match="does not lie"):
+            s.contains_vector(v)
+
+
+def test_contains_refuses_a_subspace_of_another_space():
+    # the GF(5) span of (1, 0, 0) once read as inside a GF(3) subspace
+    s = Subspace(3, [[1, 0, 0]])
+    for other in (Subspace.span(5, [[1, 0, 0]]), Subspace.span(3, [[1, 0, 0, 0]])):
+        with pytest.raises(ValueError, match="does not lie"):
+            s.contains(other)
+
+
+def test_sum_refuses_a_subspace_of_another_space():
+    # the GF(5) basis was once reduced mod 3
+    s = Subspace(3, [[1, 0, 0]])
+    for other in (Subspace(5, [[4, 0, 0], [0, 1, 0]]), Subspace(3, [[0, 1]])):
+        with pytest.raises(ValueError, match="does not lie"):
+            s.sum(other)
+
+
+@st.composite
+def residual_cases(draw):
+    """(v, RREF basis, its pivots, p) with v one vector, a stack of them or a
+    (k, k, n) tensor, random or in the basis's span; the basis may be empty."""
+    p = draw(st.sampled_from([2, 3, 8191]))
+    n = draw(st.integers(0, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank, red, pivots = rref_array(rng.integers(0, p, (draw(st.integers(0, n)), n)), p)
+    shape = draw(st.sampled_from([(), (4,), (3, 3)]))
+    if draw(st.booleans()):
+        v = rng.integers(0, p, shape + (rank,)) @ red[:rank] % p
+    else:
+        v = rng.integers(0, p, shape + (n,))
+    return v, red[:rank], pivots, p
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(residual_cases())
+def test_reduce_against_rref_matches_the_per_pivot_loop(case):
+    v, basis, pivots, p = case
+    got = gf.reduce_against_rref(v, basis, pivots, p)
+    assert got.shape == v.shape
+    assert np.array_equal(got, reference_reduce(v, basis, pivots, p))
+    assert not got[..., pivots].any()
 
 
 def test_subspace_span_of_no_rows():
