@@ -60,7 +60,6 @@ from .search import (
     greedy_abelian_class2,
     largest_common_isotropic,
     max_abelian_exact,
-    maximal_abelian_ideal,
 )
 
 __version__ = "0.3.0"
@@ -103,7 +102,6 @@ __all__ = [
     "matrix_algebra",
     "matrix_commutative_subalgebra",
     "max_abelian_exact",
-    "maximal_abelian_ideal",
     "nilpotency_class",
     "reverify_certificate",
     "sample_form_tuple",

@@ -14,6 +14,9 @@ increasing order.  A stored key whose product is zero keeps "nz": [].  A
 document without "schema" is version 1, whose entries {"i", "j", "v"} hold
 the dense coordinate vector.  Version-1 entries and the constructor's dict
 are rewritten as schema-2 entries for the one reader, :func:`_checked_sc`.
+
+An algebra holds its keys and their products in two read-only arrays; the
+``sc`` dict of row views is built on first use.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ import numpy as np
 
 from .errors import NotASubalgebra
 from .gf import (
+    SMALL_MATRIX_CELLS,
     PrimeField,
     Subspace,
     as_gf_array,
+    in_range,
     json_field,
     mulmod,
     nullspace_array,
@@ -74,9 +79,21 @@ def _dense_entries(items, dim: int) -> list:
     return entries
 
 
-def _checked_sc(entries: list, p: int, dim: int) -> tuple[list, np.ndarray]:
-    """(keys, (N, dim) rows) of schema-2 entries, each field type-checked once over the list;
-    the dict constructor and version-1 documents reach it through :func:`_dense_entries`."""
+def _below(values: list, bound: int, small: bool) -> np.ndarray | None:
+    """values as an int64 array if each lies in [0, bound), else None; a small
+    document is checked by Python's min and max, which cost less than numpy there."""
+    try:
+        a = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    ok = (not values or 0 <= min(values) and max(values) < bound) if small else in_range(a, bound)
+    return a if ok else None
+
+
+def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """((2, N) keys, (N, dim) reduced rows) of schema-2 entries, key n being
+    (keys[0, n], keys[1, n]); each check runs once over the whole list.  The
+    dict constructor and version-1 documents reach it through :func:`_dense_entries`."""
     try:
         ii = [e["i"] for e in entries]
         jj = [e["j"] for e in entries]
@@ -88,30 +105,40 @@ def _checked_sc(entries: list, p: int, dim: int) -> tuple[list, np.ndarray]:
         for e in entries:
             json_field(e, "i", "int"), json_field(e, "j", "int"), json_field(e, "nz", "list")
         raise ValueError("each structure constant entry needs JSON ints i, j and a JSON list nz")
-    keys = list(zip(ii, jj))
-    if keys and not (0 <= min(ii) and max(ii) < dim and 0 <= min(jj) and max(jj) < dim):
-        bad = next(key for key in keys if not (0 <= key[0] < dim and 0 <= key[1] < dim))
+    small = len(entries) * dim <= SMALL_MATRIX_CELLS  # the cells of the rows
+    keys = _below(ii + jj, dim, small)
+    if keys is None:
+        bad = next(key for key in zip(ii, jj) if not (0 <= key[0] < dim and 0 <= key[1] < dim))
         raise ValueError(f"structure constant key {bad} out of range")
-    if len(set(keys)) < len(keys):
-        raise ValueError(f"duplicate structure constant key {_first_repeat(keys)}")
+    keys = keys.reshape(2, -1)
+    if small:
+        repeated = len(set(zip(ii, jj))) < len(entries)
+    else:  # the writer sorts entries by (i, j), which makes code increase strictly
+        code = keys[0] * dim + keys[1]
+        repeated = not (code[1:] > code[:-1]).all() and np.unique(code).size < code.size
+    if repeated:
+        raise ValueError(f"duplicate structure constant key {_first_repeat(list(zip(ii, jj)))}")
     pairs = list(chain.from_iterable(nzs))
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         raise ValueError("each nz item must be a pair [m, v]")
     flat = list(chain.from_iterable(pairs))
     if not _ints(flat):
         raise ValueError("nz coordinates and values must be JSON ints")
-    ms, vs = flat[0::2], flat[1::2]
-    if ms and not (0 <= min(ms) and max(ms) < dim):
+    ms = _below(flat[0::2], dim, small)
+    if ms is None:
         raise ValueError(f"nz coordinate out of range [0, {dim})")
-    # ints outside [0, p), which may not fit int64, are reduced before numpy sees them
-    if vs and not (0 <= min(vs) and max(vs) < p):
-        vs = [v % p for v in vs]
-    at = np.repeat(np.arange(len(keys)) * dim, list(map(len, nzs))) + np.array(ms, dtype=np.int64)
+    try:
+        vs = np.array(flat[1::2], dtype=np.int64)
+    except OverflowError:  # ints beyond int64 are reduced exactly before numpy sees them
+        vs = np.array([v % p for v in flat[1::2]], dtype=np.int64)
+    if not in_range(vs, p):
+        np.mod(vs, p, out=vs)
+    at = np.repeat(np.arange(len(entries)) * dim, list(map(len, nzs))) + ms
     # the writer lists each entry's m in increasing order, which makes at increase strictly
     if not (at[1:] > at[:-1]).all() and np.unique(at).size < at.size:
         n, m = divmod(_first_repeat(at.tolist()), dim)
-        raise ValueError(f"nz coordinate {m} listed twice for structure constant key {keys[n]}")
-    rows = np.zeros((len(keys), dim), dtype=np.int64)
+        raise ValueError(f"nz coordinate {m} listed twice for structure constant key {(ii[n], jj[n])}")
+    rows = np.zeros((len(entries), dim), dtype=np.int64)
     rows.reshape(-1)[at] = vs
     return keys, rows
 
@@ -119,7 +146,7 @@ def _checked_sc(entries: list, p: int, dim: int) -> tuple[list, np.ndarray]:
 class StructureConstantAlgebra:
     """A finite-dimensional algebra over GF(p) given by structure constants."""
 
-    __slots__ = ("kind", "field", "dim", "sc", "labels", "_rows", "_table", "_comm")
+    __slots__ = ("kind", "field", "dim", "labels", "_keys", "_rows", "_sc", "_table", "_comm")
 
     def __init__(self, kind: str, field: PrimeField, dim: int, sc: dict, labels=None):
         kind = _checked_kind(kind, dim)
@@ -128,47 +155,48 @@ class StructureConstantAlgebra:
         self._init(kind, field, dim, keys, rows, labels)
 
     @classmethod
-    def _from_rows(cls, kind: str, field: PrimeField, dim: int, keys: list, rows: np.ndarray, labels=None):
-        """The algebra with e_i e_j = rows[n] for (i, j) = keys[n], n < N.
-
-        keys must be distinct pairs of ints in [0, dim) and rows an (N, dim)
-        int64 array, which the algebra takes over and reduces in place.
-        """
+    def _from_rows(cls, kind: str, field: PrimeField, dim: int, keys: np.ndarray, rows: np.ndarray, labels=None):
+        """The algebra with e_i e_j = rows[n] for (i, j) = keys[:, n], taking over a
+        (2, N) int64 array of distinct keys in [0, dim) and (N, dim) int64 rows,
+        which must already be reduced mod p.  Every caller's are: :func:`_checked_sc`
+        reduces what it reads, and :mod:`commdim.construct` passes form entries,
+        an algebra's rows and 0/1."""
         a = cls.__new__(cls)
         a._init(_checked_kind(kind, dim), field, dim, keys, rows, labels)
         return a
 
-    def _init(self, kind: str, field: PrimeField, dim: int, keys: list, rows: np.ndarray, labels) -> None:
-        self.kind = kind
-        self.field = field
-        self.dim = dim
-        np.mod(rows, field.p, out=rows)
-        rows.flags.writeable = False
-        # one (N, d) array; sc maps each key to a read-only row view of it
-        self._rows = rows
-        self.sc = dict(zip(keys, rows))
+    def _init(self, kind: str, field: PrimeField, dim: int, keys: np.ndarray, rows: np.ndarray, labels) -> None:
+        self.kind, self.field, self.dim = kind, field, dim
+        keys.flags.writeable = rows.flags.writeable = False
+        self._keys, self._rows, self._sc, self._table, self._comm = keys, rows, None, None, None
         if labels is not None:
             labels = [str(x) for x in labels]
             if len(labels) != dim:
                 raise ValueError("label count must equal dim")
         self.labels = labels
-        self._table = None
-        self._comm = None
 
     @property
     def p(self) -> int:
         return self.field.p
+
+    @property
+    def sc(self) -> dict:
+        """{(i, j): read-only row e_i e_j} for every stored key, in stored order."""
+        if self._sc is None:
+            self._sc = dict(zip(zip(*self._keys.tolist()), self._rows))
+        return self._sc
 
     def table(self) -> np.ndarray:
         """Dense (d, d, d) product tensor T with T[i, j] = e_i e_j."""
         if self._table is None:
             d, p = self.dim, self.p
             t = np.zeros((d, d, d), dtype=np.int64)
-            i, j = np.array(list(self.sc), dtype=np.intp).reshape(-1, 2).T
+            i, j = self._keys
+            if self.kind == KIND_LIE:  # every reverse first, so that stored keys win
+                neg = p - self._rows  # in (0, p], the rows being reduced
+                neg[neg == p] = 0
+                t[j, i] = neg
             t[i, j] = self._rows
-            if self.kind == KIND_LIE:
-                derived = np.array([a != b and (b, a) not in self.sc for a, b in self.sc], dtype=bool)
-                t[j[derived], i[derived]] = (-self._rows[derived]) % p
             t.flags.writeable = False
             self._table = t
         return self._table
@@ -180,7 +208,8 @@ class StructureConstantAlgebra:
             if self.kind == KIND_LIE:
                 self._comm = t
             else:
-                c = (t - t.transpose(1, 0, 2)) % self.p
+                c = t - t.transpose(1, 0, 2)  # in (-p, p)
+                np.add(c, self.p, out=c, where=c < 0)
                 c.flags.writeable = False
                 self._comm = c
         return self._comm
@@ -193,12 +222,17 @@ class StructureConstantAlgebra:
 
     def to_json(self) -> dict:
         """The schema-2 JSON form: entries sorted by (i, j), their nz pairs by m."""
-        rows = self._rows
-        r, m = np.nonzero(rows)  # row-major, so grouped by entry and sorted by m
-        nz = list(map(list, zip(m.tolist(), rows[r, m].tolist())))
+        keys, rows, d = self._keys, self._rows, self.dim
+        code = keys[0] * d + keys[1]
+        if not (code[1:] > code[:-1]).all():  # stored out of order, as by unitalize
+            order = np.argsort(code)
+            keys, rows = keys[:, order], rows[order]
+        at = np.flatnonzero(rows != 0)  # row-major, so grouped by entry and sorted by m
+        r, m = np.divmod(at, d)
+        nz = np.array((m, rows.reshape(-1)[at])).T.tolist()
         ends = np.bincount(r, minlength=len(rows)).cumsum().tolist()
-        groups = [nz[a:b] for a, b in zip([0, *ends], ends)]
-        entries = [{"i": i, "j": j, "nz": g} for (i, j), g in sorted(zip(self.sc, groups))]
+        ii, jj = keys.tolist()
+        entries = [{"i": i, "j": j, "nz": nz[a:b]} for i, j, a, b in zip(ii, jj, [0, *ends], ends)]
         kind = "lie" if self.kind == KIND_LIE else "assoc"
         obj = {"schema": ALGEBRA_SCHEMA, "kind": kind, "p": self.p, "dim": self.dim, "sc": entries}
         if self.labels is not None:
@@ -317,7 +351,8 @@ def verify_axioms(a: StructureConstantAlgebra) -> AxiomReport:
         return AxiomReport("assoc", {"associative": v is None}, v)
     # Alternating: zero diagonal and T[i,j] = -T[j,i], scanned row-major over
     # j <= i so a tampered reversed key (i, j) with i > j is the one reported.
-    bad = ((t + t.transpose(1, 0, 2)) % p).any(axis=2)
+    both = t + t.transpose(1, 0, 2)  # in [0, 2p - 2], so 0 mod p only at 0 and p
+    bad = ((both != 0) & (both != p)).any(axis=2)
     np.fill_diagonal(bad, np.einsum("iik->ik", t).any(axis=1))
     hits = np.argwhere(np.tril(bad))
     alt_violation = tuple(int(x) for x in hits[0]) if hits.size else None
@@ -414,8 +449,6 @@ def is_abelian_subspace(a: StructureConstantAlgebra, s: Subspace) -> bool:
             f"product of basis vectors {i} and {j} falls outside the subspace",
             pair=(i, j),
         )
-    if a.kind == KIND_LIE:
-        return not prods.any()
-    comm = (prods - prods.transpose(1, 0, 2)) % a.p
-    return not comm.any()
+    # the products are reduced, so xy - yx vanishes exactly where xy = yx
+    return not prods.any() if a.kind == KIND_LIE else np.array_equal(prods, prods.transpose(1, 0, 2))
 

@@ -221,9 +221,7 @@ class BoundVerdict:
         }
 
 
-def check_structural_bound(
-    a: StructureConstantAlgebra, n: int, structure: str
-) -> BoundVerdict:
+def check_structural_bound(a: StructureConstantAlgebra, n: int, structure: str) -> BoundVerdict:
     """Assert the structural inequality matching the algebra's shape.
 
     nilpotent (Lie) and nilpotent-assoc: dim <= n(n+1)/2; class2 (class at

@@ -131,15 +131,8 @@ def _run(args) -> int:
         if args.seed is None:
             raise ValueError("certify requires an explicit --seed")
         cert = certify_no_isotropic(
-            args.n,
-            args.t,
-            args.k,
-            PrimeField(args.p),
-            seed=args.seed,
-            max_attempts=args.max_attempts,
-            kind=args.kind,
-            mode=args.mode,
-            budget=args.budget,
+            args.n, args.t, args.k, PrimeField(args.p), seed=args.seed, max_attempts=args.max_attempts,
+            kind=args.kind, mode=args.mode, budget=args.budget,
         )
         _emit(cert.to_json(), args.output)
         return 0

@@ -62,10 +62,9 @@ def _two_step_algebra(forms: FormTuple, kind: str) -> StructureConstantAlgebra:
     pairs = mats.any(axis=0)
     if kind == "lie":
         pairs = np.triu(pairs, 1)
-    left, right = np.nonzero(pairs)
-    rows = np.zeros((len(left), n + t), dtype=np.int64)
-    rows[:, n:] = mats[:, left, right].T
-    keys = list(zip(left.tolist(), right.tolist()))
+    keys = np.array(np.nonzero(pairs), dtype=np.int64)
+    rows = np.zeros((keys.shape[1], n + t), dtype=np.int64)
+    rows[:, n:] = mats[:, keys[0], keys[1]].T
     labels = [f"e{i + 1}" for i in range(n)] + [f"f{m + 1}" for m in range(t)]
     return StructureConstantAlgebra._from_rows(kind, forms.field, n + t, keys, rows, labels)
 
@@ -86,12 +85,14 @@ def unitalize(a: StructureConstantAlgebra) -> StructureConstantAlgebra:
     """Adjoin a two-sided identity as the last basis vector."""
     if a.kind != "assoc":
         raise ValueError("unitalization applies to associative algebras only")
-    d, n = a.dim, len(a.sc)
+    d, n = a.dim, len(a._rows)
     # the products of a, then e_i 1 = 1 e_i = e_i for i < d, then 1 1 = 1
-    keys = list(a.sc) + [key for i in range(d) for key in ((i, d), (d, i))] + [(d, d)]
+    unit = np.arange(d)
+    keys = np.full((2, n + 2 * d + 1), d, dtype=np.int64)
+    keys[:, :n] = a._keys
+    keys[0, n : n + 2 * d : 2] = keys[1, n + 1 : n + 2 * d : 2] = unit
     rows = np.zeros((n + 2 * d + 1, d + 1), dtype=np.int64)
     rows[:n, :d] = a._rows
-    unit = np.arange(d)
     rows[n + 2 * unit, unit] = rows[n + 2 * unit + 1, unit] = 1
     rows[-1, d] = 1
     labels = None if a.labels is None else list(a.labels) + ["1"]
@@ -109,7 +110,7 @@ def matrix_algebra(r: int, field: PrimeField) -> StructureConstantAlgebra:
     ia, ib, ic = np.indices((r, r, r)).reshape(3, -1)
     rows = np.zeros((r**3, d), dtype=np.int64)
     rows[np.arange(r**3), ia * r + ic] = 1
-    keys = list(zip((ia * r + ib).tolist(), (ib * r + ic).tolist()))
+    keys = np.array((ia * r + ib, ib * r + ic), dtype=np.int64)
     labels = [f"E{a_ + 1}_{b + 1}" for a_ in range(r) for b in range(r)]
     return StructureConstantAlgebra._from_rows("assoc", field, d, keys, rows, labels)
 

@@ -95,13 +95,8 @@ class FormTuple:
         return f"FormTuple(n={self.n}, t={self.t}, kind={self.kind!r}, p={self.p}, seed={self.seed})"
 
     def to_json(self) -> dict:
-        obj = {
-            "n": self.n,
-            "t": self.t,
-            "kind": self.kind,
-            "p": self.p,
-            "mats": [matrix_to_json(self.p, m) for m in self._stack],
-        }
+        obj = {"n": self.n, "t": self.t, "kind": self.kind, "p": self.p,
+               "mats": [matrix_to_json(self.p, m) for m in self._stack]}
         if self.seed is not None:
             obj["seed"] = self.seed
         return obj

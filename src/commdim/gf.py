@@ -121,18 +121,27 @@ def json_field(obj, key: str, kind: str, default=_REQUIRED):
 def matrix_to_json(p: int, a: np.ndarray) -> dict:
     """The JSON form of a 2-dimensional array over GF(p), entries row-major."""
     rows, cols = a.shape
-    return {"p": p, "rows": rows, "cols": cols, "entries": [int(x) for x in a.reshape(-1)]}
+    return {"p": p, "rows": rows, "cols": cols, "entries": a.reshape(-1).tolist()}
 
 
 def matrix_from_json(obj) -> tuple[int, np.ndarray]:
     """(p, reduced (rows, cols) array) from the JSON form of :func:`matrix_to_json`."""
     p = PrimeField(json_field(obj, "p", "int")).p
     rows, cols = json_field(obj, "rows", "int"), json_field(obj, "cols", "int")
-    # ints outside [0, p), which may not fit int64, are reduced before numpy sees them
-    entries = [x % p for x in json_field(obj, "entries", "ints")]
+    entries = json_field(obj, "entries", "ints")
     if len(entries) != rows * cols:
         raise ValueError("entry count does not match rows*cols")
-    return p, np.array(entries, dtype=np.int64).reshape(rows, cols)
+    try:
+        a = np.array(entries, dtype=np.int64)
+    except OverflowError:  # ints beyond int64 are reduced exactly before numpy sees them
+        a = np.array([x % p for x in entries], dtype=np.int64)
+    return p, (a if in_range(a, p) else np.mod(a, p)).reshape(rows, cols)
+
+
+def in_range(a: np.ndarray, bound: int) -> bool:
+    """True iff every entry of the int64 array a lies in [0, bound): one
+    reduction, since a negative int64 read as uint64 is at least 2**63."""
+    return not a.size or bool(a.view(np.uint64).max() < bound)
 
 
 def _rref_rows(m: list[list[int]], p: int) -> tuple[int, list[int]]:
@@ -188,8 +197,12 @@ def rref_array(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
     if m.size <= SMALL_MATRIX_CELLS:
         return _rref_dense(np.mod(m, p), p)
     nonzero = m.any(axis=1)  # rows that are zero only mod p stay; every path takes zero rows
-    kept = np.mod(m if nonzero.all() else m[nonzero], p)
-    rank, red, pivots = (_rref_tall if len(kept) > 2 * m.shape[1] else _rref_dense)(kept, p)
+    kept = m if nonzero.all() else m[nonzero]
+    kept = kept if in_range(kept, p) else np.mod(kept, p)
+    if len(kept) > 2 * m.shape[1]:
+        rank, red, pivots = _rref_tall(kept, p)
+    else:  # _rref_dense overwrites its input, which must not share the caller's memory
+        rank, red, pivots = _rref_dense(kept.copy() if kept is m else kept, p)
     if len(kept) == len(m):
         return rank, red, pivots
     out = np.zeros(m.shape, dtype=np.int64)

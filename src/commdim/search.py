@@ -27,9 +27,8 @@ restricted to the columns that are not pivots, and one affine solve per
 lead starts an odometer over that lead's children.  The greedy procedure
 carries the canonical basis of its solution space from pick to pick, and
 restricts it to the next pick's centralizer by one nullspace in its
-coordinates; :func:`maximal_abelian_ideal`, whose system is not monotone in
-the ideal, solves afresh at every step.  Both take their centralizer rows
-from :func:`~commdim.algebra._centralizer_system` and their residuals from
+coordinates.  It takes its centralizer rows from
+:func:`~commdim.algebra._centralizer_system` and its residuals from
 :func:`~commdim.gf.reduce_against_rref`, each one exact product.
 """
 
@@ -43,7 +42,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import (
-    KIND_LIE,
     StructureConstantAlgebra,
     _center_system,
     _centralizer_system,
@@ -404,9 +402,7 @@ def _split_over_center(a: StructureConstantAlgebra, z: Subspace) -> tuple[list[i
     return comp, a.commutator_table()[np.ix_(comp, comp)]
 
 
-def _isotropic_over_center(
-    a: StructureConstantAlgebra, z: Subspace, budget: int
-) -> tuple[Subspace, IsotropicSearch]:
+def _isotropic_over_center(a: StructureConstantAlgebra, z: Subspace, budget: int) -> tuple[Subspace, IsotropicSearch]:
     """The center z plus the first largest common isotropic subspace found for
     the commutator forms on the complement of z; forms that vanish there are dropped.
     """
@@ -420,9 +416,7 @@ def _isotropic_over_center(
     return Subspace(a.p, np.concatenate([emb, z.basis])), res
 
 
-def max_abelian_exact(
-    a: StructureConstantAlgebra, budget: int = DEFAULT_SEARCH_BUDGET
-) -> SearchResult:
+def max_abelian_exact(a: StructureConstantAlgebra, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
     """Exact maximum dimension of a commutative subalgebra, with witness.
 
     The center plus the largest common isotropic subspace of the commutator
@@ -449,9 +443,7 @@ def _class2_center(a: StructureConstantAlgebra) -> Subspace:
     return center(a)
 
 
-def class2_form_tuple(
-    a: StructureConstantAlgebra,
-) -> tuple[FormTuple, Subspace, list[int]]:
+def class2_form_tuple(a: StructureConstantAlgebra) -> tuple[FormTuple, Subspace, list[int]]:
     """Split a class-<=2 algebra into (induced forms, center, complement coords).
 
     Commutators of the complement's unit vectors (see
@@ -465,9 +457,7 @@ def class2_form_tuple(
     return FormTuple(len(comp), z.dim, "alternating", a.field, mats), z, comp
 
 
-def class2_exact_result(
-    a: StructureConstantAlgebra, budget: int = DEFAULT_SEARCH_BUDGET
-) -> SearchResult:
+def class2_exact_result(a: StructureConstantAlgebra, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
     """Exact maximum via the isotropic reduction, with an embedded witness."""
     witness, res = _isotropic_over_center(a, _class2_center(a), budget)
     res.require_complete()
@@ -503,28 +493,3 @@ def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
     if a.dim > (s * s) // 4 + s:
         raise ValueError(f"greedy output s = {s} breaks dim {a.dim} <= floor(s^2/4) + s")
     return SearchResult("greedy", s, witness, False)
-
-
-def maximal_abelian_ideal(a: StructureConstantAlgebra) -> Subspace:
-    """Greedily extend the center to an inclusion-maximal abelian ideal.
-
-    Each step adjoins the first canonical solution x outside the current
-    ideal i of [x, g] inside i for all g and [x, i] = 0.  That system is not
-    monotone in i, so each step solves it afresh.  Requires a nilpotent Lie
-    algebra; the loop then ends with an abelian ideal admitting no
-    one-element extension.
-    """
-    if a.kind != KIND_LIE:
-        raise ValueError("maximal_abelian_ideal requires a Lie algebra")
-    if nilpotency_class(a) is None:
-        raise ValueError("maximal_abelian_ideal requires a nilpotent Lie algebra")
-    d, p, t = a.dim, a.p, a.table()
-    ideal = center(a)
-    while True:
-        # [x, e_j] in ideal for all j: rows ((j, l), i) of T[i,j,:] reduced against the ideal
-        cond_ideal = reduce_against_rref(t, ideal.basis, ideal.pivots, p).transpose(1, 2, 0).reshape(d * d, d)
-        sol = nullspace_array(np.concatenate([cond_ideal, _centralizer_system(a, ideal.basis)]), p)
-        new = next((row for row in sol if not ideal.contains_vector(row)), None)
-        if new is None:
-            return ideal
-        ideal = ideal.sum(Subspace.span(p, [new]))

@@ -2,11 +2,13 @@
 
 Everything here goes through plain enumeration and is deliberately kept
 separate from the search it validates; exhaustive subspace enumeration
-lives only here.
+lives only here.  :func:`maximal_abelian_ideal`, which no command uses,
+lives here too, checked against :func:`abelian_ideal_extension`.
 """
 
 import itertools
 import random
+from itertools import chain
 
 import numpy as np
 
@@ -14,10 +16,13 @@ from commdim import (
     PrimeField,
     StructureConstantAlgebra,
     Subspace,
+    center,
     largest_common_isotropic,
+    nilpotency_class,
     sample_form_tuple,
 )
-from commdim.gf import nullspace_array, rref_array, rref_arrays_for_pivots, solve_affine
+from commdim.algebra import _centralizer_system
+from commdim.gf import json_field, nullspace_array, reduce_against_rref, rref_array, rref_arrays_for_pivots, solve_affine
 from commdim.search import IsotropicSearch, SearchResult
 
 
@@ -306,3 +311,82 @@ def random_invertible(p: int, n: int, rng: random.Random) -> np.ndarray:
 
 def random_alternating_tuple(rng: random.Random, p: int, n: int, t: int):
     return sample_form_tuple(n, t, "alternating", PrimeField(p), rng.randrange(10**9))
+
+
+def maximal_abelian_ideal(a: StructureConstantAlgebra) -> Subspace:
+    """Greedily extend the center to an inclusion-maximal abelian ideal.
+
+    Each step adjoins the first canonical solution x outside the current
+    ideal i of [x, g] inside i for all g and [x, i] = 0.  That system is not
+    monotone in i, so each step solves it afresh.  Requires a nilpotent Lie
+    algebra; the loop then ends with an abelian ideal admitting no
+    one-element extension.
+    """
+    if a.kind != "lie":
+        raise ValueError("maximal_abelian_ideal requires a Lie algebra")
+    if nilpotency_class(a) is None:
+        raise ValueError("maximal_abelian_ideal requires a nilpotent Lie algebra")
+    d, p, t = a.dim, a.p, a.table()
+    ideal = center(a)
+    while True:
+        # [x, e_j] in ideal for all j: rows ((j, l), i) of T[i,j,:] reduced against the ideal
+        cond_ideal = reduce_against_rref(t, ideal.basis, ideal.pivots, p).transpose(1, 2, 0).reshape(d * d, d)
+        sol = nullspace_array(np.concatenate([cond_ideal, _centralizer_system(a, ideal.basis)]), p)
+        new = next((row for row in sol if not ideal.contains_vector(row)), None)
+        if new is None:
+            return ideal
+        ideal = ideal.sum(Subspace.span(p, [new]))
+
+
+# the schema-2 reader as it was before its checks moved onto numpy arrays, kept
+# verbatim with its two helpers to pin the reader's results and messages
+def _ints(values) -> bool:
+    return set(map(type, values)) <= {int}  # bool is a subclass of int, and not a JSON int
+
+
+def _first_repeat(items: list):
+    """The first item equal to an earlier one, or None."""
+    seen = set()
+    return next((x for x in items if x in seen or seen.add(x)), None)
+
+
+def reference_checked_sc(entries: list, p: int, dim: int) -> tuple[list, np.ndarray]:
+    """(keys, (N, dim) rows) of schema-2 entries, each field type-checked once over the list;
+    the dict constructor and version-1 documents reach it through :func:`_dense_entries`."""
+    try:
+        ii = [e["i"] for e in entries]
+        jj = [e["j"] for e in entries]
+        nzs = [e["nz"] for e in entries]
+        ok = _ints(ii) and _ints(jj) and set(map(type, nzs)) <= {list}
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:  # again one entry at a time, to name the field at fault
+        for e in entries:
+            json_field(e, "i", "int"), json_field(e, "j", "int"), json_field(e, "nz", "list")
+        raise ValueError("each structure constant entry needs JSON ints i, j and a JSON list nz")
+    keys = list(zip(ii, jj))
+    if keys and not (0 <= min(ii) and max(ii) < dim and 0 <= min(jj) and max(jj) < dim):
+        bad = next(key for key in keys if not (0 <= key[0] < dim and 0 <= key[1] < dim))
+        raise ValueError(f"structure constant key {bad} out of range")
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate structure constant key {_first_repeat(keys)}")
+    pairs = list(chain.from_iterable(nzs))
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        raise ValueError("each nz item must be a pair [m, v]")
+    flat = list(chain.from_iterable(pairs))
+    if not _ints(flat):
+        raise ValueError("nz coordinates and values must be JSON ints")
+    ms, vs = flat[0::2], flat[1::2]
+    if ms and not (0 <= min(ms) and max(ms) < dim):
+        raise ValueError(f"nz coordinate out of range [0, {dim})")
+    # ints outside [0, p), which may not fit int64, are reduced before numpy sees them
+    if vs and not (0 <= min(vs) and max(vs) < p):
+        vs = [v % p for v in vs]
+    at = np.repeat(np.arange(len(keys)) * dim, list(map(len, nzs))) + np.array(ms, dtype=np.int64)
+    # the writer lists each entry's m in increasing order, which makes at increase strictly
+    if not (at[1:] > at[:-1]).all() and np.unique(at).size < at.size:
+        n, m = divmod(_first_repeat(at.tolist()), dim)
+        raise ValueError(f"nz coordinate {m} listed twice for structure constant key {keys[n]}")
+    rows = np.zeros((len(keys), dim), dtype=np.int64)
+    rows.reshape(-1)[at] = vs
+    return keys, rows

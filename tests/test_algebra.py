@@ -18,7 +18,6 @@ from commdim import (
     centralizer,
     is_abelian_subspace,
     matrix_algebra,
-    maximal_abelian_ideal,
     nilpotency_class,
     sample_form_tuple,
     unitalize,
@@ -32,6 +31,7 @@ from oracles import (
     first_axiom_violation,
     is_commutative_subspace,
     is_subalgebra,
+    maximal_abelian_ideal,
     reference_center,
     reference_centralizer_system,
     reference_nilpotency_class,

@@ -1,0 +1,241 @@
+"""The algebra JSON layer: pinned bytes, the schema-2 reader against its
+reference, ints beyond int64, and the lazily built ``sc`` map."""
+
+import copy
+import hashlib
+import json
+import pathlib
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from commdim import (
+    PrimeField,
+    StructureConstantAlgebra,
+    build_assoc_from_forms,
+    build_lie_from_forms,
+    matrix_algebra,
+    sample_form_tuple,
+    unitalize,
+)
+from commdim.algebra import _checked_sc
+from commdim.cli import _ENCODER, main
+from commdim.gf import SMALL_MATRIX_CELLS
+from oracles import reference_checked_sc
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+
+
+def _pinned_algebra(name: str) -> StructureConstantAlgebra:
+    if name == "lie-d7":
+        return build_lie_from_forms(sample_form_tuple(4, 3, "alternating", F3, 0))
+    if name == "pipeline-d12":
+        return StructureConstantAlgebra.from_json(json.loads((GOLDEN / "alg_lie_n7_t5_p2_seed1000_v1.json").read_text()))
+    if name in ("lie-d24", "lie-d48"):
+        n, t = (18, 6) if name == "lie-d24" else (40, 8)
+        return build_lie_from_forms(sample_form_tuple(n, t, "alternating", F2, 1))
+    if name in ("assoc-d24", "assoc-d48"):
+        n, t = (18, 6) if name == "assoc-d24" else (40, 8)
+        return build_assoc_from_forms(sample_form_tuple(n, t, "general", F2, 1))
+    if name == "unital-d49":
+        return unitalize(_pinned_algebra("assoc-d48"))
+    if name in ("M3", "M8"):
+        return matrix_algebra(3, F3) if name == "M3" else matrix_algebra(8, F2)
+    # keys out of order, an explicit reverse key (1, 0) and a stored zero product (0, 2)
+    sc = {(2, 3): [1, 0, 0, 4], (0, 1): [0, 0, 3, 0], (1, 0): [0, 0, 1, 1], (0, 2): [0, 0, 0, 0]}
+    return StructureConstantAlgebra("lie", F5, 4, sc)
+
+
+# sha256 of the CLI's encoding of each algebra's document, as written by
+# commdim 0.3.0 before the writer ran on numpy arrays
+PINNED = {
+    "lie-d7": "5202627e5c366a9c6ca03dadd0b3128c4a87dfbc81f79f2a0bd876867849c533",
+    "pipeline-d12": "26782c8cbc5e3613dd7d49c4cc247807751c5b3625eefa4f3ed6a77860e49c98",
+    "lie-d24": "80c1f8f87beacf5c533383d8f371c1655190b079bdc6a6ef229c4dcc0e46ccf3",
+    "assoc-d24": "afe7c043f8e7073e3389a6e40ec2f4fcc277a991e4a53627e31f650661f06ab9",
+    "lie-d48": "bde078018f7e44f1af72f237f5b931beca36c74e9b740fef4bd4c436251a6f1c",
+    "assoc-d48": "82c20cfea0ee84f89273005a65ae4f915c882957293d90191491be2c3069e617",
+    "unital-d49": "097d80db6daa3dcb1e6ba21f28dc76f2c70df7ffa0e063ed00e1a447ef636cbc",
+    "M3": "774ac0b0b370a25ffd64299eaa0fdc5d80db08b5d48bd66d847f6a10dd0fc8e3",
+    "M8": "a2531460af3e9fc51b9aa4f4eeb1e29742c367b7c8a5a2917401944595a40317",
+    "lie-overrides": "0af350046dded67d4a8e397127b731d6226a041fb1bcd650b7f9416a32fe6637",
+}
+
+
+def _digest(a: StructureConstantAlgebra) -> str:
+    return hashlib.sha256(_ENCODER.encode(a.to_json()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_documents_keep_their_bytes(name):
+    a = _pinned_algebra(name)
+    assert _digest(a) == PINNED[name]
+    # read back from its own text, the algebra writes the same bytes and table
+    back = StructureConstantAlgebra.from_json(json.loads(_ENCODER.encode(a.to_json())))
+    assert _digest(back) == PINNED[name]
+    assert np.array_equal(back.table(), a.table())
+
+
+# ---------------------------------------------------------------- the reader against its reference
+
+
+def _outcome(reader, entries, p, dim):
+    """(stored keys as tuples, rows) of a reader, or the text of its ValueError."""
+    try:
+        keys, rows = reader(copy.deepcopy(entries), p, dim)
+    except ValueError as exc:
+        return str(exc)
+    keys = keys if isinstance(keys, list) else list(zip(*keys.tolist()))
+    assert rows.dtype == np.int64 and rows.shape == (len(keys), dim)
+    return keys, rows.tolist()
+
+
+_BAD_INTS = [True, False, 1.0, 2.5, -1, 2**64, -(2**70), 7**40 + 1]
+
+
+@st.composite
+def mutated_entries(draw):
+    """(entries, p, dim): a valid schema-2 entry list, small or large against
+    SMALL_MATRIX_CELLS, with up to three faults or big values put in."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    dim = draw(st.integers(1, 40))
+    n = draw(st.integers(0, min(30, dim * dim)))
+    keys = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        keys.sort()
+    entries = []
+    for i, j in keys:
+        ms = draw(st.lists(st.integers(0, dim - 1), max_size=min(dim, 5), unique=True))
+        if draw(st.booleans()):
+            ms.sort()
+        entries.append({"i": i, "j": j, "nz": [[m, draw(st.integers(1, p - 1))] for m in ms]})
+    for _ in range(draw(st.integers(0, 3))):
+        if not entries:
+            break
+        e = entries[draw(st.integers(0, len(entries) - 1))]
+        fault = draw(st.sampled_from(["key", "coordinate", "value", "short", "long", "pair twice", "key twice",
+                                      "key range", "coordinate range", "not a list", "missing"]))
+        bad = draw(st.sampled_from(_BAD_INTS + [dim, dim + 1]))
+        if fault == "key":
+            e[draw(st.sampled_from("ij"))] = bad
+        elif fault == "key range":
+            e[draw(st.sampled_from("ij"))] = draw(st.sampled_from([-1, dim, 2**64, -(2**70)]))
+        elif fault == "key twice":
+            entries.append(copy.deepcopy(e))
+        elif fault == "not a list":
+            e["nz"] = draw(st.sampled_from([None, {}, 3, "nz"]))
+        elif fault == "missing":
+            del e[draw(st.sampled_from(["i", "j", "nz"]))]
+        elif not isinstance(e.get("nz"), list):
+            continue  # an earlier fault took the pairs away
+        elif not e["nz"]:
+            e["nz"].append([draw(st.integers(0, dim - 1)), 1])
+        else:
+            pair = e["nz"][draw(st.integers(0, len(e["nz"]) - 1))]
+            if len(pair) < 2:
+                continue
+            if fault == "coordinate":
+                pair[0] = bad
+            elif fault == "coordinate range":
+                pair[0] = draw(st.sampled_from([-1, dim, 2**64, -(2**70)]))
+            elif fault == "value":
+                pair[1] = bad
+            elif fault == "short":
+                del pair[1:]
+            elif fault == "long":
+                pair.append(0)
+            else:
+                e["nz"].append(list(pair))
+    return entries, p, dim
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(mutated_entries())
+def test_reader_matches_its_reference(case):
+    entries, p, dim = case
+    assert _outcome(_checked_sc, entries, p, dim) == _outcome(reference_checked_sc, entries, p, dim)
+
+
+# ---------------------------------------------------------------- ints beyond int64
+
+
+def _large(nz: list, key=(0, 1)) -> dict:
+    """A schema-2 p = 3 document of dim 24 with 23 keys, more cells than the
+    small-document checks take; the first entry has key and nz as given."""
+    sc = [{"i": key[0], "j": key[1], "nz": nz}] + [{"i": 1, "j": j, "nz": [[0, 1]]} for j in range(2, 24)]
+    assert len(sc) * 24 > SMALL_MATRIX_CELLS
+    return {"schema": 2, "kind": "assoc", "p": 3, "dim": 24, "sc": sc}
+
+
+def _small(nz: list, key=(0, 1)) -> dict:
+    return {"schema": 2, "kind": "assoc", "p": 3, "dim": 3, "sc": [{"i": key[0], "j": key[1], "nz": nz}]}
+
+
+_BEYOND = [2**64, -(2**70)]
+
+
+@pytest.mark.parametrize("doc", [_small, _large], ids=["small", "large"])
+@pytest.mark.parametrize("big", _BEYOND)
+def test_ints_beyond_int64_are_out_of_range(doc, big, tmp_path, capsys):
+    faulty = [
+        (doc([[big, 1]]), "nz coordinate out of range"),
+        (doc([[0, 1]], key=(big, 1)), f"structure constant key ({big}, 1) out of range"),
+        (doc([[0, 1]], key=(0, big)), f"structure constant key (0, {big}) out of range"),
+    ]
+    for obj, message in faulty:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StructureConstantAlgebra.from_json(obj)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(obj))
+        code = main(["verify", "--alg", str(path)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(out) == 1 and message in json.loads(out[0])["error"]
+
+
+@pytest.mark.parametrize("doc", [_small, _large], ids=["small", "large"])
+def test_values_beyond_int64_reduce_exactly(doc, tmp_path, capsys):
+    obj = doc([[0, 7**40 + 1], [2, -(2**70)]])
+    a = StructureConstantAlgebra.from_json(obj)
+    assert a.to_json()["sc"][0]["nz"] == [[0, (7**40 + 1) % 3], [2, -(2**70) % 3]]
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    assert main(["unitalize", "--alg", str(path)]) == 0
+    unit = json.loads(capsys.readouterr().out)
+    assert unit["sc"][0] == {"i": 0, "j": 1, "nz": [[0, (7**40 + 1) % 3], [2, -(2**70) % 3]]}
+
+
+# ---------------------------------------------------------------- sc stays API
+
+
+def test_sc_maps_every_stored_key_to_a_read_only_row():
+    a = _pinned_algebra("lie-overrides")
+    doc, table = _ENCODER.encode(a.to_json()), a.table().copy()
+    b = StructureConstantAlgebra.from_json(json.loads(doc))
+    expected = {(2, 3): [1, 0, 0, 4], (0, 1): [0, 0, 3, 0], (1, 0): [0, 0, 1, 1], (0, 2): [0, 0, 0, 0]}
+    for alg, order in ((a, list(expected)), (b, sorted(expected))):
+        assert list(alg.sc) == order  # stored order: the constructor's, or the document's
+        assert {key: row.tolist() for key, row in alg.sc.items()} == expected
+        for row in alg.sc.values():
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 1
+        assert alg.sc is alg.sc
+        # reading sc leaves the document and the table as they were
+        assert _ENCODER.encode(alg.to_json()) == doc
+        assert np.array_equal(alg.table(), table)
+    # the explicit reverse key wins over the derived negation
+    assert a.table()[1, 0].tolist() == [0, 0, 1, 1] and a.table()[3, 2].tolist() == [4, 0, 0, 1]
+
+
+def test_sc_of_built_algebras():
+    lie = _pinned_algebra("lie-d7")
+    unit = unitalize(build_assoc_from_forms(sample_form_tuple(2, 3, "general", F3, 0)))
+    for a in (lie, unit, matrix_algebra(2, F3)):
+        t = a.table()
+        assert len(a.sc) == len(a.to_json()["sc"])
+        assert all(np.array_equal(t[i, j], row) for (i, j), row in a.sc.items())
+    d = unit.dim - 1
+    assert (d, d) in unit.sc and unit.sc[(d, d)].tolist() == [0] * d + [1]

@@ -391,3 +391,17 @@ def test_nullspace_solves(system):
         assert not ((a @ ns.T) % p).any()
         ns_rank, ns_rref, _ = rref_array(ns, p)
         assert ns_rank == ns.shape[0] and np.array_equal(ns_rref, ns)  # the canonical basis
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gf_systems())
+def test_rref_leaves_its_input_alone_whether_reduced_or_not(system):
+    # a reduced input skips the mod, so the numpy path must copy it before eliminating in place
+    p, a, _ = system
+    outputs = []
+    with mock.patch.object(gf, "SMALL_MATRIX_CELLS", -1):
+        for m in (a, a % p, a % p - p):
+            before = m.copy()
+            outputs.append(rref_array(m, p))
+            assert np.array_equal(m, before)
+    assert _identical(outputs[0], outputs[1]) and _identical(outputs[0], outputs[2])

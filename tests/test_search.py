@@ -25,7 +25,6 @@ from commdim import (
     is_abelian_subspace,
     largest_common_isotropic,
     matrix_algebra,
-    maximal_abelian_ideal,
     max_abelian_exact,
     nilpotency_class,
     sample_form_tuple,
@@ -40,6 +39,7 @@ from oracles import (
     brute_force_max_abelian,
     class2_dim,
     extends_abelian_ideal,
+    maximal_abelian_ideal,
     reference_common_isotropic,
     reference_greedy,
 )
