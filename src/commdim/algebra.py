@@ -34,10 +34,12 @@ from .gf import (
     Subspace,
     as_gf_array,
     in_range,
+    is_json_ints,
     json_field,
     mulmod,
     nullspace_array,
     reduce_against_rref,
+    reduced_ints,
     rref_array,
 )
 
@@ -57,10 +59,6 @@ def _checked_kind(kind: str, dim: int) -> str:
     if not 0 <= dim <= MAX_ALGEBRA_DIM:
         raise ValueError(f"dimension must lie in [0, {MAX_ALGEBRA_DIM}], got {dim}")
     return _KIND_ALIASES[kind]
-
-
-def _ints(values) -> bool:
-    return set(map(type, values)) <= {int}  # bool is a subclass of int, and not a JSON int
 
 
 def _first_repeat(items: list):
@@ -98,7 +96,7 @@ def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray
         ii = [e["i"] for e in entries]
         jj = [e["j"] for e in entries]
         nzs = [e["nz"] for e in entries]
-        ok = _ints(ii) and _ints(jj) and set(map(type, nzs)) <= {list}
+        ok = is_json_ints(ii) and is_json_ints(jj) and set(map(type, nzs)) <= {list}
     except (KeyError, TypeError):
         ok = False
     if not ok:  # again one entry at a time, to name the field at fault
@@ -122,17 +120,12 @@ def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         raise ValueError("each nz item must be a pair [m, v]")
     flat = list(chain.from_iterable(pairs))
-    if not _ints(flat):
+    if not is_json_ints(flat):
         raise ValueError("nz coordinates and values must be JSON ints")
     ms = _below(flat[0::2], dim, small)
     if ms is None:
         raise ValueError(f"nz coordinate out of range [0, {dim})")
-    try:
-        vs = np.array(flat[1::2], dtype=np.int64)
-    except OverflowError:  # ints beyond int64 are reduced exactly before numpy sees them
-        vs = np.array([v % p for v in flat[1::2]], dtype=np.int64)
-    if not in_range(vs, p):
-        np.mod(vs, p, out=vs)
+    vs = reduced_ints(flat[1::2], p)
     at = np.repeat(np.arange(len(entries)) * dim, list(map(len, nzs))) + ms
     # the writer lists each entry's m in increasing order, which makes at increase strictly
     if not (at[1:] > at[:-1]).all() and np.unique(at).size < at.size:

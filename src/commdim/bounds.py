@@ -176,14 +176,6 @@ class SevenNVerdict:
     total_dim: int
     total_abelian: int
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "per_entry": self.per_entry,
-            "total_dim": self.total_dim,
-            "total_abelian": self.total_abelian,
-        }
-
 
 def seven_n_check(entries: list[SimpleTypeEntry]) -> SevenNVerdict:
     """dim <= 7 * max_abelian per entry and for the direct sum."""

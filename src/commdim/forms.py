@@ -71,6 +71,8 @@ class FormTuple:
                 raise ValueError("alternating form needs zero diagonal and M^T = -M")
         elif kind == "symmetric" and ((stack - transposed) % p).any():
             raise ValueError("symmetric form needs M^T = M")
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+            raise ValueError(f"seed must be an int or None, got {seed!r}")
         stack.flags.writeable = False
         self.n, self.t, self.kind, self.p = n, t, kind, p
         self.seed = seed
@@ -299,10 +301,7 @@ def reverify_certificate(cert: GenericityCertificate, budget: int = DEFAULT_SEAR
         raise ValueError(f"need budget >= 0, got {budget}")
     if cert.verdict != "certified" or cert.method not in (None, METHOD) or cert.seed is None:
         return False
-    try:
-        regen = sample_form_tuple(cert.n, cert.t, cert.forms.kind, cert.forms.field, cert.seed)
-    except ValueError:
-        return False
+    regen = sample_form_tuple(cert.n, cert.t, cert.forms.kind, cert.forms.field, cert.seed)
     if regen != cert.forms:
         return False
     if cert.vacuous:

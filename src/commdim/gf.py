@@ -65,10 +65,6 @@ class PrimeField:
             raise ValueError(f"{self.p} is not prime")
 
 
-def _inv_mod(a: int, p: int) -> int:
-    return pow(int(a) % p, p - 2, p)
-
-
 def as_gf_array(entries, p: int) -> np.ndarray:
     """Coerce to a reduced int64 array over GF(p).
 
@@ -92,9 +88,14 @@ def as_gf_array(entries, p: int) -> np.ndarray:
     return np.mod(a, p)
 
 
+def is_json_ints(v) -> bool:
+    """True iff v is a list of JSON ints, each read as the "int" kind reads one."""
+    return isinstance(v, list) and set(map(type, v)) <= {int}
+
+
 _JSON_TYPES = {
     "int": lambda v: type(v) is int,  # bool is a subclass of int, and not a JSON int
-    "ints": lambda v: isinstance(v, list) and set(map(type, v)) <= {int},
+    "ints": is_json_ints,
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "list": lambda v: isinstance(v, list),
@@ -131,11 +132,16 @@ def matrix_from_json(obj) -> tuple[int, np.ndarray]:
     entries = json_field(obj, "entries", "ints")
     if len(entries) != rows * cols:
         raise ValueError("entry count does not match rows*cols")
+    return p, reduced_ints(entries, p).reshape(rows, cols)
+
+
+def reduced_ints(values: list, p: int) -> np.ndarray:
+    """A list of JSON ints as a reduced int64 array over GF(p)."""
     try:
-        a = np.array(entries, dtype=np.int64)
+        a = np.array(values, dtype=np.int64)
     except OverflowError:  # ints beyond int64 are reduced exactly before numpy sees them
-        a = np.array([x % p for x in entries], dtype=np.int64)
-    return p, (a if in_range(a, p) else np.mod(a, p)).reshape(rows, cols)
+        a = np.array([x % p for x in values], dtype=np.int64)
+    return a if in_range(a, p) else np.mod(a, p)
 
 
 def in_range(a: np.ndarray, bound: int) -> bool:
@@ -231,7 +237,7 @@ def _rref_dense(m: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
         if m[r, c] != 1:
-            m[r] = (m[r] * _inv_mod(m[r, c], p)) % p
+            m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
         other = np.nonzero(m[:, c])[0]
         other = other[other != r]
         if other.size:
@@ -282,21 +288,18 @@ def nullspace_array(a: np.ndarray, p: int) -> np.ndarray:
     if a.size <= SMALL_MATRIX_CELLS:
         rows = np.mod(a, p).tolist()
         _, pivots = _rref_rows(rows, p)
-        basis = []
-        for f in reversed(range(ncols)):
-            if f not in pivots:
-                v = [0] * ncols
-                v[f] = 1
-                for row, pc in zip(rows, pivots):
-                    v[pc] = -row[f] % p
-                basis.append(v[::-1])
-        return np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
-    rank, red, pivots = rref_array(a, p)
-    free = [c for c in reversed(range(ncols)) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-red[:rank, free].T) % p
-    return np.ascontiguousarray(basis[:, ::-1])
+    else:
+        rank, red, pivots = rref_array(a, p)
+        rows = red[:rank].tolist()
+    basis = []
+    for f in reversed(range(ncols)):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = 1
+            for row, pc in zip(rows, pivots):
+                v[pc] = -row[f] % p
+            basis.append(v[::-1])
+    return np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
 
 
 def solve_affine(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:

@@ -631,3 +631,9 @@ def test_bad_structure_constants_rejected():
         StructureConstantAlgebra("lie", F2, 2, {(0, 1): [1, 0, 0]})
     with pytest.raises(ValueError):
         StructureConstantAlgebra("weird", F2, 2, {})
+
+
+@pytest.mark.parametrize("labels", [["x"], ["x", "y", "z"]], ids=["too-few", "too-many"])
+def test_input_checks_raise_value_error(labels):
+    with pytest.raises(ValueError, match="label count must equal dim"):
+        StructureConstantAlgebra("lie", F2, 2, {}, labels=labels)

@@ -366,10 +366,11 @@ def test_reverify_detects_wrong_count():
 
 
 def test_reverify_detects_wrong_k():
+    # k above n takes the non-vacuous certificate's own k > n check
     cert = certify_no_isotropic(3, 4, 3, F2, seed=7, max_attempts=64)
-    obj = cert.to_json()
-    obj["k"] = cert.k - 1
-    assert not reverify_certificate(GenericityCertificate.from_json(obj))
+    assert not cert.vacuous and reverify_certificate(cert)
+    for k in (cert.k - 1, cert.n + 1):
+        assert not reverify_certificate(GenericityCertificate.from_json(dict(cert.to_json(), k=k))), k
 
 
 def test_reverify_detects_tampered_provenance():
@@ -456,3 +457,33 @@ def test_engine_matches_enumeration_oracle(ft):
         kmax = brute_force_max_isotropic(ft, mode_symmetric=mode == MODE_SYMMETRIC)
         assert res.complete and len(res.basis) == kmax, mode
         assert restrictions_vanish(ft, res.basis, mode), mode
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sample_form_tuple(3, 1, "bogus", F2, 1), "unknown form kind"),
+        (lambda: find_common_isotropic(sample_form_tuple(3, 1, "alternating", F2, 1), 1, mode="bogus"), "unknown mode"),
+        (lambda: is_common_isotropic(sample_form_tuple(3, 1, "alternating", F2, 1), Subspace.zero(2, 4)),
+         "does not live on the forms' space"),
+        (lambda: is_common_isotropic(sample_form_tuple(3, 1, "alternating", F2, 1), Subspace.zero(3, 3)),
+         "does not live on the forms' space"),
+        (lambda: certify_no_isotropic(3, 1, 2, F2, None), "requires an explicit seed"),
+        (lambda: certify_no_isotropic(-1, 1, 2, F2, 1), "need n >= 0"),
+        (lambda: certify_no_isotropic(3, 1, -1, F2, 1), "need n >= 0"),
+    ],
+    ids=["form-kind", "mode", "subspace-dim", "subspace-p", "seed-none", "n-negative", "k-negative"],
+)
+def test_input_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_seed_is_an_int_or_none_and_round_trips():
+    # each of these used to construct, and to write a document that from_json refused
+    for seed in (True, 1.5, "7"):
+        with pytest.raises(ValueError, match="seed must be an int or None"):
+            FormTuple(2, 1, "alternating", F2, [[[0, 1], [1, 0]]], seed=seed)
+    ft = sample_form_tuple(3, 2, "alternating", F3, 2**70)
+    back = FormTuple.from_json(json.loads(json.dumps(ft.to_json())))
+    assert back == ft and back.seed == 2**70

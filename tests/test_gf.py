@@ -405,3 +405,19 @@ def test_rref_leaves_its_input_alone_whether_reduced_or_not(system):
             outputs.append(rref_array(m, p))
             assert np.array_equal(m, before)
     assert _identical(outputs[0], outputs[1]) and _identical(outputs[0], outputs[2])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PrimeField(True), "field order must be an int"),
+        (lambda: PrimeField(3.0), "field order must be an int"),
+        (lambda: Subspace(3, [1, 2]), "basis must be 2-dimensional"),
+        (lambda: Subspace(3, [[[1]]]), "basis must be 2-dimensional"),
+        (lambda: gaussian_binomial(3, 1, 1), "q must be at least 2"),
+    ],
+    ids=["bool-order", "float-order", "vector-basis", "3d-basis", "q-below-2"],
+)
+def test_input_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from commdim import (
     FormTuple,
+    NotASubalgebra,
     PrimeField,
     SearchResult,
     StructureConstantAlgebra,
@@ -721,3 +722,17 @@ def test_zero_dimensional_algebra(kind):
     assert verify_axioms(a).passed
     for res in (max_abelian_exact(a), class2_exact_result(a), greedy_abelian_class2(a)):
         assert res.dim == 0 and res.witness.ambient_dim == 0
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["p2", "p3"])
+def test_subalgebra_closure_adds_the_missing_products(field):
+    # in M_3, span(I, N) with N = E12 + E23 is not closed: N^2 = E13, and
+    # span(I, N, N^2) is the commutative subalgebra of polynomials in N
+    alg = matrix_algebra(3, field)
+    e = np.eye(9, dtype=np.int64)  # E_ab is e[3a + b], 0-based
+    start = Subspace.span(field.p, [e[0] + e[4] + e[8], e[1] + e[5]])
+    with pytest.raises(NotASubalgebra):
+        is_abelian_subspace(alg, start)
+    closed = search._subalgebra_closure(alg, start)
+    assert closed == start.sum(Subspace.span(field.p, [e[2]]))
+    assert closed.dim == 3 and is_abelian_subspace(alg, closed)
