@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import NotASubalgebra
 from .gf import (
-    SMALL_MATRIX_CELLS,
     PrimeField,
     Subspace,
     as_gf_array,
@@ -77,15 +76,13 @@ def _dense_entries(items, dim: int) -> list:
     return entries
 
 
-def _below(values: list, bound: int, small: bool) -> np.ndarray | None:
-    """values as an int64 array if each lies in [0, bound), else None; a small
-    document is checked by Python's min and max, which cost less than numpy there."""
+def _below(values: list, bound: int) -> np.ndarray | None:
+    """values as an int64 array if each lies in [0, bound), else None."""
     try:
         a = np.array(values, dtype=np.int64)
     except OverflowError:
         return None
-    ok = (not values or 0 <= min(values) and max(values) < bound) if small else in_range(a, bound)
-    return a if ok else None
+    return a if in_range(a, bound) else None
 
 
 def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -103,18 +100,14 @@ def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray
         for e in entries:
             json_field(e, "i", "int"), json_field(e, "j", "int"), json_field(e, "nz", "list")
         raise ValueError("each structure constant entry needs JSON ints i, j and a JSON list nz")
-    small = len(entries) * dim <= SMALL_MATRIX_CELLS  # the cells of the rows
-    keys = _below(ii + jj, dim, small)
+    keys = _below(ii + jj, dim)
     if keys is None:
         bad = next(key for key in zip(ii, jj) if not (0 <= key[0] < dim and 0 <= key[1] < dim))
         raise ValueError(f"structure constant key {bad} out of range")
     keys = keys.reshape(2, -1)
-    if small:
-        repeated = len(set(zip(ii, jj))) < len(entries)
-    else:  # the writer sorts entries by (i, j), which makes code increase strictly
-        code = keys[0] * dim + keys[1]
-        repeated = not (code[1:] > code[:-1]).all() and np.unique(code).size < code.size
-    if repeated:
+    code = keys[0] * dim + keys[1]
+    # the writer sorts entries by (i, j), which makes code increase strictly
+    if not (code[1:] > code[:-1]).all() and np.unique(code).size < code.size:
         raise ValueError(f"duplicate structure constant key {_first_repeat(list(zip(ii, jj)))}")
     pairs = list(chain.from_iterable(nzs))
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
@@ -122,7 +115,7 @@ def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray
     flat = list(chain.from_iterable(pairs))
     if not is_json_ints(flat):
         raise ValueError("nz coordinates and values must be JSON ints")
-    ms = _below(flat[0::2], dim, small)
+    ms = _below(flat[0::2], dim)
     if ms is None:
         raise ValueError(f"nz coordinate out of range [0, {dim})")
     vs = reduced_ints(flat[1::2], p)

@@ -123,9 +123,12 @@ def sample_form_tuple(n: int, t: int, kind: str, field: PrimeField, seed: int) -
     Free entries (strict upper triangle for alternating, upper triangle plus
     diagonal for symmetric, everything for general) are drawn row-major from
     a single Mersenne-Twister stream, one matrix after the other, so the same
-    seed reproduces the tuple bit for bit.
+    seed reproduces the tuple bit for bit.  A negative seed is refused, since
+    random.Random(-s) draws what random.Random(s) does.
     """
     _check_shape(n, t, kind)
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     p = field.p
     rng = random.Random(seed)
     # row-major free positions; an offset of -n takes in every position

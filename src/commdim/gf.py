@@ -9,14 +9,13 @@ deterministic: row reduction yields the unique reduced row echelon form,
 and subspaces are held in a canonical basis, so equal subspaces compare
 equal bit for bit.
 
-Row reduction first drops the zero rows of a matrix of more than
-``SMALL_MATRIX_CELLS`` cells, and pads them back into its output.  What is
-left takes one of three paths by shape: a matrix of at most
-``SMALL_MATRIX_CELLS`` cells is converted once to lists of Python ints and
-eliminated there, where a numpy call would cost more than the arithmetic; a
-tall one, with more than twice as many rows as columns, is reduced in blocks
-(:func:`_rref_tall`); any other is eliminated with numpy row operations.  All
-return the same arrays, since the reduced row echelon form is unique.
+Every row reduction pivots on lists of Python ints (:func:`_rref_rows`);
+numpy does only the products.  A matrix of more than
+``SMALL_MATRIX_CELLS`` cells first drops its zero rows, padded back into
+the output, and a tall one, with more than twice as many rows as columns,
+is fed in blocks (:func:`_rref_tall`), each reduced against the basis so
+far by one product.  Both return the same arrays as direct elimination,
+since the reduced row echelon form is unique.
 :func:`mulmod` is the one exact matrix product over GF(p), broadcast as in
 numpy's matmul; the residual against an RREF basis, which the tall path and
 :class:`Subspace` use, is one such product (:func:`reduce_against_rref`).
@@ -32,9 +31,8 @@ import numpy as np
 
 MAX_PRIME = 8191
 DEFAULT_SEARCH_BUDGET = 5_000_000  # nodes of the isotropic-subspace search
-# matrices of at most this many cells are row reduced on lists of Python ints,
-# larger ones with numpy row operations: on dense random matrices the lists win
-# up to 480 cells, and numpy wins from 729 (81 x 9) or 1024 (32 x 32) cells
+# a matrix of at most this many cells is row reduced directly; a larger one
+# first drops its zero rows, and a tall one is fed in blocks
 SMALL_MATRIX_CELLS = 512
 
 
@@ -205,10 +203,7 @@ def rref_array(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
     nonzero = m.any(axis=1)  # rows that are zero only mod p stay; every path takes zero rows
     kept = m if nonzero.all() else m[nonzero]
     kept = kept if in_range(kept, p) else np.mod(kept, p)
-    if len(kept) > 2 * m.shape[1]:
-        rank, red, pivots = _rref_tall(kept, p)
-    else:  # _rref_dense overwrites its input, which must not share the caller's memory
-        rank, red, pivots = _rref_dense(kept.copy() if kept is m else kept, p)
+    rank, red, pivots = (_rref_tall if len(kept) > 2 * m.shape[1] else _rref_dense)(kept, p)
     if len(kept) == len(m):
         return rank, red, pivots
     out = np.zeros(m.shape, dtype=np.int64)
@@ -217,34 +212,10 @@ def rref_array(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
 
 
 def _rref_dense(m: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
-    """:func:`rref_array` of a reduced array m, which it may overwrite, by
-    elimination: on lists of Python ints up to ``SMALL_MATRIX_CELLS`` cells,
-    else with numpy row operations."""
-    if m.size <= SMALL_MATRIX_CELLS:
-        rows = m.tolist()
-        rank, pivots = _rref_rows(rows, p)
-        return rank, np.array(rows, dtype=np.int64).reshape(m.shape), pivots
-    nrows, ncols = m.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        if m[r, c] != 1:
-            m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return r, m, pivots
+    """:func:`rref_array` of a reduced array m by :func:`_rref_rows`."""
+    rows = m.tolist()
+    rank, pivots = _rref_rows(rows, p)
+    return rank, np.array(rows, dtype=np.int64).reshape(m.shape), pivots
 
 
 def _rref_tall(m: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:

@@ -98,8 +98,8 @@ _BAD_INTS = [True, False, 1.0, 2.5, -1, 2**64, -(2**70), 7**40 + 1]
 
 @st.composite
 def mutated_entries(draw):
-    """(entries, p, dim): a valid schema-2 entry list, small or large against
-    SMALL_MATRIX_CELLS, with up to three faults or big values put in."""
+    """(entries, p, dim): a valid schema-2 entry list of up to 30 keys in
+    dim up to 40, with up to three faults or big values put in."""
     p = draw(st.sampled_from([2, 3, 5]))
     dim = draw(st.integers(1, 40))
     n = draw(st.integers(0, min(30, dim * dim)))
@@ -163,8 +163,8 @@ def test_reader_matches_its_reference(case):
 
 
 def _large(nz: list, key=(0, 1)) -> dict:
-    """A schema-2 p = 3 document of dim 24 with 23 keys, more cells than the
-    small-document checks take; the first entry has key and nz as given."""
+    """A schema-2 p = 3 document of dim 24 with 23 keys, more cells than
+    SMALL_MATRIX_CELLS; the first entry has key and nz as given."""
     sc = [{"i": key[0], "j": key[1], "nz": nz}] + [{"i": 1, "j": j, "nz": [[0, 1]]} for j in range(2, 24)]
     assert len(sc) * 24 > SMALL_MATRIX_CELLS
     return {"schema": 2, "kind": "assoc", "p": 3, "dim": 24, "sc": sc}

@@ -203,6 +203,24 @@ def test_reverify_cli(tmp_path, capsys):
     assert code == 1 and obj == {"reverified": False}
 
 
+def test_negative_seed_exits_1(tmp_path, capsys):
+    # seed -5 would sample seed 5's tuple again, so the run is refused, and writes nothing
+    cert_path = tmp_path / "cert.json"
+    with pytest.warns(UserWarning):
+        code, obj = run_json(
+            capsys, "certify", "--n", "3", "--t", "1", "--k", "2", "--p", "3",
+            "--seed", "-5", "--max-attempts", "11", "-o", str(cert_path),
+        )
+    assert code == 1 and set(obj) == {"error"} and "-5" in obj["error"] and not cert_path.exists()
+    assert run_json(
+        capsys, "certify", "--n", "3", "--t", "4", "--k", "3", "--p", "2",
+        "--seed", "7", "--max-attempts", "100", "-o", str(cert_path),
+    )[0] == 0
+    cert_path.write_text(json.dumps(dict(json.loads(cert_path.read_text()), seed=-1)))
+    code, obj = run_json(capsys, "reverify", "--cert", str(cert_path))
+    assert code == 1 and set(obj) == {"error"} and "-1" in obj["error"]
+
+
 def test_reverify_budget_abort_exit_2(tmp_path, capsys):
     cert_path = str(tmp_path / "cert.json")
     code, cert = run_json(

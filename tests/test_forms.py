@@ -487,3 +487,18 @@ def test_seed_is_an_int_or_none_and_round_trips():
     ft = sample_form_tuple(3, 2, "alternating", F3, 2**70)
     back = FormTuple.from_json(json.loads(json.dumps(ft.to_json())))
     assert back == ft and back.seed == 2**70
+
+
+def test_negative_seeds_are_refused():
+    # random.Random(-s) draws what random.Random(s) does, so seed -7 would repeat seed 7's tuple
+    with pytest.raises(ValueError, match="seed must be at least 0, got -7"):
+        sample_form_tuple(4, 2, "alternating", F3, -7)
+    for n in (3, 2):  # a search, then a vacuous certificate
+        with pytest.raises(ValueError, match="got -5"):
+            certify_no_isotropic(n, 4, 3, F2, seed=-5, max_attempts=11)
+    # a tuple's own seed is metadata, so the certificate reads; its replay is refused
+    obj = certify_no_isotropic(3, 4, 3, F2, seed=7, max_attempts=64).to_json()
+    cert = GenericityCertificate.from_json(dict(obj, seed=-1))
+    assert cert.seed == -1
+    with pytest.raises(ValueError, match="got -1"):
+        reverify_certificate(cert)

@@ -15,7 +15,8 @@ from commdim import (
     is_prime,
 )
 from commdim import gf
-from commdim.gf import matrix_from_json, matrix_to_json, nullspace_array, rref_array, solve_affine
+from commdim.algebra import MAX_ALGEBRA_DIM
+from commdim.gf import MAX_PRIME, matrix_from_json, matrix_to_json, nullspace_array, rref_array, solve_affine
 
 from oracles import enumerate_subspaces, random_invertible, reference_reduce
 
@@ -315,8 +316,8 @@ def test_solve_affine():
 
 
 # shapes with no rows or columns, shapes just below, at and above the cell
-# count where the kernels switch from Python lists to numpy, and tall shapes,
-# which numpy reduces in blocks: the center systems of d = 12 and d = 24
+# count above which zero rows are dropped first, and tall shapes, which are
+# reduced in blocks: the center systems of d = 12 and d = 24
 _T = gf.SMALL_MATRIX_CELLS
 _SHAPES = st.one_of(
     st.tuples(st.integers(0, 12), st.integers(0, 12)),
@@ -384,7 +385,7 @@ def test_nullspace_solves(system):
     p, a, _ = system
     rows, cols = a.shape
     rank = rref_array(a, p)[0]
-    for cells in (-1, 10**9):  # the numpy path, then the list path
+    for cells in (-1, 10**9):  # zero-row drop and blocks, then direct elimination
         with mock.patch.object(gf, "SMALL_MATRIX_CELLS", cells):
             ns = nullspace_array(a, p)
         assert ns.shape == (cols - rank, cols)
@@ -396,7 +397,7 @@ def test_nullspace_solves(system):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(gf_systems())
 def test_rref_leaves_its_input_alone_whether_reduced_or_not(system):
-    # a reduced input skips the mod, so the numpy path must copy it before eliminating in place
+    # a reduced input skips the mod and reaches the elimination as it is, which must not write to it
     p, a, _ = system
     outputs = []
     with mock.patch.object(gf, "SMALL_MATRIX_CELLS", -1):
@@ -405,6 +406,20 @@ def test_rref_leaves_its_input_alone_whether_reduced_or_not(system):
             outputs.append(rref_array(m, p))
             assert np.array_equal(m, before)
     assert _identical(outputs[0], outputs[1]) and _identical(outputs[0], outputs[2])
+
+
+@pytest.mark.parametrize("rows", [MAX_ALGEBRA_DIM, 4 * MAX_ALGEBRA_DIM])
+def test_elimination_at_the_largest_prime_and_dimension(rows):
+    # the square case is reduced directly, the tall one in blocks
+    p, cols = MAX_PRIME, MAX_ALGEBRA_DIM
+    rng = np.random.default_rng(rows)
+    a = rng.integers(0, p, (rows, 120)) @ rng.integers(0, p, (120, cols)) % p
+    rank = rref_array(a, p)[0]
+    ns = nullspace_array(a, p)
+    assert rank == 120 and rank + ns.shape[0] == cols
+    assert not ((a @ ns.T) % p).any()
+    ns_rank, ns_rref, _ = rref_array(ns, p)
+    assert ns_rank == ns.shape[0] and np.array_equal(ns_rref, ns)
 
 
 @pytest.mark.parametrize(
