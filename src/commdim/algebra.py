@@ -14,6 +14,8 @@ increasing order.  A stored key whose product is zero keeps "nz": [].  A
 document without "schema" is version 1, whose entries {"i", "j", "v"} hold
 the dense coordinate vector.  Version-1 entries and the constructor's dict
 are rewritten as schema-2 entries for the one reader, :func:`_checked_sc`.
+The one writer, :meth:`StructureConstantAlgebra.json_text`, builds the
+text; ``to_json`` parses it.
 
 An algebra holds its keys and their products in two read-only arrays; the
 ``sc`` dict of row views is built on first use.
@@ -21,6 +23,7 @@ An algebra holds its keys and their products in two read-only arrays; the
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -206,24 +209,28 @@ class StructureConstantAlgebra:
         y = as_gf_array(y, self.p)
         return np.einsum("a,b,abk->k", x, y, self.table()) % self.p
 
-    def to_json(self) -> dict:
-        """The schema-2 JSON form: entries sorted by (i, j), their nz pairs by m."""
-        keys, rows, d = self._keys, self._rows, self.dim
+    def json_text(self) -> str:
+        """The schema-2 document in ``json.dumps``'s layout: entries sorted by
+        (i, j), pairs by m, each distinct pair [m, v] formatted once."""
+        keys, rows, d, p = self._keys, self._rows, self.dim, self.p
         code = keys[0] * d + keys[1]
         if not (code[1:] > code[:-1]).all():  # stored out of order, as by unitalize
             order = np.argsort(code)
             keys, rows = keys[:, order], rows[order]
         at = np.flatnonzero(rows != 0)  # row-major, so grouped by entry and sorted by m
         r, m = np.divmod(at, d)
-        nz = np.array((m, rows.reshape(-1)[at])).T.tolist()
+        codes = (m * p + rows.reshape(-1)[at]).tolist()
+        text = {c: f"[{c // p}, {c % p}]" for c in set(codes)}
+        nz = list(map(text.__getitem__, codes))
         ends = np.bincount(r, minlength=len(rows)).cumsum().tolist()
-        ii, jj = keys.tolist()
-        entries = [{"i": i, "j": j, "nz": nz[a:b]} for i, j, a, b in zip(ii, jj, [0, *ends], ends)]
-        kind = "lie" if self.kind == KIND_LIE else "assoc"
-        obj = {"schema": ALGEBRA_SCHEMA, "kind": kind, "p": self.p, "dim": self.dim, "sc": entries}
-        if self.labels is not None:
-            obj["labels"] = list(self.labels)
-        return obj
+        sc = ", ".join([f'{{"i": {i}, "j": {j}, "nz": [{", ".join(nz[a:b])}]}}'
+                        for i, j, a, b in zip(*keys.tolist(), [0, *ends], ends)])
+        labels = "" if self.labels is None else f', "labels": {json.dumps(self.labels)}'
+        return f'{{"schema": {ALGEBRA_SCHEMA}, "kind": "{self.kind}", "p": {p}, "dim": {d}, "sc": [{sc}]{labels}}}'
+
+    def to_json(self) -> dict:
+        """The schema-2 JSON form: :meth:`json_text` parsed."""
+        return json.loads(self.json_text())
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructureConstantAlgebra":

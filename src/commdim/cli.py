@@ -33,12 +33,13 @@ from .search import (
 )
 
 
-# every document printed is a tree built by a to_json, so no container repeats
+# every tree encoded is built by a to_json, so no container repeats
 _ENCODER = json.JSONEncoder(check_circular=False)
 
 
-def _emit(obj, out_path: str | None = None) -> None:
-    text = _ENCODER.encode(obj)
+def _emit(doc, out_path: str | None = None) -> None:
+    # doc is an algebra's json_text, or a tree built by a to_json
+    text = doc if isinstance(doc, str) else _ENCODER.encode(doc)
     # the file first, so that a reader closing stdout early cannot cut it short
     if out_path:
         with open(out_path, "w") as fh:
@@ -140,7 +141,7 @@ def _run(args) -> int:
     if cmd == "construct":
         forms = FormTuple.from_json(_load_json(args.source))
         alg = build_lie_from_forms(forms) if args.kind == "lie" else build_assoc_from_forms(forms)
-        _emit(alg.to_json(), args.output)
+        _emit(alg.json_text(), args.output)
         return 0
 
     if cmd == "search":
@@ -177,12 +178,12 @@ def _run(args) -> int:
 
     if cmd == "matrix-comm":
         ambient, sub = matrix_commutative_subalgebra(args.r, PrimeField(args.p), args.construction)
-        _emit({"ambient": ambient.to_json(), "sub": sub.to_json(), "sub_dim": sub.dim})
+        _emit(f'{{"ambient": {ambient.json_text()}, "sub": {_ENCODER.encode(sub.to_json())}, "sub_dim": {sub.dim}}}')
         return 0
 
     if cmd == "unitalize":
         alg = StructureConstantAlgebra.from_json(_load_json(args.alg))
-        _emit(unitalize(alg).to_json(), args.output)
+        _emit(unitalize(alg).json_text(), args.output)
         return 0
 
     if cmd == "verify":

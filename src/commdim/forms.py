@@ -29,6 +29,7 @@ from .gf import (
     Subspace,
     as_gf_array,
     gaussian_binomial,
+    in_range,
     json_field,
     matrix_from_json,
     matrix_to_json,
@@ -62,14 +63,17 @@ class FormTuple:
         if len(mats) != t:
             raise ValueError(f"expected {t} matrices, got {len(mats)}")
         p = field.p
-        stack = as_gf_array(mats, p)
+        stack = np.asarray(mats)  # a copy, mats being a list, so freezing it below leaves the caller's arrays alone
+        if stack.dtype != np.int64 or not in_range(stack, p):  # read and sampled forms are reduced already
+            stack = as_gf_array(stack, p)
         if stack.shape != (t, n, n):
             raise ValueError("every form must be an n x n matrix over GF(p)")
         transposed = stack.transpose(0, 2, 1)
         if kind == "alternating":
-            if np.einsum("mii->mi", stack).any() or ((stack + transposed) % p).any():
+            both = stack + transposed  # in [0, 2p - 2], so 0 mod p only at 0 and p
+            if np.einsum("mii->mi", stack).any() or ((both != 0) & (both != p)).any():
                 raise ValueError("alternating form needs zero diagonal and M^T = -M")
-        elif kind == "symmetric" and ((stack - transposed) % p).any():
+        elif kind == "symmetric" and not np.array_equal(stack, transposed):
             raise ValueError("symmetric form needs M^T = M")
         if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
             raise ValueError(f"seed must be an int or None, got {seed!r}")
@@ -270,6 +274,9 @@ def certify_no_isotropic(
         raise ValueError("need n >= 0, t >= 1, k >= 0")
     if max_attempts < 1:
         raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
+    if n >= k and mode == MODE_SYMMETRIC and (kind == "symmetric" or (kind, field.p) == ("alternating", 2)):
+        # M^T = M for every such form, so every restriction is symmetric and no tuple can certify
+        raise ValueError(f"mode {mode!r} can never certify {kind} forms at p = {field.p} with k <= n")
     if not 2 * n < t * (k - 1):
         warnings.warn(
             f"2n < t(k-1) fails for n={n}, t={t}, k={k}: "

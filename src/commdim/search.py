@@ -35,7 +35,6 @@ coordinates.  It takes its centralizer rows from
 from __future__ import annotations
 
 import bisect
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -289,7 +288,8 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
         leads = [(row & -row).bit_length() - 1 for row in basis]
         below = bisect.bisect_left(leads, min_pivot)
 
-        @functools.cache
+        built = None  # tables(), made when a lead's children are first asked for
+
         def tables():
             b = unpack(basis)
             g = ((b @ lift).reshape(r, ns, n) @ b.T & 1).astype(np.uint8).reshape(r, ns * r)
@@ -316,7 +316,10 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
             return gram, starts, flip_c, flip_v, flip_e
 
         def children(i):
-            gram, starts, flip_c, flip_v, flip_e = tables()
+            nonlocal built
+            if built is None:
+                built = tables()
+            gram, starts, flip_c, flip_v, flip_e = built
             v = starts[i]
             coef = 1 << i
             for j in range(i + 1, r):

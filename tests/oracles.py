@@ -21,7 +21,7 @@ from commdim import (
     nilpotency_class,
     sample_form_tuple,
 )
-from commdim.algebra import _centralizer_system
+from commdim.algebra import ALGEBRA_SCHEMA, KIND_LIE, _centralizer_system
 from commdim.gf import json_field, nullspace_array, reduce_against_rref, rref_array, rref_arrays_for_pivots, solve_affine
 from commdim.search import IsotropicSearch, SearchResult
 
@@ -297,6 +297,27 @@ def algebra_json_v1(alg: StructureConstantAlgebra) -> dict:
     field and one dense coordinate vector "v" per stored key, in (i, j) order."""
     entries = [{"i": i, "j": j, "v": [int(x) for x in v]} for (i, j), v in sorted(alg.sc.items())]
     obj = {"kind": alg.kind, "p": alg.p, "dim": alg.dim, "sc": entries}
+    if alg.labels is not None:
+        obj["labels"] = list(alg.labels)
+    return obj
+
+
+def reference_algebra_json(alg: StructureConstantAlgebra) -> dict:
+    """The schema-2 dict as the writer built it before it wrote text, kept
+    verbatim: entries sorted by (i, j), their nz pairs by m."""
+    keys, rows, d = alg._keys, alg._rows, alg.dim
+    code = keys[0] * d + keys[1]
+    if not (code[1:] > code[:-1]).all():  # stored out of order, as by unitalize
+        order = np.argsort(code)
+        keys, rows = keys[:, order], rows[order]
+    at = np.flatnonzero(rows != 0)  # row-major, so grouped by entry and sorted by m
+    r, m = np.divmod(at, d)
+    nz = np.array((m, rows.reshape(-1)[at])).T.tolist()
+    ends = np.bincount(r, minlength=len(rows)).cumsum().tolist()
+    ii, jj = keys.tolist()
+    entries = [{"i": i, "j": j, "nz": nz[a:b]} for i, j, a, b in zip(ii, jj, [0, *ends], ends)]
+    kind = "lie" if alg.kind == KIND_LIE else "assoc"
+    obj = {"schema": ALGEBRA_SCHEMA, "kind": kind, "p": alg.p, "dim": alg.dim, "sc": entries}
     if alg.labels is not None:
         obj["labels"] = list(alg.labels)
     return obj

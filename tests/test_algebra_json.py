@@ -1,5 +1,6 @@
-"""The algebra JSON layer: pinned bytes, the schema-2 reader against its
-reference, ints beyond int64, and the lazily built ``sc`` map."""
+"""The algebra JSON layer: pinned bytes, from the library and from the CLI,
+the text writer and the schema-2 reader against their references, ints
+beyond int64, and the lazily built ``sc`` map."""
 
 import copy
 import hashlib
@@ -20,10 +21,11 @@ from commdim import (
     sample_form_tuple,
     unitalize,
 )
+from commdim.construct import matrix_commutative_subalgebra
 from commdim.algebra import _checked_sc
 from commdim.cli import _ENCODER, main
 from commdim.gf import SMALL_MATRIX_CELLS
-from oracles import reference_checked_sc
+from oracles import reference_algebra_json, reference_checked_sc
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -65,18 +67,106 @@ PINNED = {
 }
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _digest(a: StructureConstantAlgebra) -> str:
-    return hashlib.sha256(_ENCODER.encode(a.to_json()).encode()).hexdigest()
+    text = a.json_text()
+    # to_json parses that text, and encoding the dict gives it back
+    assert _ENCODER.encode(a.to_json()) == text
+    return _sha(text)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_documents_keep_their_bytes(name):
     a = _pinned_algebra(name)
     assert _digest(a) == PINNED[name]
+    assert a.json_text() == _ENCODER.encode(reference_algebra_json(a))
     # read back from its own text, the algebra writes the same bytes and table
-    back = StructureConstantAlgebra.from_json(json.loads(_ENCODER.encode(a.to_json())))
+    back = StructureConstantAlgebra.from_json(json.loads(a.json_text()))
     assert _digest(back) == PINNED[name]
     assert np.array_equal(back.table(), a.table())
+
+
+def _cli_text(capsys, *argv) -> str:
+    """The one line a CLI call printed, and wrote to its -o file if it has one."""
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    if "-o" in argv:
+        with open(argv[argv.index("-o") + 1]) as fh:
+            assert fh.read() == out
+    assert out.endswith("\n") and out.count("\n") == 1
+    return out[:-1]
+
+
+@pytest.mark.parametrize("d", [24, 48])
+def test_the_cli_writes_the_pinned_bytes(d, tmp_path, capsys):
+    n, t = (18, 6) if d == 24 else (40, 8)
+    paths = {}
+    for kind, forms_kind in (("lie", "alternating"), ("assoc", "general")):
+        forms = tmp_path / f"{forms_kind}.json"
+        forms.write_text(json.dumps(sample_form_tuple(n, t, forms_kind, F2, 1).to_json()))
+        paths[kind] = str(tmp_path / f"{kind}.json")
+        text = _cli_text(capsys, "construct", "--from", str(forms), "--kind", kind, "-o", paths[kind])
+        assert _sha(text) == PINNED[f"{kind}-d{d}"]
+    unit = _cli_text(capsys, "unitalize", "--alg", paths["assoc"], "-o", str(tmp_path / "unit.json"))
+    if d == 48:
+        assert _sha(unit) == PINNED["unital-d49"]
+    assert unit == _ENCODER.encode(reference_algebra_json(unitalize(_pinned_algebra(f"assoc-d{d}"))))
+
+
+@pytest.mark.parametrize("r, p", [(3, 3), (8, 2)])
+@pytest.mark.parametrize("construction", ["diagonal", "corner"])
+def test_matrix_comm_writes_the_pinned_ambient(r, p, construction, capsys):
+    text = _cli_text(capsys, "matrix-comm", "--r", str(r), "--p", str(p), "--construction", construction)
+    head, tail = '{"ambient": ', ', "sub": {'
+    assert text.startswith(head)
+    assert _sha(text[len(head) : text.index(tail)]) == PINNED[f"M{r}"]
+    # the whole document as the CLI encoded it when the ambient was a dict
+    ambient, sub = matrix_commutative_subalgebra(r, PrimeField(p), construction)
+    doc = {"ambient": reference_algebra_json(ambient), "sub": sub.to_json(), "sub_dim": sub.dim}
+    assert text == _ENCODER.encode(doc)
+
+
+# ---------------------------------------------------------------- the writer against its reference
+
+# label characters that need escaping, or lie outside ASCII
+_LABEL_CHARS = st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é", "∑", "\u2028", "😀", "a", " ", "/"])
+
+
+@st.composite
+def algebras_to_write(draw):
+    """An algebra of dim 0 to 12 over GF(2), GF(3) or GF(8191), its keys
+    stored in drawn order, with zero products stored as often as not, at
+    times an explicit Lie reverse key, and labels that need escaping; an
+    assoc one is at times unitalized, which stores its keys out of order."""
+    p = draw(st.sampled_from([2, 3, 8191]))
+    d = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["lie", "assoc"]))
+    cells = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)) if d else st.nothing()
+    keys = draw(st.lists(cells, unique=True, max_size=min(d * d, 40)))
+    if kind == "lie" and keys and draw(st.booleans()):
+        i, j = keys[0]
+        if (j, i) not in keys:
+            keys.insert(draw(st.integers(0, len(keys))), (j, i))
+    value = st.just(0) | st.integers(1, p - 1)
+    sc = {key: draw(st.lists(value, min_size=d, max_size=d)) for key in keys}
+    if keys and draw(st.booleans()):
+        sc[keys[draw(st.integers(0, len(keys) - 1))]] = [0] * d
+    labels = draw(st.none() | st.lists(st.text(_LABEL_CHARS | st.characters(), max_size=4), min_size=d, max_size=d))
+    a = StructureConstantAlgebra(kind, PrimeField(p), d, sc, labels)
+    return unitalize(a) if kind == "assoc" and draw(st.booleans()) else a
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(algebras_to_write())
+def test_json_text_matches_its_reference(a):
+    text = a.json_text()
+    assert text == _ENCODER.encode(reference_algebra_json(a))
+    assert a.to_json() == reference_algebra_json(a)
+    back = StructureConstantAlgebra.from_json(json.loads(text))
+    assert back.json_text() == text and back.labels == a.labels
 
 
 # ---------------------------------------------------------------- the reader against its reference

@@ -275,6 +275,36 @@ def test_nonpositive_max_attempts_is_a_domain_error(capsys, attempts):
     assert "max_attempts" in error and "sampled" not in error
 
 
+@pytest.mark.parametrize("kind, p", [("symmetric", "3"), ("symmetric", "2"), ("alternating", "2")])
+def test_symmetric_restriction_of_symmetric_forms_is_refused_before_sampling(monkeypatch, tmp_path, capsys, kind, p):
+    # every form is symmetric, so every restriction is too and no tuple can certify
+    certify = ["certify", "--n", "4", "--t", "2", "--k", "2", "--p", p, "--seed", "0", "--kind", kind,
+               "--mode", "symmetric-restriction"]
+
+    def sample(*args):
+        raise AssertionError("a tuple was sampled")
+
+    monkeypatch.setattr(commdim.forms, "sample_form_tuple", sample)
+    cert_path = tmp_path / "cert.json"
+    code, out = run(capsys, *certify, "-o", str(cert_path))
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 1 and set(json.loads(lines[0])) == {"error"} and not cert_path.exists()
+    assert "symmetric-restriction" in json.loads(lines[0])["error"]
+    monkeypatch.undo()
+    # k > n stays vacuously certified
+    with pytest.warns(UserWarning):
+        code, obj = run_json(capsys, *certify[:2], "1", *certify[3:])
+    assert code == 0 and obj["vacuous"] is True
+
+
+def test_symmetric_restriction_of_other_forms_still_samples(capsys):
+    for kind in ("alternating", "general"):
+        with pytest.warns(UserWarning):
+            code, obj = run_json(capsys, "certify", "--n", "4", "--t", "2", "--k", "2", "--p", "3", "--seed", "0",
+                                 "--kind", kind, "--mode", "symmetric-restriction", "--max-attempts", "1")
+        assert code == 1 and "all 1 sampled tuples" in obj["error"], kind
+
+
 def test_usage_error_is_machine_readable(capsys):
     code, obj = run_json(capsys, "bogus-command")
     assert code == 1 and "error" in obj
