@@ -62,7 +62,7 @@ from .search import (
     max_abelian_exact,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AxiomReport",

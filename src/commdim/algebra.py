@@ -34,7 +34,9 @@ from .errors import NotASubalgebra
 from .gf import (
     PrimeField,
     Subspace,
+    alternation_defects,
     as_gf_array,
+    as_int64_array,
     in_range,
     is_json_ints,
     json_field,
@@ -246,7 +248,10 @@ class StructureConstantAlgebra:
             ijv = [((json_field(e, "i", "int"), json_field(e, "j", "int")), json_field(e, "v", "ints")) for e in entries]
             entries = _dense_entries(ijv, dim)
         keys, rows = _checked_sc(entries, field.p, dim)
-        return cls._from_rows(kind, field, dim, keys, rows, labels=json_field(obj, "labels", "list", default=None))
+        labels = json_field(obj, "labels", "list", default=None)
+        if labels is not None and not set(map(type, labels)) <= {str}:
+            raise ValueError("field 'labels' must list JSON strings")
+        return cls._from_rows(kind, field, dim, keys, rows, labels=labels)
 
     def __repr__(self) -> str:
         return f"StructureConstantAlgebra(kind={self.kind!r}, p={self.p}, dim={self.dim})"
@@ -342,12 +347,9 @@ def verify_axioms(a: StructureConstantAlgebra) -> AxiomReport:
     v = _first_identity_violation(t, p, a.kind)
     if a.kind == KIND_ASSOC:
         return AxiomReport("assoc", {"associative": v is None}, v)
-    # Alternating: zero diagonal and T[i,j] = -T[j,i], scanned row-major over
-    # j <= i so a tampered reversed key (i, j) with i > j is the one reported.
-    both = t + t.transpose(1, 0, 2)  # in [0, 2p - 2], so 0 mod p only at 0 and p
-    bad = ((both != 0) & (both != p)).any(axis=2)
-    np.fill_diagonal(bad, np.einsum("iik->ik", t).any(axis=1))
-    hits = np.argwhere(np.tril(bad))
+    # Alternating: every coordinate form T[:, :, k] is; its defects are scanned
+    # row-major over j <= i so a tampered reversed key (i, j) with i > j is the one reported.
+    hits = np.argwhere(np.tril(alternation_defects(t.transpose(2, 0, 1), p)))
     alt_violation = tuple(int(x) for x in hits[0]) if hits.size else None
     checks = {"alternating": alt_violation is None, "jacobi": v is None}
     return AxiomReport("lie", checks, alt_violation or v)
@@ -395,13 +397,13 @@ def nilpotency_class(a: StructureConstantAlgebra) -> int | None:
     t = a.table()
     prods, cur_dim, m = t.reshape(d * d, d), d, 1
     while True:
-        rank, red, _ = rref_array(prods, p)
-        if rank == 0:
+        red, _ = rref_array(prods, p)
+        if len(red) == 0:
             return m
-        if rank == cur_dim:
+        if len(red) == cur_dim:
             return None
-        prods = mulmod(red[:rank], t, p).reshape(-1, d)
-        cur_dim, m = rank, m + 1
+        prods = mulmod(red, t, p).reshape(-1, d)
+        cur_dim, m = len(red), m + 1
 
 
 def pairwise_products(a: StructureConstantAlgebra, basis: np.ndarray) -> np.ndarray:
@@ -415,7 +417,7 @@ def pairwise_products(a: StructureConstantAlgebra, basis: np.ndarray) -> np.ndar
     the exactness bound of :func:`~commdim.gf.mulmod`.
     """
     d, p = a.dim, a.p
-    basis = np.asarray(basis, dtype=np.int64) % p
+    basis = as_int64_array(basis, p) % p
     used = np.flatnonzero(basis.any(axis=0))
     x, c = basis[:, used], len(used)
     t = a.table()[np.ix_(used, used)].reshape(c, c * d)

@@ -137,6 +137,8 @@ _EXCEPTIONAL = {
     "G2": (14, 3),
 }
 CLASSICAL_MIN_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}
+# the largest --max-rank of the simple-algebra table, which holds 4 rows per rank
+MAX_SIMPLE_RANK = 1000
 
 
 def simple_lie_data(type_: str, rank: int | None = None) -> SimpleTypeEntry:

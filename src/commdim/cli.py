@@ -15,7 +15,14 @@ import os
 import sys
 
 from .algebra import StructureConstantAlgebra, verify_axioms
-from .bounds import CLASSICAL_MIN_RANK, FIELD_CLASSES, bound_table, exceptional_entries, simple_lie_data
+from .bounds import (
+    CLASSICAL_MIN_RANK,
+    FIELD_CLASSES,
+    MAX_SIMPLE_RANK,
+    bound_table,
+    exceptional_entries,
+    simple_lie_data,
+)
 from .construct import (
     build_assoc_from_forms,
     build_lie_from_forms,
@@ -33,13 +40,10 @@ from .search import (
 )
 
 
-# every tree encoded is built by a to_json, so no container repeats
-_ENCODER = json.JSONEncoder(check_circular=False)
-
 
 def _emit(doc, out_path: str | None = None) -> None:
     # doc is an algebra's json_text, or a tree built by a to_json
-    text = doc if isinstance(doc, str) else _ENCODER.encode(doc)
+    text = doc if isinstance(doc, str) else json.dumps(doc)
     # the file first, so that a reader closing stdout early cannot cut it short
     if out_path:
         with open(out_path, "w") as fh:
@@ -169,6 +173,8 @@ def _run(args) -> int:
         if args.type is not None:
             entries = [simple_lie_data(args.type, args.rank)]
         else:
+            if args.max_rank > MAX_SIMPLE_RANK:
+                raise ValueError(f"--max-rank capped at {MAX_SIMPLE_RANK}, got {args.max_rank}")
             entries = exceptional_entries()
             for typ, lo in CLASSICAL_MIN_RANK.items():
                 for rank in range(lo, args.max_rank + 1):
@@ -178,7 +184,7 @@ def _run(args) -> int:
 
     if cmd == "matrix-comm":
         ambient, sub = matrix_commutative_subalgebra(args.r, PrimeField(args.p), args.construction)
-        _emit(f'{{"ambient": {ambient.json_text()}, "sub": {_ENCODER.encode(sub.to_json())}, "sub_dim": {sub.dim}}}')
+        _emit(f'{{"ambient": {ambient.json_text()}, "sub": {json.dumps(sub.to_json())}, "sub_dim": {sub.dim}}}')
         return 0
 
     if cmd == "unitalize":

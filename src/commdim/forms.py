@@ -27,6 +27,7 @@ from .gf import (
     DEFAULT_SEARCH_BUDGET,
     PrimeField,
     Subspace,
+    alternation_defects,
     as_gf_array,
     gaussian_binomial,
     in_range,
@@ -68,12 +69,9 @@ class FormTuple:
             stack = as_gf_array(stack, p)
         if stack.shape != (t, n, n):
             raise ValueError("every form must be an n x n matrix over GF(p)")
-        transposed = stack.transpose(0, 2, 1)
-        if kind == "alternating":
-            both = stack + transposed  # in [0, 2p - 2], so 0 mod p only at 0 and p
-            if np.einsum("mii->mi", stack).any() or ((both != 0) & (both != p)).any():
-                raise ValueError("alternating form needs zero diagonal and M^T = -M")
-        elif kind == "symmetric" and not np.array_equal(stack, transposed):
+        if kind == "alternating" and alternation_defects(stack, p).any():
+            raise ValueError("alternating form needs zero diagonal and M^T = -M")
+        if kind == "symmetric" and not np.array_equal(stack, stack.transpose(0, 2, 1)):
             raise ValueError("symmetric form needs M^T = M")
         if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
             raise ValueError(f"seed must be an int or None, got {seed!r}")
@@ -264,7 +262,8 @@ def certify_no_isotropic(
 
     The successful seed, the search's node count and the number of k-dim
     subspaces ruled out go into the certificate.  When k exceeds n the claim
-    is vacuously true and the certificate is issued without a search.
+    is vacuously true and the certificate is issued without a search; when
+    every k-subspace matches every tuple, it is refused before sampling.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
@@ -274,9 +273,13 @@ def certify_no_isotropic(
         raise ValueError("need n >= 0, t >= 1, k >= 0")
     if max_attempts < 1:
         raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
-    if n >= k and mode == MODE_SYMMETRIC and (kind == "symmetric" or (kind, field.p) == ("alternating", 2)):
-        # M^T = M for every such form, so every restriction is symmetric and no tuple can certify
-        raise ValueError(f"mode {mode!r} can never certify {kind} forms at p = {field.p} with k <= n")
+    # No tuple can certify where every k-subspace matches: at any k <= n when
+    # M^T = M makes every restriction symmetric, at k = 0, and at k = 1 when
+    # every line is isotropic (v M v = 0) or every 1 x 1 restriction is symmetric.
+    claim = ("k <= n" if mode == MODE_SYMMETRIC and (kind == "symmetric" or (kind, field.p) == ("alternating", 2))
+             else f"k = {k}" if k == 0 or (k == 1 and (mode == MODE_SYMMETRIC or kind == "alternating")) else None)
+    if n >= k and claim:
+        raise ValueError(f"mode {mode!r} can never certify {kind} forms at p = {field.p} with {claim}")
     if not 2 * n < t * (k - 1):
         warnings.warn(
             f"2n < t(k-1) fails for n={n}, t={t}, k={k}: "

@@ -10,12 +10,13 @@ and subspaces are held in a canonical basis, so equal subspaces compare
 equal bit for bit.
 
 Every row reduction pivots on lists of Python ints (:func:`_rref_rows`);
-numpy does only the products.  A matrix of more than
-``SMALL_MATRIX_CELLS`` cells first drops its zero rows, padded back into
-the output, and a tall one, with more than twice as many rows as columns,
-is fed in blocks (:func:`_rref_tall`), each reduced against the basis so
-far by one product.  Both return the same arrays as direct elimination,
-since the reduced row echelon form is unique.
+numpy does only the products.  A reduction returns the nonzero rows of the
+RREF and their pivot columns, so the rank is the number of pivots.  A
+matrix of more than ``SMALL_MATRIX_CELLS`` cells first drops its zero rows,
+and a tall one, with more than twice as many rows as columns, is fed in
+blocks (:func:`_rref_tall`), each reduced against the basis so far by one
+product.  Both return the same arrays as direct elimination, since the
+reduced row echelon form is unique.
 :func:`mulmod` is the one exact matrix product over GF(p), broadcast as in
 numpy's matmul; the residual against an RREF basis, which the tall path and
 :class:`Subspace` use, is one such product (:func:`reduce_against_rref`).
@@ -86,6 +87,24 @@ def as_gf_array(entries, p: int) -> np.ndarray:
     return np.mod(a, p)
 
 
+def as_int64_array(a, p: int) -> np.ndarray:
+    """a as an int64 array: unchanged, not even reduced, when it already is
+    one, else by :func:`as_gf_array`, which refuses non-integral entries
+    instead of truncating them and reduces ints beyond int64 exactly."""
+    m = np.asarray(a)
+    return m if m.dtype == np.int64 else as_gf_array(a, p)
+
+
+def alternation_defects(stack: np.ndarray, p: int) -> np.ndarray:
+    """(n, n) mask of a (m, n, n) stack of forms with entries in [0, p): the (i, j)
+    where some form has M[i, j] + M[j, i] != 0 mod p, and the (i, i) where some
+    M[i, i] != 0.  The stack is alternating iff the mask is all False."""
+    both = stack + stack.transpose(0, 2, 1)  # in [0, 2p - 2], so 0 mod p only at 0 and p
+    bad = ((both != 0) & (both != p)).any(axis=0)
+    np.fill_diagonal(bad, np.einsum("mii->im", stack).any(axis=1))
+    return bad
+
+
 def is_json_ints(v) -> bool:
     """True iff v is a list of JSON ints, each read as the "int" kind reads one."""
     return isinstance(v, list) and set(map(type, v)) <= {int}
@@ -148,10 +167,10 @@ def in_range(a: np.ndarray, bound: int) -> bool:
     return not a.size or bool(a.view(np.uint64).max() < bound)
 
 
-def _rref_rows(m: list[list[int]], p: int) -> tuple[int, list[int]]:
-    """Row reduce a list of rows of ints in [0, p) in place; returns (rank, pivot cols).
+def _rref_rows(m: list[list[int]], p: int) -> list[int]:
+    """Row reduce a list of rows of ints in [0, p) in place; returns the pivot cols.
 
-    The rows keep their count, zero rows collected at the bottom.
+    The first len(pivots) rows are then the RREF basis, and zero rows follow.
     """
     nrows = len(m)
     pivots: list[int] = []
@@ -178,7 +197,7 @@ def _rref_rows(m: list[list[int]], p: int) -> tuple[int, list[int]]:
                     other[j] = (other[j] - f * y) % p
         pivots.append(c)
         r += 1
-    return r, pivots
+    return pivots
 
 
 def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -192,33 +211,26 @@ def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.mod(np.rint(c).astype(np.int64), p)
 
 
-def rref_array(a: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
-    """Reduced row echelon form of a raw array; returns (rank, rref, pivot cols).
-
-    The output keeps the input shape, zero rows collected at the bottom.
-    """
-    m = np.asarray(a, dtype=np.int64)
+def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a raw array: (basis, pivot cols), the basis
+    being its nonzero rows, a (len(pivots), cols) int64 array; the rank is len(pivots)."""
+    m = as_int64_array(a, p)
     if m.size <= SMALL_MATRIX_CELLS:
         return _rref_dense(np.mod(m, p), p)
     nonzero = m.any(axis=1)  # rows that are zero only mod p stay; every path takes zero rows
     kept = m if nonzero.all() else m[nonzero]
     kept = kept if in_range(kept, p) else np.mod(kept, p)
-    rank, red, pivots = (_rref_tall if len(kept) > 2 * m.shape[1] else _rref_dense)(kept, p)
-    if len(kept) == len(m):
-        return rank, red, pivots
-    out = np.zeros(m.shape, dtype=np.int64)
-    out[:rank] = red[:rank]
-    return rank, out, pivots
+    return (_rref_tall if len(kept) > 2 * m.shape[1] else _rref_dense)(kept, p)
 
 
-def _rref_dense(m: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
+def _rref_dense(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """:func:`rref_array` of a reduced array m by :func:`_rref_rows`."""
     rows = m.tolist()
-    rank, pivots = _rref_rows(rows, p)
-    return rank, np.array(rows, dtype=np.int64).reshape(m.shape), pivots
+    pivots = _rref_rows(rows, p)
+    return np.array(rows[: len(pivots)], dtype=np.int64).reshape(len(pivots), m.shape[1]), pivots
 
 
-def _rref_tall(m: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
+def _rref_tall(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """:func:`rref_array` of a reduced array with more than twice as many rows
     as columns, in blocks.
 
@@ -234,16 +246,12 @@ def _rref_tall(m: np.ndarray, p: int) -> tuple[int, np.ndarray, list[int]]:
     ncols = m.shape[1]
     basis, pivots, start, size = m[:0], [], 0, ncols
     while start < len(m) and len(pivots) < ncols:
-        block = m[start : start + size]
-        block = reduce_against_rref(block, basis, pivots, p)
+        block = reduce_against_rref(m[start : start + size], basis, pivots, p)
         block = block[block.any(axis=1)]
         if len(block):
-            rank, red, pivots = _rref_dense(np.concatenate([basis, block]), p)
-            basis = red[:rank]
+            basis, pivots = _rref_dense(np.concatenate([basis, block]), p)
         start, size = start + size, 2 * size
-    out = np.zeros_like(m)
-    out[: len(basis)] = basis
-    return len(basis), out, pivots
+    return basis, pivots
 
 
 def nullspace_array(a: np.ndarray, p: int) -> np.ndarray:
@@ -254,14 +262,14 @@ def nullspace_array(a: np.ndarray, p: int) -> np.ndarray:
     only at pivot columns right of f, so these solutions, ordered by f, are
     already the RREF basis.
     """
-    a = np.asarray(a, dtype=np.int64)[:, ::-1]
+    a = as_int64_array(a, p)[:, ::-1]
     ncols = a.shape[1]
     if a.size <= SMALL_MATRIX_CELLS:
         rows = np.mod(a, p).tolist()
-        _, pivots = _rref_rows(rows, p)
+        pivots = _rref_rows(rows, p)
     else:
-        rank, red, pivots = rref_array(a, p)
-        rows = red[:rank].tolist()
+        red, pivots = rref_array(a, p)
+        rows = red.tolist()
     basis = []
     for f in reversed(range(ncols)):
         if f not in pivots:
@@ -279,16 +287,16 @@ def solve_affine(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.n
     Returns (particular solution, RREF row basis of the homogeneous solution
     space), or None if the system is inconsistent.
     """
-    a = np.asarray(a, dtype=np.int64)
+    a = as_int64_array(a, p)
     ncols = a.shape[1]
-    aug = np.column_stack([a, np.asarray(b, dtype=np.int64).reshape(-1)])
-    rank, red, pivots = rref_array(aug, p)
+    aug = np.column_stack([a, as_int64_array(b, p).reshape(-1)])
+    red, pivots = rref_array(aug, p)
     if pivots and pivots[-1] == ncols:
         return None
     x0 = np.zeros(ncols, dtype=np.int64)
-    x0[pivots] = red[:rank, ncols]
+    x0[pivots] = red[:, ncols]
     # the left block of a consistent system's RREF is the RREF of a
-    return x0, nullspace_array(red[:rank, :ncols], p)
+    return x0, nullspace_array(red[:, :ncols], p)
 
 
 def reduce_against_rref(v: np.ndarray, basis: np.ndarray, pivots: Iterable[int], p: int) -> np.ndarray:
@@ -312,8 +320,7 @@ class Subspace:
         if _canonical:
             pivots = (basis != 0).argmax(axis=1).tolist() if basis.size else []
         else:
-            rank, basis, pivots = rref_array(basis, p)
-            basis = basis[:rank]
+            basis, pivots = rref_array(basis, p)
         basis.flags.writeable = False
         self.p, self.basis, self.pivots = p, basis, tuple(pivots)
 

@@ -53,6 +53,8 @@ from .forms import FormTuple, find_common_isotropic  # noqa: F401  perfbench/tra
 from .gf import (
     DEFAULT_SEARCH_BUDGET,
     Subspace,
+    alternation_defects,
+    as_int64_array,
     json_field,
     mulmod,
     nullspace_array,
@@ -113,7 +115,7 @@ def largest_common_isotropic(
     p = 2 runs :func:`_gf2_nodes`, odd p :func:`_general_nodes`; the tree,
     its order, the node count and the witness are the same either way.
     """
-    stack = np.asarray(stack, dtype=np.int64) % p
+    stack = as_int64_array(stack, p) % p
     n = stack.shape[2]
     if k is not None and not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -122,7 +124,7 @@ def largest_common_isotropic(
     if not stack.any():
         return IsotropicSearch(np.eye(n if k is None else k, n, dtype=np.int64), 0, True)
     transposed = stack.transpose(0, 2, 1)
-    alternating = not np.einsum("mii->mi", stack).any() and not ((stack + transposed) % p).any()
+    alternating = not alternation_defects(stack, p).any()
     # (v M) w = 0 and (w M) v = 0 are one equation when M is alternating or symmetric
     sides = stack if alternating or np.array_equal(stack, transposed) else np.concatenate([stack, transposed])
     # v M v = 0 is checked on the forms themselves when they are not alternating

@@ -260,12 +260,12 @@ def reference_nilpotency_class(alg: StructureConstantAlgebra) -> int | None:
     cur, m = np.eye(d, dtype=np.int64), 1
     while True:
         prods = np.tensordot(cur, alg.table(), axes=([1], [1])).reshape(-1, d) % p
-        rank, red, _ = rref_array(prods, p)
-        if rank == 0:
+        red, _ = rref_array(prods, p)
+        if len(red) == 0:
             return m
-        if rank == cur.shape[0]:
+        if len(red) == cur.shape[0]:
             return None
-        cur, m = red[:rank], m + 1
+        cur, m = red, m + 1
 
 
 def reference_greedy(alg: StructureConstantAlgebra) -> SearchResult:
@@ -326,7 +326,7 @@ def reference_algebra_json(alg: StructureConstantAlgebra) -> dict:
 def random_invertible(p: int, n: int, rng: random.Random) -> np.ndarray:
     while True:
         m = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
-        if rref_array(m, p)[0] == n:
+        if len(rref_array(m, p)[1]) == n:
             return m
 
 

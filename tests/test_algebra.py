@@ -562,6 +562,7 @@ def _with_nz(*nz):
         (dict(_V2, sc=[[0, 1, []]]), "expected a JSON object"),
         (dict(_V2, dim=100000), "dimension must lie in"),
         (dict(_V2, kind="jordan"), "unknown algebra kind"),
+        (dict(_V2, labels=[[1], {"a": 2}, "x"]), "field 'labels' must list JSON strings"),
     ],
 )
 def test_malformed_schema_2_algebra_is_rejected(doc, message):

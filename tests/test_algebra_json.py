@@ -23,7 +23,7 @@ from commdim import (
 )
 from commdim.construct import matrix_commutative_subalgebra
 from commdim.algebra import _checked_sc
-from commdim.cli import _ENCODER, main
+from commdim.cli import main
 from commdim.gf import SMALL_MATRIX_CELLS
 from oracles import reference_algebra_json, reference_checked_sc
 
@@ -74,7 +74,7 @@ def _sha(text: str) -> str:
 def _digest(a: StructureConstantAlgebra) -> str:
     text = a.json_text()
     # to_json parses that text, and encoding the dict gives it back
-    assert _ENCODER.encode(a.to_json()) == text
+    assert json.dumps(a.to_json()) == text
     return _sha(text)
 
 
@@ -82,7 +82,7 @@ def _digest(a: StructureConstantAlgebra) -> str:
 def test_documents_keep_their_bytes(name):
     a = _pinned_algebra(name)
     assert _digest(a) == PINNED[name]
-    assert a.json_text() == _ENCODER.encode(reference_algebra_json(a))
+    assert a.json_text() == json.dumps(reference_algebra_json(a))
     # read back from its own text, the algebra writes the same bytes and table
     back = StructureConstantAlgebra.from_json(json.loads(a.json_text()))
     assert _digest(back) == PINNED[name]
@@ -113,7 +113,7 @@ def test_the_cli_writes_the_pinned_bytes(d, tmp_path, capsys):
     unit = _cli_text(capsys, "unitalize", "--alg", paths["assoc"], "-o", str(tmp_path / "unit.json"))
     if d == 48:
         assert _sha(unit) == PINNED["unital-d49"]
-    assert unit == _ENCODER.encode(reference_algebra_json(unitalize(_pinned_algebra(f"assoc-d{d}"))))
+    assert unit == json.dumps(reference_algebra_json(unitalize(_pinned_algebra(f"assoc-d{d}"))))
 
 
 @pytest.mark.parametrize("r, p", [(3, 3), (8, 2)])
@@ -126,7 +126,7 @@ def test_matrix_comm_writes_the_pinned_ambient(r, p, construction, capsys):
     # the whole document as the CLI encoded it when the ambient was a dict
     ambient, sub = matrix_commutative_subalgebra(r, PrimeField(p), construction)
     doc = {"ambient": reference_algebra_json(ambient), "sub": sub.to_json(), "sub_dim": sub.dim}
-    assert text == _ENCODER.encode(doc)
+    assert text == json.dumps(doc)
 
 
 # ---------------------------------------------------------------- the writer against its reference
@@ -163,7 +163,7 @@ def algebras_to_write(draw):
 @given(algebras_to_write())
 def test_json_text_matches_its_reference(a):
     text = a.json_text()
-    assert text == _ENCODER.encode(reference_algebra_json(a))
+    assert text == json.dumps(reference_algebra_json(a))
     assert a.to_json() == reference_algebra_json(a)
     back = StructureConstantAlgebra.from_json(json.loads(text))
     assert back.json_text() == text and back.labels == a.labels
@@ -302,7 +302,7 @@ def test_values_beyond_int64_reduce_exactly(doc, tmp_path, capsys):
 
 def test_sc_maps_every_stored_key_to_a_read_only_row():
     a = _pinned_algebra("lie-overrides")
-    doc, table = _ENCODER.encode(a.to_json()), a.table().copy()
+    doc, table = json.dumps(a.to_json()), a.table().copy()
     b = StructureConstantAlgebra.from_json(json.loads(doc))
     expected = {(2, 3): [1, 0, 0, 4], (0, 1): [0, 0, 3, 0], (1, 0): [0, 0, 1, 1], (0, 2): [0, 0, 0, 0]}
     for alg, order in ((a, list(expected)), (b, sorted(expected))):
@@ -314,7 +314,7 @@ def test_sc_maps_every_stored_key_to_a_read_only_row():
                 row[0] = 1
         assert alg.sc is alg.sc
         # reading sc leaves the document and the table as they were
-        assert _ENCODER.encode(alg.to_json()) == doc
+        assert json.dumps(alg.to_json()) == doc
         assert np.array_equal(alg.table(), table)
     # the explicit reverse key wins over the derived negation
     assert a.table()[1, 0].tolist() == [0, 0, 1, 1] and a.table()[3, 2].tolist() == [4, 0, 0, 1]

@@ -8,6 +8,7 @@ import pytest
 
 import commdim
 from commdim import PrimeField, StructureConstantAlgebra, sample_form_tuple
+from commdim.bounds import CLASSICAL_MIN_RANK, MAX_SIMPLE_RANK
 from commdim.cli import main
 from oracles import algebra_json_v1
 
@@ -82,6 +83,21 @@ def test_simple_table_default_list(capsys):
     types = [e["type"] for e in obj]
     assert types[:5] == ["E6", "E7", "E8", "F4", "G2"]
     assert {"A", "B", "C", "D"} <= set(types)
+
+
+def test_simple_table_max_rank_is_capped_before_building(monkeypatch, capsys):
+    code, obj = run_json(capsys, "simple-table", "--max-rank", str(MAX_SIMPLE_RANK))
+    assert code == 0 and len(obj) == 5 + sum(MAX_SIMPLE_RANK - lo + 1 for lo in CLASSICAL_MIN_RANK.values())
+
+    def build(*args):
+        raise AssertionError("a table row was built")
+
+    monkeypatch.setattr(commdim.cli, "exceptional_entries", build)
+    monkeypatch.setattr(commdim.cli, "simple_lie_data", build)
+    code, out = run(capsys, "simple-table", "--max-rank", str(MAX_SIMPLE_RANK + 1))
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    assert f"capped at {MAX_SIMPLE_RANK}" in json.loads(lines[0])["error"]
 
 
 def test_matrix_comm(capsys):
@@ -275,11 +291,26 @@ def test_nonpositive_max_attempts_is_a_domain_error(capsys, attempts):
     assert "max_attempts" in error and "sampled" not in error
 
 
-@pytest.mark.parametrize("kind, p", [("symmetric", "3"), ("symmetric", "2"), ("alternating", "2")])
-def test_symmetric_restriction_of_symmetric_forms_is_refused_before_sampling(monkeypatch, tmp_path, capsys, kind, p):
-    # every form is symmetric, so every restriction is too and no tuple can certify
-    certify = ["certify", "--n", "4", "--t", "2", "--k", "2", "--p", p, "--seed", "0", "--kind", kind,
-               "--mode", "symmetric-restriction"]
+@pytest.mark.parametrize(
+    "kind, p, k, mode",
+    [
+        # every form is symmetric, so every restriction is too
+        pytest.param("symmetric", "3", "2", "symmetric-restriction", id="symmetric-3"),
+        pytest.param("symmetric", "2", "2", "symmetric-restriction", id="symmetric-2"),
+        pytest.param("alternating", "2", "2", "symmetric-restriction", id="alternating-2"),
+        # every line is isotropic for an alternating form, and a 1 x 1 restriction is symmetric
+        pytest.param("alternating", "3", "1", "isotropic", id="alternating-3-line"),
+        pytest.param("alternating", "2", "1", "isotropic", id="alternating-2-line"),
+        pytest.param("general", "3", "1", "symmetric-restriction", id="general-3-line"),
+        # the zero subspace matches every tuple
+        pytest.param("general", "3", "0", "isotropic", id="general-3-zero"),
+        pytest.param("symmetric", "5", "0", "symmetric-restriction", id="symmetric-5-zero"),
+    ],
+)
+def test_symmetric_restriction_of_symmetric_forms_is_refused_before_sampling(monkeypatch, tmp_path, capsys,
+                                                                           kind, p, k, mode):
+    # every k-subspace matches, so no tuple can certify
+    certify = ["certify", "--n", "4", "--t", "2", "--k", k, "--p", p, "--seed", "0", "--kind", kind, "--mode", mode]
 
     def sample(*args):
         raise AssertionError("a tuple was sampled")
@@ -289,12 +320,12 @@ def test_symmetric_restriction_of_symmetric_forms_is_refused_before_sampling(mon
     code, out = run(capsys, *certify, "-o", str(cert_path))
     lines = out.splitlines()
     assert code == 1 and len(lines) == 1 and set(json.loads(lines[0])) == {"error"} and not cert_path.exists()
-    assert "symmetric-restriction" in json.loads(lines[0])["error"]
+    assert mode in json.loads(lines[0])["error"] and "never certify" in json.loads(lines[0])["error"]
     monkeypatch.undo()
-    # k > n stays vacuously certified
-    with pytest.warns(UserWarning):
-        code, obj = run_json(capsys, *certify[:2], "1", *certify[3:])
-    assert code == 0 and obj["vacuous"] is True
+    if k != "0":  # k > n stays vacuously certified
+        with pytest.warns(UserWarning):
+            code, obj = run_json(capsys, "certify", "--n", str(int(k) - 1), *certify[3:])
+        assert code == 0 and obj["vacuous"] is True
 
 
 def test_symmetric_restriction_of_other_forms_still_samples(capsys):
@@ -303,6 +334,11 @@ def test_symmetric_restriction_of_other_forms_still_samples(capsys):
             code, obj = run_json(capsys, "certify", "--n", "4", "--t", "2", "--k", "2", "--p", "3", "--seed", "0",
                                  "--kind", kind, "--mode", "symmetric-restriction", "--max-attempts", "1")
         assert code == 1 and "all 1 sampled tuples" in obj["error"], kind
+    # a line is isotropic for a symmetric form only where v M v = 0, so k = 1 can certify
+    with pytest.warns(UserWarning):
+        code, obj = run_json(capsys, "certify", "--n", "2", "--t", "3", "--k", "1", "--p", "3", "--seed", "0",
+                             "--kind", "symmetric")
+    assert code == 0 and obj["k"] == 1 and obj["subspaces_checked"] == "4"
 
 
 def test_usage_error_is_machine_readable(capsys):
@@ -386,6 +422,7 @@ def _nz(*nz):
         ("verify", "--alg", dict(_ALG2, sc=[{"i": 0, "j": 1, "nz": []}, {"i": 0, "j": 1, "nz": [[2, 1]]}])),
         ("verify", "--alg", dict(_ALG2, dim=100000)),
         ("search", "--alg", dict(_ALG2, dim=100000)),
+        ("unitalize", "--alg", dict(_ALG2, kind="assoc", labels=[[1], {"a": 2}, "x"])),
     ],
 )
 def test_malformed_json_is_a_domain_error(tmp_path, capsys, command, flag, doc):

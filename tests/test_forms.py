@@ -266,12 +266,12 @@ def test_certificate_main_instance():
 
 
 def test_certification_failure_carries_witness():
-    # k = 1 can never be certified for alternating forms: lines are isotropic
+    # one alternating form on GF(2)^4 always has an isotropic plane
     with pytest.warns(UserWarning):
         with pytest.raises(CertificationFailed) as exc:
-            certify_no_isotropic(2, 1, 1, F2, seed=0, max_attempts=4)
+            certify_no_isotropic(4, 1, 2, F2, seed=0, max_attempts=4)
     assert exc.value.witness is not None
-    assert exc.value.witness.dim == 1
+    assert exc.value.witness.dim == 2
 
 
 @pytest.mark.parametrize("max_attempts", [0, -3])

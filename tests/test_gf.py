@@ -15,7 +15,8 @@ from commdim import (
     is_prime,
 )
 from commdim import gf
-from commdim.algebra import MAX_ALGEBRA_DIM
+from commdim.algebra import MAX_ALGEBRA_DIM, pairwise_products
+from commdim.search import largest_common_isotropic
 from commdim.gf import MAX_PRIME, matrix_from_json, matrix_to_json, nullspace_array, rref_array, solve_affine
 
 from oracles import enumerate_subspaces, random_invertible, reference_reduce
@@ -35,8 +36,21 @@ def test_non_integral_values_are_rejected_not_truncated():
     for bad in ([np.nan], [np.inf], ["1"], [Fraction(3, 2)]):
         with pytest.raises(ValueError, match="non-integral"):
             gf.as_gf_array(bad, 3)
+    # the GF(p) kernels and the search engine read such input as as_gf_array does
+    alg = StructureConstantAlgebra("lie", PrimeField(3), 2, {})
+    for call, bad in (
+        (lambda: rref_array(np.array([[1.5, 0.0]]), 3), "1.5"),
+        (lambda: nullspace_array(np.array([[1.9, 1.0]]), 3), "1.9"),
+        (lambda: solve_affine(np.array([[1.5, 0.0]]), [1], 3), "1.5"),
+        (lambda: solve_affine([[1, 0]], np.array([0.5]), 3), "0.5"),
+        (lambda: largest_common_isotropic(np.array([[[0, 1.5], [1.5, 0]]]), 3), "1.5"),
+        (lambda: pairwise_products(alg, np.array([[0.5, 1.0]])), "0.5"),
+    ):
+        with pytest.raises(ValueError, match=f"non-integral {bad}"):
+            call()
     # integral floats, such as np.eye's default output, read as their ints
     assert Subspace(3, np.eye(2)) == Subspace(3, np.eye(2, dtype=np.int64))
+    assert _identical(rref_array(np.eye(2), 3), rref_array(np.eye(2, dtype=np.int64), 3))
     assert gf.as_gf_array([[4.0, -1.0]], 3).tolist() == [[1, 2]]
     assert gf.as_gf_array([True, False], 3).tolist() == [1, 0]
 
@@ -51,6 +65,15 @@ def test_ints_beyond_int64_reduce_exactly(big):
     assert Subspace.span(5, [[1, big]]) == Subspace(5, [[1, big % 5]])
     a = StructureConstantAlgebra("lie", PrimeField(5), 3, {(0, 1): [0, big, 2**64 - 1]})
     assert a.table()[0, 1].tolist() == [0, big % 5, (2**64 - 1) % 5]
+    # and so must the GF(p) kernels and the search engine
+    m, r = [[1, big, 2]], [[1, big % 5, 2]]
+    assert _identical(rref_array(m, 5), rref_array(r, 5))
+    assert _identical(nullspace_array(m, 5), nullspace_array(r, 5))
+    assert _identical(solve_affine(m, [big], 5), solve_affine(r, [big % 5], 5))
+    stack, reduced = [[[0, big, 0], [-big, 0, 1], [0, 4, 0]]], [[[0, big % 5, 0], [-big % 5, 0, 1], [0, 4, 0]]]
+    assert _identical(largest_common_isotropic(stack, 5), largest_common_isotropic(reduced, 5))
+    lie = StructureConstantAlgebra("lie", PrimeField(5), 3, {(0, 1): [0, 0, 1]})
+    assert _identical(pairwise_products(lie, m), pairwise_products(lie, r))
 
 
 def test_prime_field_accepts_primes():
@@ -71,21 +94,21 @@ def test_is_prime_small():
 
 def test_rref_identity():
     m = np.eye(3, dtype=np.int64)
-    rank, ech, pivots = rref_array(m, 5)
-    assert rank == 3 and pivots == [0, 1, 2]
+    ech, pivots = rref_array(m, 5)
+    assert pivots == [0, 1, 2]
     assert np.array_equal(ech, m)
 
 
 def test_rref_zero():
-    rank, ech, pivots = rref_array(np.zeros((2, 4), dtype=np.int64), 2)
-    assert rank == 0 and pivots == []
-    assert ech.shape == (2, 4) and not ech.any()
+    ech, pivots = rref_array(np.zeros((2, 4), dtype=np.int64), 2)
+    assert pivots == []
+    assert ech.shape == (0, 4)
 
 
 def test_rref_dependent_rows():
-    rank, ech, pivots = rref_array(np.array([[1, 1], [1, 1]]), 2)
-    assert rank == 1 and pivots == [0]
-    assert ech.tolist() == [[1, 1], [0, 0]]
+    ech, pivots = rref_array(np.array([[1, 1], [1, 1]]), 2)
+    assert pivots == [0]
+    assert ech.tolist() == [[1, 1]]
 
 
 def test_rref_idempotent():
@@ -94,9 +117,9 @@ def test_rref_idempotent():
         for _ in range(25):
             rows, cols = rng.randrange(1, 5), rng.randrange(1, 6)
             m = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
-            rank, ech, _ = rref_array(m, p)
-            again_rank, again, _ = rref_array(ech[:rank], p)
-            assert again_rank == rank and np.array_equal(again, ech[:rank])
+            ech, pivots = rref_array(m, p)
+            again, again_pivots = rref_array(ech, p)
+            assert again_pivots == pivots and np.array_equal(again, ech)
 
 
 def test_rref_canonical_under_row_operations():
@@ -106,8 +129,8 @@ def test_rref_canonical_under_row_operations():
             k, n = rng.randrange(1, 4), rng.randrange(2, 6)
             a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=np.int64)
             e = random_invertible(p, k, rng)
-            _, ech1, _ = rref_array(a, p)
-            _, ech2, _ = rref_array((e @ a) % p, p)
+            ech1, _ = rref_array(a, p)
+            ech2, _ = rref_array((e @ a) % p, p)
             assert np.array_equal(ech1, ech2)
 
 
@@ -168,8 +191,8 @@ def test_enumeration_complete_and_canonical(p):
         for k in range(n + 1):
             seen = set()
             for sub in enumerate_subspaces(n, k, field):
-                rank, ech, _ = rref_array(sub.basis, p)
-                assert rank == k and np.array_equal(ech, sub.basis)  # already canonical
+                ech, _ = rref_array(sub.basis, p)
+                assert np.array_equal(ech, sub.basis)  # already canonical, of rank k
                 seen.add(sub)
             assert len(seen) == gaussian_binomial(n, k, p)
 
@@ -238,13 +261,13 @@ def residual_cases(draw):
     p = draw(st.sampled_from([2, 3, 8191]))
     n = draw(st.integers(0, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rank, red, pivots = rref_array(rng.integers(0, p, (draw(st.integers(0, n)), n)), p)
+    red, pivots = rref_array(rng.integers(0, p, (draw(st.integers(0, n)), n)), p)
     shape = draw(st.sampled_from([(), (4,), (3, 3)]))
     if draw(st.booleans()):
-        v = rng.integers(0, p, shape + (rank,)) @ red[:rank] % p
+        v = rng.integers(0, p, shape + (len(red),)) @ red % p
     else:
         v = rng.integers(0, p, shape + (n,))
-    return v, red[:rank], pivots, p
+    return v, red, pivots, p
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -255,6 +278,37 @@ def test_reduce_against_rref_matches_the_per_pivot_loop(case):
     assert got.shape == v.shape
     assert np.array_equal(got, reference_reduce(v, basis, pivots, p))
     assert not got[..., pivots].any()
+
+
+@st.composite
+def form_stacks(draw):
+    """(p, stack): a (m, n, n) stack over GF(p), random or alternating but
+    for up to two random entries, so that single defects occur."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(0, p, (m, n, n))
+    if draw(st.booleans()):
+        upper = np.triu(stack, 1)
+        stack = (upper - upper.transpose(0, 2, 1)) % p
+        for _ in range(draw(st.integers(0, 2)) if m and n else 0):
+            stack[tuple(rng.integers(0, (m, n, n)))] = rng.integers(0, p)
+    return p, stack
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(form_stacks())
+def test_alternation_defects_match_the_per_entry_loop(case):
+    p, stack = case
+    n = stack.shape[1]
+    want = np.zeros((n, n), dtype=bool)
+    for form in stack.tolist():
+        for i in range(n):
+            for j in range(n):
+                if (form[i][i] if i == j else form[i][j] + form[j][i]) % p:
+                    want[i, j] = True
+    got = gf.alternation_defects(stack, p)
+    assert got.dtype == bool and np.array_equal(got, want)
 
 
 def test_subspace_span_of_no_rows():
@@ -377,6 +431,12 @@ def test_list_and_numpy_paths_agree_bit_for_bit(system):
             list_path = fn(*args)
         assert _identical(list_path, numpy_path), fn.__name__
         assert _identical(fn(*args), numpy_path), fn.__name__
+    # on every path an RREF is its nonzero rows, one per pivot column
+    for cells in (-1, 10**9, gf.SMALL_MATRIX_CELLS):
+        with mock.patch.object(gf, "SMALL_MATRIX_CELLS", cells):
+            basis, pivots = rref_array(a, p)
+        assert basis.shape == (len(pivots), a.shape[1]) and basis.any(axis=1).all()
+        assert basis[np.arange(len(pivots)), pivots].tolist() == [1] * len(pivots)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -384,14 +444,13 @@ def test_list_and_numpy_paths_agree_bit_for_bit(system):
 def test_nullspace_solves(system):
     p, a, _ = system
     rows, cols = a.shape
-    rank = rref_array(a, p)[0]
+    rank = len(rref_array(a, p)[1])
     for cells in (-1, 10**9):  # zero-row drop and blocks, then direct elimination
         with mock.patch.object(gf, "SMALL_MATRIX_CELLS", cells):
             ns = nullspace_array(a, p)
         assert ns.shape == (cols - rank, cols)
         assert not ((a @ ns.T) % p).any()
-        ns_rank, ns_rref, _ = rref_array(ns, p)
-        assert ns_rank == ns.shape[0] and np.array_equal(ns_rref, ns)  # the canonical basis
+        assert np.array_equal(rref_array(ns, p)[0], ns)  # the canonical basis
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -414,12 +473,11 @@ def test_elimination_at_the_largest_prime_and_dimension(rows):
     p, cols = MAX_PRIME, MAX_ALGEBRA_DIM
     rng = np.random.default_rng(rows)
     a = rng.integers(0, p, (rows, 120)) @ rng.integers(0, p, (120, cols)) % p
-    rank = rref_array(a, p)[0]
+    rank = len(rref_array(a, p)[1])
     ns = nullspace_array(a, p)
     assert rank == 120 and rank + ns.shape[0] == cols
     assert not ((a @ ns.T) % p).any()
-    ns_rank, ns_rref, _ = rref_array(ns, p)
-    assert ns_rank == ns.shape[0] and np.array_equal(ns_rref, ns)
+    assert np.array_equal(rref_array(ns, p)[0], ns)
 
 
 @pytest.mark.parametrize(

@@ -200,8 +200,7 @@ def _check_witness(stack, p, k, res):
         return
     b = res.basis
     assert k is None or len(b) == k
-    rank, echelon, _ = rref_array(b, p)
-    assert rank == len(b) and np.array_equal(echelon, b)
+    assert np.array_equal(rref_array(b, p)[0], b)
     assert not (np.einsum("ka,mab,lb->mkl", b, stack, b) % p).any()
 
 
@@ -315,8 +314,8 @@ def test_lead_solve_is_read_off_the_extension_basis(case, data):
         x0, hom = solve_affine(system[:, right], -system[:, lead] % p, p)
         hom = hom.reshape(len(hom), len(right))
         assert np.array_equal(hom, b[i + 1 :, right])
-        rank, echelon, cols = rref_array(hom[:, ::-1], p)
-        assert np.array_equal(x0, reduce_against_rref(b[i, right][::-1], echelon[:rank], cols, p)[::-1])
+        echelon, cols = rref_array(hom[:, ::-1], p)
+        assert np.array_equal(x0, reduce_against_rref(b[i, right][::-1], echelon, cols, p)[::-1])
 
 
 @pytest.mark.parametrize("kind", ["alternating", "symmetric", "general"])
@@ -382,7 +381,7 @@ def test_p5_ties_are_cut():
     # center plus a Lagrangian subspace: 1 + 3 = 4.  Many branches reach
     # dim 4; with ties expanded the search took 125 119 nodes
     forms = sample_form_tuple(6, 1, "alternating", F5, 11)
-    assert rref_array(forms.stack()[0], 5)[0] == 6
+    assert len(rref_array(forms.stack()[0], 5)[1]) == 6
     alg = build_lie_from_forms(forms)
     res = max_abelian_exact(alg)
     assert (res.dim, res.nodes_visited, res.exact) == (4, 9499, True)
