@@ -36,14 +36,12 @@ from .gf import (
     Subspace,
     alternation_defects,
     as_gf_array,
-    as_int64_array,
     in_range,
     is_json_ints,
     json_field,
     mulmod,
     nullspace_array,
     reduce_against_rref,
-    reduced_ints,
     rref_array,
 )
 
@@ -123,7 +121,7 @@ def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray
     ms = _below(flat[0::2], dim)
     if ms is None:
         raise ValueError(f"nz coordinate out of range [0, {dim})")
-    vs = reduced_ints(flat[1::2], p)
+    vs = as_gf_array(flat[1::2], p)
     at = np.repeat(np.arange(len(entries)) * dim, list(map(len, nzs))) + ms
     # the writer lists each entry's m in increasing order, which makes at increase strictly
     if not (at[1:] > at[:-1]).all() and np.unique(at).size < at.size:
@@ -417,7 +415,7 @@ def pairwise_products(a: StructureConstantAlgebra, basis: np.ndarray) -> np.ndar
     the exactness bound of :func:`~commdim.gf.mulmod`.
     """
     d, p = a.dim, a.p
-    basis = as_int64_array(basis, p) % p
+    basis = as_gf_array(basis, p)
     used = np.flatnonzero(basis.any(axis=0))
     x, c = basis[:, used], len(used)
     t = a.table()[np.ix_(used, used)].reshape(c, c * d)

@@ -30,7 +30,6 @@ from .gf import (
     alternation_defects,
     as_gf_array,
     gaussian_binomial,
-    in_range,
     json_field,
     matrix_from_json,
     matrix_to_json,
@@ -64,9 +63,7 @@ class FormTuple:
         if len(mats) != t:
             raise ValueError(f"expected {t} matrices, got {len(mats)}")
         p = field.p
-        stack = np.asarray(mats)  # a copy, mats being a list, so freezing it below leaves the caller's arrays alone
-        if stack.dtype != np.int64 or not in_range(stack, p):  # read and sampled forms are reduced already
-            stack = as_gf_array(stack, p)
+        stack = as_gf_array(mats, p)  # a new array, mats being a list, so freezing it leaves the caller's arrays alone
         if stack.shape != (t, n, n):
             raise ValueError("every form must be an n x n matrix over GF(p)")
         if kind == "alternating" and alternation_defects(stack, p).any():
@@ -143,10 +140,15 @@ def sample_form_tuple(n: int, t: int, kind: str, field: PrimeField, seed: int) -
     return FormTuple(n, t, kind, field, stack, seed=seed)
 
 
-def _mode_stack(forms: FormTuple, mode: str) -> np.ndarray:
-    """Forms whose common isotropic subspaces are the ones the mode asks for."""
+def _checked_mode(mode: str) -> str:
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    return mode
+
+
+def _mode_stack(forms: FormTuple, mode: str) -> np.ndarray:
+    """Forms whose common isotropic subspaces are the ones the mode asks for."""
+    _checked_mode(mode)
     s = forms.stack()
     # the restrictions of M are all symmetric where M - M^T restricts to zero
     return s if mode == MODE_ISOTROPIC else (s - s.transpose(0, 2, 1)) % forms.p
@@ -240,7 +242,7 @@ class GenericityCertificate:
             k=json_field(obj, "k", "int"),
             subspaces_checked=int(json_field(obj, "subspaces_checked", "str")),
             vacuous=json_field(obj, "vacuous", "bool", default=False),
-            mode=json_field(obj, "mode", "str", default=MODE_ISOTROPIC),
+            mode=_checked_mode(json_field(obj, "mode", "str", default=MODE_ISOTROPIC)),
             verdict=json_field(obj, "verdict", "str", default="certified"),
             method=json_field(obj, "method", "str", default=None),
             nodes_visited=json_field(obj, "nodes_visited", "int", default=None),
@@ -273,6 +275,7 @@ def certify_no_isotropic(
         raise ValueError("need n >= 0, t >= 1, k >= 0")
     if max_attempts < 1:
         raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
+    _checked_mode(mode)
     # No tuple can certify where every k-subspace matches: at any k <= n when
     # M^T = M makes every restriction symmetric, at k = 0, and at k = 1 when
     # every line is isotropic (v M v = 0) or every 1 x 1 restriction is symmetric.

@@ -2,7 +2,10 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p; a type that owns
 such data (:class:`Subspace` here, ``FormTuple`` in :mod:`commdim.forms`)
-holds it read-only and checks its own invariants.  Only this module knows
+holds it read-only and checks its own invariants.  Input reaches GF(p) only
+through :func:`as_gf_array`, and no caller reduces again after it: a large
+int64 array already in [0, p) comes back itself, any other int64 array from
+one ``np.mod``, and any other input is read exactly.  Only this module knows
 the matrix JSON form {"p", "rows", "cols", "entries"}
 (:func:`matrix_to_json`, :func:`matrix_from_json`).  Everything is
 deterministic: row reduction yields the unique reduced row echelon form,
@@ -65,34 +68,33 @@ class PrimeField:
 
 
 def as_gf_array(entries, p: int) -> np.ndarray:
-    """Coerce to a reduced int64 array over GF(p).
+    """Coerce to a reduced int64 array over GF(p); the one way into GF(p).
 
-    Integral floats, such as np.eye's default output, are accepted; any other
-    non-integral entry raises ValueError instead of being truncated.  Ints
-    beyond int64 (uint64, objects or floats to numpy) are reduced exactly.
+    An int64 array of more than ``SMALL_MATRIX_CELLS`` cells that is already
+    reduced comes back itself, checked by one :func:`in_range`; any other
+    int64 array comes back as a new array from one ``np.mod``.  A caller that
+    freezes or writes the result must therefore own its argument:
+    ``FormTuple`` passes a list of its matrices, which numpy copies, and
+    ``Subspace(..., _canonical=True)`` is passed only fresh arrays.  Other
+    input is read as follows: integral floats, such as np.eye's default
+    output, are accepted; any other non-integral entry raises ValueError
+    instead of being truncated; ints beyond int64 (uint64, objects or floats
+    to numpy) are reduced exactly.
     """
     a = np.asarray(entries)
+    if a.dtype == np.int64:
+        return a if a.size > SMALL_MATRIX_CELLS and in_range(a, p) else np.mod(a, p)
     if a.dtype.kind in "fuO":
         a = np.asarray(entries, dtype=object)
         with np.errstate(invalid="ignore"):  # nan and inf leave nan
             frac = (a % 1 != 0).astype(bool)
         if frac.any():
             raise ValueError(f"entries must be ints, got non-integral {a[frac].tolist()[0]!r}")
-        a = a % p
-    if a.dtype != np.int64:
-        ints = a.astype(np.int64)
-        if a.dtype.kind not in "biO" and not (ints == a).all():
-            raise ValueError(f"entries must be ints, got non-integral {a[ints != a].tolist()[0]!r}")
-        a = ints
-    return np.mod(a, p)
-
-
-def as_int64_array(a, p: int) -> np.ndarray:
-    """a as an int64 array: unchanged, not even reduced, when it already is
-    one, else by :func:`as_gf_array`, which refuses non-integral entries
-    instead of truncating them and reduces ints beyond int64 exactly."""
-    m = np.asarray(a)
-    return m if m.dtype == np.int64 else as_gf_array(a, p)
+        return (a % p).astype(np.int64)
+    ints = a.astype(np.int64)
+    if a.dtype.kind not in "bi" and not (ints == a).all():
+        raise ValueError(f"entries must be ints, got non-integral {a[ints != a].tolist()[0]!r}")
+    return np.mod(ints, p)
 
 
 def alternation_defects(stack: np.ndarray, p: int) -> np.ndarray:
@@ -147,18 +149,11 @@ def matrix_from_json(obj) -> tuple[int, np.ndarray]:
     p = PrimeField(json_field(obj, "p", "int")).p
     rows, cols = json_field(obj, "rows", "int"), json_field(obj, "cols", "int")
     entries = json_field(obj, "entries", "ints")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"rows and cols must be at least 0, got {rows} and {cols}")
     if len(entries) != rows * cols:
         raise ValueError("entry count does not match rows*cols")
-    return p, reduced_ints(entries, p).reshape(rows, cols)
-
-
-def reduced_ints(values: list, p: int) -> np.ndarray:
-    """A list of JSON ints as a reduced int64 array over GF(p)."""
-    try:
-        a = np.array(values, dtype=np.int64)
-    except OverflowError:  # ints beyond int64 are reduced exactly before numpy sees them
-        a = np.array([x % p for x in values], dtype=np.int64)
-    return a if in_range(a, p) else np.mod(a, p)
+    return p, as_gf_array(entries, p).reshape(rows, cols)
 
 
 def in_range(a: np.ndarray, bound: int) -> bool:
@@ -214,12 +209,11 @@ def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of a raw array: (basis, pivot cols), the basis
     being its nonzero rows, a (len(pivots), cols) int64 array; the rank is len(pivots)."""
-    m = as_int64_array(a, p)
+    m = as_gf_array(a, p)
     if m.size <= SMALL_MATRIX_CELLS:
-        return _rref_dense(np.mod(m, p), p)
-    nonzero = m.any(axis=1)  # rows that are zero only mod p stay; every path takes zero rows
+        return _rref_dense(m, p)
+    nonzero = m.any(axis=1)
     kept = m if nonzero.all() else m[nonzero]
-    kept = kept if in_range(kept, p) else np.mod(kept, p)
     return (_rref_tall if len(kept) > 2 * m.shape[1] else _rref_dense)(kept, p)
 
 
@@ -262,10 +256,10 @@ def nullspace_array(a: np.ndarray, p: int) -> np.ndarray:
     only at pivot columns right of f, so these solutions, ordered by f, are
     already the RREF basis.
     """
-    a = as_int64_array(a, p)[:, ::-1]
+    a = as_gf_array(a, p)[:, ::-1]
     ncols = a.shape[1]
     if a.size <= SMALL_MATRIX_CELLS:
-        rows = np.mod(a, p).tolist()
+        rows = a.tolist()
         pivots = _rref_rows(rows, p)
     else:
         red, pivots = rref_array(a, p)
@@ -287,9 +281,9 @@ def solve_affine(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.n
     Returns (particular solution, RREF row basis of the homogeneous solution
     space), or None if the system is inconsistent.
     """
-    a = as_int64_array(a, p)
+    a = as_gf_array(a, p)
     ncols = a.shape[1]
-    aug = np.column_stack([a, as_int64_array(b, p).reshape(-1)])
+    aug = np.column_stack([a, as_gf_array(b, p).reshape(-1)])
     red, pivots = rref_array(aug, p)
     if pivots and pivots[-1] == ncols:
         return None

@@ -54,7 +54,7 @@ from .gf import (
     DEFAULT_SEARCH_BUDGET,
     Subspace,
     alternation_defects,
-    as_int64_array,
+    as_gf_array,
     json_field,
     mulmod,
     nullspace_array,
@@ -115,7 +115,7 @@ def largest_common_isotropic(
     p = 2 runs :func:`_gf2_nodes`, odd p :func:`_general_nodes`; the tree,
     its order, the node count and the witness are the same either way.
     """
-    stack = as_int64_array(stack, p) % p
+    stack = as_gf_array(stack, p)
     n = stack.shape[2]
     if k is not None and not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -210,7 +210,7 @@ def _general_nodes(sides: np.ndarray, squares: int, p: int):
             # columns right of it, and every column left of min_pivot is free
             pnew = below[i]
             q_cols = free[pnew + 1 :]
-            x0, hom = solve_affine(system[:, q_cols], (-system[:, pnew]) % p, p)
+            x0, hom = solve_affine(system[:, q_cols], -system[:, pnew], p)
             v = np.zeros(n, dtype=np.int64)
             v[pnew] = 1
             v[q_cols] = x0

@@ -287,14 +287,17 @@ def test_ints_beyond_int64_are_out_of_range(doc, big, tmp_path, capsys):
 
 @pytest.mark.parametrize("doc", [_small, _large], ids=["small", "large"])
 def test_values_beyond_int64_reduce_exactly(doc, tmp_path, capsys):
-    obj = doc([[0, 7**40 + 1], [2, -(2**70)]])
-    a = StructureConstantAlgebra.from_json(obj)
-    assert a.to_json()["sc"][0]["nz"] == [[0, (7**40 + 1) % 3], [2, -(2**70) % 3]]
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps(obj))
-    assert main(["unitalize", "--alg", str(path)]) == 0
-    unit = json.loads(capsys.readouterr().out)
-    assert unit["sc"][0] == {"i": 0, "j": 1, "nz": [[0, (7**40 + 1) % 3], [2, -(2**70) % 3]]}
+    # numpy reads the second list as float64, which cannot hold 2^63 - 1
+    for values in ([7**40 + 1, 0, -(2**70)], [-1, 2**63, 2**63 - 1]):
+        obj = doc([[m, v] for m, v in enumerate(values) if v])
+        nz = [[m, v % 3] for m, v in enumerate(values) if v]
+        a = StructureConstantAlgebra.from_json(obj)
+        assert a.to_json()["sc"][0]["nz"] == nz
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(obj))
+        assert main(["unitalize", "--alg", str(path)]) == 0
+        unit = json.loads(capsys.readouterr().out)
+        assert unit["sc"][0] == {"i": 0, "j": 1, "nz": nz}
 
 
 # ---------------------------------------------------------------- sc stays API

@@ -471,8 +471,13 @@ def test_engine_matches_enumeration_oracle(ft):
         (lambda: certify_no_isotropic(3, 1, 2, F2, None), "requires an explicit seed"),
         (lambda: certify_no_isotropic(-1, 1, 2, F2, 1), "need n >= 0"),
         (lambda: certify_no_isotropic(3, 1, -1, F2, 1), "need n >= 0"),
+        # k > n would issue a vacuous certificate without ever reading the mode
+        (lambda: certify_no_isotropic(2, 1, 3, F2, 1, mode="nonsense"), "unknown mode 'nonsense'"),
+        (lambda: GenericityCertificate.from_json(dict(certify_no_isotropic(2, 3, 3, F2, 1).to_json(), mode="nonsense")),
+         "unknown mode 'nonsense'"),
     ],
-    ids=["form-kind", "mode", "subspace-dim", "subspace-p", "seed-none", "n-negative", "k-negative"],
+    ids=["form-kind", "mode", "subspace-dim", "subspace-p", "seed-none", "n-negative", "k-negative",
+         "certify-mode", "certificate-mode"],
 )
 def test_input_checks_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):

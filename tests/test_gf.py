@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -74,6 +75,43 @@ def test_ints_beyond_int64_reduce_exactly(big):
     assert _identical(largest_common_isotropic(stack, 5), largest_common_isotropic(reduced, 5))
     lie = StructureConstantAlgebra("lie", PrimeField(5), 3, {(0, 1): [0, 0, 1]})
     assert _identical(pairwise_products(lie, m), pairwise_products(lie, r))
+
+
+def test_as_gf_array_returns_only_a_large_reduced_int64_array_itself():
+    p, big = 5, gf.SMALL_MATRIX_CELLS + 1
+    for cells in (gf.SMALL_MATRIX_CELLS, big):
+        a = np.arange(cells, dtype=np.int64) % p
+        assert (gf.as_gf_array(a, p) is a) == (cells == big)
+        shifted = a - 1  # -1 reads as p - 1
+        got = gf.as_gf_array(shifted, p)
+        assert got is not shifted and got.dtype == np.int64
+        assert got.tolist() == [(x - 1) % p for x in a.tolist()] and shifted.min() == -1
+        # another dtype is read into a new int64 array
+        assert gf.as_gf_array(a.astype(np.int32), p).tolist() == a.tolist()
+
+
+@pytest.mark.parametrize("n", [4, 24], ids=["small", "large"])
+def test_constructors_own_their_arrays(n):
+    # as_gf_array may return its argument, so a constructor that freezes its
+    # array must neither freeze a caller's array nor follow the caller's writes
+    p, field = 3, PrimeField(3)
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.integers(0, p, (1, n, n)), 1)
+    mats = (upper - upper.transpose(0, 2, 1)) % p
+    basis = rng.integers(0, p, (n, 2)) @ rng.integers(0, p, (2, n)) % p
+    rows = rng.integers(0, p, (n - 1, n))
+    before = {
+        "forms": FormTuple(n, 1, "alternating", field, mats).stack(),
+        "subspace": Subspace(p, basis).basis,
+        "span": Subspace.span(p, basis).basis,
+        "algebra": StructureConstantAlgebra("assoc", field, n, {(0, j): rows[j - 1] for j in range(1, n)}).table(),
+    }
+    want = {name: a.copy() for name, a in before.items()}
+    for a in (mats, basis, rows):
+        assert a.flags.writeable and (a.size > gf.SMALL_MATRIX_CELLS) == (n == 24)
+        a += 1
+    for name, a in before.items():
+        assert np.array_equal(a, want[name]), name
 
 
 def test_prime_field_accepts_primes():
@@ -203,12 +241,25 @@ def test_matrix_json_round_trip():
     assert obj == {"p": 7, "rows": 2, "cols": 3, "entries": [1, 2, 3, 4, 5, 6]}
     p, back = matrix_from_json(obj)
     assert p == 7 and back.dtype == np.int64 and np.array_equal(back, m)
-    # ints outside [0, p), even beyond int64, are reduced before numpy sees them
-    p, big = matrix_from_json(dict(obj, entries=[7**40 + 1, -1, 0, 0, 0, 0]))
-    assert big.tolist() == [[1, 6, 0], [0, 0, 0]]
-    for bad in (dict(obj, p=6), dict(obj, rows=True), dict(obj, entries=[1, 2, 3]), dict(obj, entries=[1.0] * 6)):
-        with pytest.raises(ValueError):
+    # ints outside [0, p), even beyond int64, are reduced exactly; numpy
+    # reads the second list as float64, which cannot hold 2^63 - 1
+    for entries in ([7**40 + 1, -1, 0, 0, 0, 0], [-1, 2**63, 2**63 - 1, 0, 0, 0]):
+        p, big = matrix_from_json(dict(obj, entries=entries))
+        assert big.dtype == np.int64 and big.reshape(-1).tolist() == [x % 7 for x in entries]
+    for bad, message in (
+        (dict(obj, p=6), "not prime"),
+        (dict(obj, rows=True), "field 'rows' must be JSON int"),
+        (dict(obj, entries=[1, 2, 3]), "entry count"),
+        (dict(obj, entries=[1.0] * 6), "field 'entries' must be JSON ints"),
+        # numpy would read -1 as a dimension to infer
+        (dict(obj, rows=-1, cols=-1, entries=[1]), "rows and cols must be at least 0, got -1 and -1"),
+        (dict(obj, rows=0, cols=-1, entries=[]), "rows and cols must be at least 0, got 0 and -1"),
+        (dict(obj, rows=-1, cols=0, entries=[]), "rows and cols must be at least 0, got -1 and 0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
             matrix_from_json(bad)
+    with pytest.raises(ValueError, match="rows and cols must be at least 0"):
+        Subspace.from_json({"ambient_dim": -1, "basis": dict(obj, rows=0, cols=-1, entries=[])})
 
 
 def test_subspace_canonical_equality():
