@@ -15,7 +15,11 @@ document without "schema" is version 1, whose entries {"i", "j", "v"} hold
 the dense coordinate vector.  Version-1 entries and the constructor's dict
 are rewritten as schema-2 entries for the one reader, :func:`_checked_sc`.
 The one writer, :meth:`StructureConstantAlgebra.json_text`, builds the
-text; ``to_json`` parses it.
+text; ``to_json`` parses it.  The one reader, ``from_json``, takes a parsed
+document or its text.  A text of at least ``TEXT_READER_MIN_CHARS`` in
+exactly the writer's layout is read from its bytes by :func:`_read_text`;
+every other text goes through ``json.loads`` and the dict path, which makes
+every check and raises every error.
 
 An algebra holds its keys and their products in two read-only arrays; the
 ``sc`` dict of row views is built on first use.
@@ -23,8 +27,10 @@ An algebra holds its keys and their products in two read-only arrays; the
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
+import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -35,9 +41,11 @@ from .gf import (
     PrimeField,
     Subspace,
     alternation_defects,
+    MAX_PRIME,
     as_gf_array,
     in_range,
     is_json_ints,
+    is_prime,
     json_field,
     mulmod,
     nullspace_array,
@@ -53,6 +61,12 @@ _KIND_ALIASES = {"lie": KIND_LIE, "assoc": KIND_ASSOC, "associative": KIND_ASSOC
 MAX_ALGEBRA_DIM = 160
 # the version of the JSON form that to_json writes
 ALGEBRA_SCHEMA = 2
+# a text of at least this many characters is first tried by _read_text: its
+# numpy path costs about 70 us at any size, and it overtook json.loads plus
+# the dict path at 2.5-3.3 kB (a 368-byte document took 125 against 53 us)
+TEXT_READER_MIN_CHARS = 4096
+# json_text's layout up to the "sc" list, with p and dim as JSON writes ints
+_TEXT_HEAD = re.compile(r'\{"schema": 2, "kind": "(lie|assoc)", "p": ([1-9][0-9]{0,3}), "dim": (0|[1-9][0-9]{0,2}), "sc": \[')
 
 
 def _checked_kind(kind: str, dim: int) -> str:
@@ -130,6 +144,112 @@ def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray
     rows = np.zeros((len(entries), dim), dtype=np.int64)
     rows.reshape(-1)[at] = vs
     return keys, rows
+
+
+@functools.cache
+def _entry_skeleton(pairs: int) -> str:
+    """An "sc" entry in json_text's layout with that many pairs, every int written 0."""
+    return f'{{"i": 0, "j": 0, "nz": [{", ".join(["[0, 0]"] * pairs)}]}}'
+
+
+def _sc_from_text(body: str, p: int, dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_checked_sc`'s (keys, rows) of the text between the brackets of
+    "sc", if it is in json_text's layout with keys and coordinates in [0, dim),
+    values in [1, p), keys in increasing order and each entry's coordinates
+    too; None otherwise.
+
+    Each maximal run of digits is one JSON int, of at most 9 digits and no
+    leading zero.  With every run written as one 0, the text must equal the
+    join of :func:`_entry_skeleton` over the entries, each entry's pair count
+    read off the runs after its "{".  That is checked as two equalities, of
+    the text without its digits and of each run's place in that text; they
+    fix which int is i, j, m or v.
+    """
+    if not body:
+        return np.zeros((2, 0), dtype=np.int64), np.zeros((0, dim), dtype=np.int64)
+    if not body.isascii():
+        return None
+    raw = body.encode()
+    a = np.frombuffer(raw, dtype=np.uint8)
+    if a[0] != ord("{"):  # so that, with the closing "}", every run starts and ends inside
+        return None
+    digit = a - 48 < 10  # uint8 wraps, so no other byte lands below 10
+    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
+    lens = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts
+    if not starts.size or lens.max() > 9 or ((a[starts] == 48) & (lens > 1)).any():
+        return None
+    vals = a[starts] - np.int64(48)
+    for k in range(1, int(lens.max())):  # one digit place of every longer run per step
+        more = np.flatnonzero(lens > k)
+        vals[more] = vals[more] * 10 + a[starts[more] + k] - 48
+    rest = raw.translate(None, b"0123456789")
+    places = starts - lens.cumsum() + lens  # run k comes after this many bytes of rest
+    opens = np.flatnonzero(np.frombuffer(rest, dtype=np.uint8) == ord("{"))
+    first = np.searchsorted(places, opens, side="right")  # each entry's first run
+    per = np.diff(first, append=len(starts))  # i, j and two ints per pair
+    pairs = (per - 2) // 2
+    if per.min() < 2 or (per % 2).any():
+        return None
+    skeleton = ", ".join(map(_entry_skeleton, pairs.tolist())).encode()
+    zeros = np.flatnonzero(np.frombuffer(skeleton, dtype=np.uint8) == ord("0"))
+    if (rest != skeleton.translate(None, b"0") or len(zeros) != len(places)
+            or (zeros - np.arange(len(zeros)) != places).any()):
+        return None
+    i, j = vals[first], vals[first + 1]
+    in_nz = np.ones(len(vals), dtype=bool)
+    in_nz[first] = in_nz[first + 1] = False
+    mv = vals[in_nz]
+    m, v = mv[0::2], mv[1::2]
+    code = i * dim + j
+    at = np.repeat(np.arange(len(per)) * dim, pairs) + m
+    if (max(i.max(), j.max()) >= dim or (m.size and (m.max() >= dim or v.min() < 1 or v.max() >= p))
+            or (code[1:] <= code[:-1]).any() or (at[1:] <= at[:-1]).any()):
+        return None
+    rows = np.zeros((len(per), dim), dtype=np.int64)
+    rows.reshape(-1)[at] = v
+    return np.stack([i, j]), rows
+
+
+def _read_text(text: str) -> tuple | None:
+    """(kind, p, dim, keys, rows, labels) of a document in exactly the layout
+    that json_text writes, read from its bytes, or None for any other text.
+
+    None leaves the text to ``json.loads`` and the dict path, so only a valid
+    document that the dict path reads to the same algebra is accepted: p
+    prime and at most MAX_PRIME, dim at most MAX_ALGEBRA_DIM, the "sc" body
+    as :func:`_sc_from_text` accepts it, and then "}" or ', "labels": X}'
+    with X a list of dim strings that ``json.dumps`` writes as X.  Trailing JSON
+    whitespace is allowed, as the CLI's files end in a newline.
+    """
+    head = _TEXT_HEAD.match(text)
+    if head is None:
+        return None
+    kind, p, dim = head[1], int(head[2]), int(head[3])
+    if not (p <= MAX_PRIME and is_prime(p) and dim <= MAX_ALGEBRA_DIM):
+        return None
+    text, start = text.rstrip(" \t\n\r"), head.end()
+    if text.startswith("]", start):
+        body, tail = "", text[start + 1 :]
+    else:
+        end = text.find("}]", start) + 1  # the entries hold no "}]" of their own
+        if not end:
+            return None
+        body, tail = text[start:end], text[end + 1 :]
+    labels = None
+    if tail != "}":
+        x = tail.removeprefix(', "labels": ')
+        if x == tail or not x.endswith("}"):
+            return None
+        x = x[:-1]
+        try:
+            labels = json.loads(x)
+        except ValueError:
+            return None
+        if (type(labels) is not list or len(labels) != dim or not set(map(type, labels)) <= {str}
+                or json.dumps(labels) != x):
+            return None
+    sc = _sc_from_text(body, p, dim)
+    return None if sc is None else (kind, p, dim, *sc, labels)
 
 
 class StructureConstantAlgebra:
@@ -233,8 +353,17 @@ class StructureConstantAlgebra:
         return json.loads(self.json_text())
 
     @classmethod
-    def from_json(cls, obj: dict) -> "StructureConstantAlgebra":
-        """Read either schema; a document without "schema" is version 1."""
+    def from_json(cls, obj: dict | str) -> "StructureConstantAlgebra":
+        """Read either schema, from a parsed document or from its text; a
+        document without "schema" is version 1.  A text of at least
+        ``TEXT_READER_MIN_CHARS`` is first tried by :func:`_read_text`, and any
+        text it does not take is parsed by ``json.loads``."""
+        if isinstance(obj, str):
+            read = _read_text(obj) if len(obj) >= TEXT_READER_MIN_CHARS else None
+            if read is not None:
+                kind, p, dim, keys, rows, labels = read
+                return cls._from_rows(kind, PrimeField(p), dim, keys, rows, labels=labels)
+            obj = json.loads(obj)
         schema = json_field(obj, "schema", "int", default=1)
         if schema not in (1, ALGEBRA_SCHEMA):
             raise ValueError(f"unknown algebra schema {schema}")

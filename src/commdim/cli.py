@@ -51,12 +51,16 @@ def _emit(doc, out_path: str | None = None) -> None:
     print(text, flush=True)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, read=json.loads):
+    """read(the file's text), json.loads by default; the --alg readers pass
+    from_json, which reads the writer's layout without parsing it.  A parse
+    nested too deeply, by either, becomes a ValueError naming the file."""
     with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+        text = fh.read()
+    try:
+        return read(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,7 +153,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "search":
-        alg = StructureConstantAlgebra.from_json(_load_json(args.alg))
+        alg = _load_json(args.alg, StructureConstantAlgebra.from_json)
         if args.mode == "exact":
             res = max_abelian_exact(alg, budget=args.budget)
             _emit(res.to_json())
@@ -188,12 +192,12 @@ def _run(args) -> int:
         return 0
 
     if cmd == "unitalize":
-        alg = StructureConstantAlgebra.from_json(_load_json(args.alg))
+        alg = _load_json(args.alg, StructureConstantAlgebra.from_json)
         _emit(unitalize(alg).json_text(), args.output)
         return 0
 
     if cmd == "verify":
-        alg = StructureConstantAlgebra.from_json(_load_json(args.alg))
+        alg = _load_json(args.alg, StructureConstantAlgebra.from_json)
         report = verify_axioms(alg)
         _emit(report.to_json())
         return 0 if report.passed else 1

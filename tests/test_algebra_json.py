@@ -22,7 +22,8 @@ from commdim import (
     unitalize,
 )
 from commdim.construct import matrix_commutative_subalgebra
-from commdim.algebra import _checked_sc
+from commdim import algebra
+from commdim.algebra import TEXT_READER_MIN_CHARS, _checked_sc, _read_text
 from commdim.cli import main
 from commdim.gf import SMALL_MATRIX_CELLS
 from oracles import reference_algebra_json, reference_checked_sc
@@ -136,12 +137,12 @@ _LABEL_CHARS = st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é", "∑", "\
 
 
 @st.composite
-def algebras_to_write(draw):
-    """An algebra of dim 0 to 12 over GF(2), GF(3) or GF(8191), its keys
+def algebras_to_write(draw, primes=(2, 3, 8191)):
+    """An algebra of dim 0 to 12 over GF(p) for p in primes, its keys
     stored in drawn order, with zero products stored as often as not, at
     times an explicit Lie reverse key, and labels that need escaping; an
     assoc one is at times unitalized, which stores its keys out of order."""
-    p = draw(st.sampled_from([2, 3, 8191]))
+    p = draw(st.sampled_from(primes))
     d = draw(st.integers(0, 12))
     kind = draw(st.sampled_from(["lie", "assoc"]))
     cells = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)) if d else st.nothing()
@@ -247,6 +248,148 @@ def mutated_entries(draw):
 def test_reader_matches_its_reference(case):
     entries, p, dim = case
     assert _outcome(_checked_sc, entries, p, dim) == _outcome(reference_checked_sc, entries, p, dim)
+
+
+# ---------------------------------------------------------------- the text reader against the dict reader
+
+
+def _read(read):
+    """What read() makes: the algebra's fields, or the type and message of
+    what it raised."""
+    try:
+        a = read()
+    except Exception as exc:  # noqa: BLE001 -- the two readers must raise alike
+        return type(exc), str(exc)
+    keys, rows = a._keys, a._rows
+    return a.kind, a.p, a.dim, a.labels, keys.dtype, keys.shape, keys.tolist(), rows.dtype, rows.shape, rows.tolist()
+
+
+def _both_readers(text: str):
+    """(from_json's outcome on the text, the text reader tried at any size;
+    its outcome on the document json.loads parses, a parse error included)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "TEXT_READER_MIN_CHARS", 0)
+        by_text = _read(lambda: StructureConstantAlgebra.from_json(text))
+    return by_text, _read(lambda: StructureConstantAlgebra.from_json(json.loads(text)))
+
+
+_MUTATION_BYTES = st.sampled_from('0123456789[]{},:" -') | st.sampled_from("abceijlnrsz")
+
+
+@st.composite
+def mutated_texts(draw):
+    """json_text of an algebra over GF(2), GF(3) or GF(5), as the CLI writes it
+    at times, with one to three bytes inserted, deleted or replaced."""
+    text = draw(algebras_to_write(primes=(2, 3, 5))).json_text() + draw(st.sampled_from(["", "\n"]))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        new = "" if op == "delete" else draw(_MUTATION_BYTES)
+        text = text[:at] + new + text[at + (op != "insert") :]
+    return text
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(mutated_texts())
+def test_text_reader_matches_the_dict_reader(text):
+    by_text, by_dict = _both_readers(text)
+    assert by_text == by_dict
+    read = _read_text(text)
+    if read is not None:  # accepted only as what the dict reader reads
+        kind, p, dim, keys, rows, labels = read
+        assert (kind, p, dim, labels, keys.tolist(), rows.tolist()) == by_dict[:4] + (by_dict[6], by_dict[9])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(algebras_to_write(primes=(2, 3, 5)))
+def test_text_reader_takes_every_written_document(a):
+    text = a.json_text()
+    assert _read_text(text) is not None and _read_text(text + "\n") is not None
+    by_text, by_dict = _both_readers(text)
+    assert by_text == by_dict and by_text[3] == a.labels
+
+
+def _edited(text: str, old: str, new: str) -> str:
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+_OVERRIDES = _pinned_algebra("lie-overrides").json_text()
+
+
+@pytest.mark.parametrize(
+    "text, taken",
+    [
+        (_OVERRIDES, True),  # "nz": [] for the stored zero product (0, 2)
+        (StructureConstantAlgebra("assoc", F3, 5, {}).json_text(), True),  # "sc": []
+        (StructureConstantAlgebra("lie", F2, 0, {}).json_text(), True),
+        (StructureConstantAlgebra("lie", F5, 3, {(0, 1): [0, 0, 1]}, ["}]", '"q"}]', "é∑😀"]).json_text(), True),
+        (_edited(_OVERRIDES, "[[2, 3]]", "[[2, 1000000003]]"), False),  # a 10-digit value
+        (_edited(_OVERRIDES, "[[2, 3]]", "[[2, 03]]"), False),  # a leading zero
+        (_edited(_OVERRIDES, '"j": 1, "nz": [[2, 3]]', '"j": 1, "nz": [[2, 0]]'), False),  # [m, 0]
+        (_edited(_OVERRIDES, "[[2, 3]]", "[[2, 5]]"), False),  # v = p
+        (_edited(_OVERRIDES, '"i": 0, "j": 2', '"i": 2, "j": 0'), False),  # keys out of order
+        (_edited(_OVERRIDES, '"i": 0, "j": 2', '"i": 0, "j": 1'), False),  # a key twice
+        (_edited(_OVERRIDES, "[[2, 1], [3, 1]]", "[[3, 1], [2, 1]]"), False),  # coordinates out of order
+        (_edited(_OVERRIDES, '"dim": 4', '"dim": 3'), False),  # a coordinate equal to dim
+        (_edited(_OVERRIDES, '"p": 5', '"p": 4'), False),
+        (_edited(_OVERRIDES, '"p": 5', '"p": 8209'), False),
+        (_edited(_OVERRIDES, '"sc": [', '"sc":  ['), False),
+        (_OVERRIDES[:-1] + ', "labels": ["a", "b", "c", "d"]}', True),
+        (_OVERRIDES[:-1] + ', "labels": ["a", "b", "c"]}', False),
+        (_OVERRIDES[:-1] + ', "labels": ["a", "b", "c", 4]}', False),
+        (_OVERRIDES[:-1] + ', "labels": ["a",  "b", "c", "d"]}', False),
+        (_OVERRIDES[:-1] + ', "labels": null}', False),
+        (_OVERRIDES + "\n \t\r", True),
+        (" " + _OVERRIDES, False),
+        (_OVERRIDES + "]", False),
+        (_edited(_OVERRIDES, '"sc": [{', '"sc": [0{'), False),  # a run at the body's first byte
+    ],
+)
+def test_text_reader_cases(text, taken):
+    by_text, by_dict = _both_readers(text)
+    assert by_text == by_dict
+    assert (_read_text(text) is not None) is taken
+
+
+def test_small_documents_skip_the_text_reader(monkeypatch):
+    # every exact-p3 and pipeline-p2 algebra is smaller than the pipeline-d12 one
+    small, large = _pinned_algebra("pipeline-d12").json_text(), _pinned_algebra("lie-d48").json_text()
+    assert len(small) < TEXT_READER_MIN_CHARS <= len(large)
+    monkeypatch.setattr(algebra, "_read_text", lambda text: pytest.fail("read below the floor"))
+    assert StructureConstantAlgebra.from_json(small).json_text() == small
+
+
+@pytest.mark.parametrize("name", ["lie-d48", "assoc-d48", "unital-d49"])
+def test_the_cli_reads_a_large_document_alike_from_both_readers(name, tmp_path, capsys):
+    # the CLI's own file is read from its bytes, a re-indented copy through json.loads
+    text = _pinned_algebra(name).json_text()
+    canonical, indented = tmp_path / "canonical.json", tmp_path / "indented.json"
+    canonical.write_text(text + "\n")
+    indented.write_text(json.dumps(json.loads(text), indent=1))
+    assert _read_text(canonical.read_text()) is not None and _read_text(indented.read_text()) is None
+    outputs = []
+    for path in (canonical, indented):
+        out = tmp_path / f"unit-{path.stem}.json"
+        for argv in (["verify"], ["search", "--mode", "greedy"], ["unitalize", "-o", str(out)]):
+            code = main([argv[0], "--alg", str(path), *argv[1:]])
+            outputs.append((code, capsys.readouterr().out, out.read_bytes() if out.exists() else None))
+    assert outputs[:3] == outputs[3:]
+    # unitalize adjoins an identity to the assoc kind only, and greedy needs class 2
+    codes = {"lie-d48": [0, 0, 1], "assoc-d48": [0, 0, 0], "unital-d49": [0, 1, 0]}
+    assert [code for code, _, _ in outputs[:3]] == codes[name]
+    # a coordinate equal to dim, in the writer's layout and above the floor
+    d = json.loads(text)["dim"]
+    at = text.index('"nz": [[') + len('"nz": [[')
+    bad = text[:at] + str(d) + text[text.index(",", at) :]
+    assert len(bad) >= TEXT_READER_MIN_CHARS and _read_text(bad) is None
+    canonical.write_text(bad + "\n")
+    indented.write_text(json.dumps(json.loads(bad), indent=1))
+    errors = []
+    for path in (canonical, indented):
+        assert main(["verify", "--alg", str(path)]) == 1
+        errors.append(capsys.readouterr().out)
+    assert errors[0] == errors[1] == json.dumps({"error": f"nz coordinate out of range [0, {d})"}) + "\n"
 
 
 # ---------------------------------------------------------------- ints beyond int64
