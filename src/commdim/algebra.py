@@ -178,7 +178,9 @@ def _sc_from_text(body: str, p: int, dim: int) -> tuple[np.ndarray, np.ndarray] 
     lens = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts
     if not starts.size or lens.max() > 9 or ((a[starts] == 48) & (lens > 1)).any():
         return None
-    vals = a[starts] - np.int64(48)
+    # widened before any arithmetic: NumPy 1's value-based casting keeps
+    # uint8 - np.int64(48) in uint8, where 3-digit values and i * dim + j wrap
+    vals = a[starts].astype(np.int64) - 48
     for k in range(1, int(lens.max())):  # one digit place of every longer run per step
         more = np.flatnonzero(lens > k)
         vals[more] = vals[more] * 10 + a[starts[more] + k] - 48

@@ -307,13 +307,15 @@ class Subspace:
     __slots__ = ("p", "basis", "pivots")
 
     def __init__(self, p: int, basis, _canonical: bool = False):
-        # each path coerces once: as_gf_array here, or inside rref_array; a
-        # list goes to it as given, which reads ints beyond int64 exactly
+        # an array is coerced once, here or inside rref_array; a list is made
+        # an array once, here, which reads ints beyond int64 exactly, and
+        # rref_array then re-checks that reduced array (in_range or a small np.mod)
         p = PrimeField(p).p
-        if np.ndim(basis) != 2:
-            raise ValueError(f"basis must be 2-dimensional, got shape {np.shape(basis)}")
-        if _canonical:
+        if _canonical or not isinstance(basis, np.ndarray):
             basis = as_gf_array(basis, p)
+        if basis.ndim != 2:
+            raise ValueError(f"basis must be 2-dimensional, got shape {basis.shape}")
+        if _canonical:
             pivots = (basis != 0).argmax(axis=1).tolist() if basis.size else []
         else:
             basis, pivots = rref_array(basis, p)
@@ -323,11 +325,11 @@ class Subspace:
     @classmethod
     def span(cls, p: int, rows, ambient_dim: int | None = None) -> "Subspace":
         p, rows = PrimeField(p).p, list(rows)
-        shape = np.shape(rows)
-        n = shape[-1] if ambient_dim is None else ambient_dim
-        if shape != (0,) and (len(shape) != 2 or shape[1] != n):
-            raise ValueError(f"rows of shape {shape} do not lie in GF({p})^{n}")
-        return cls(p, rows if rows else np.zeros((0, n), dtype=np.int64))
+        a = as_gf_array(rows, p) if rows else np.zeros((0,), dtype=np.int64)
+        n = a.shape[-1] if ambient_dim is None else ambient_dim
+        if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != n):
+            raise ValueError(f"rows of shape {a.shape} do not lie in GF({p})^{n}")
+        return cls(p, a if rows else np.zeros((0, n), dtype=np.int64))
 
     @classmethod
     def zero(cls, p: int, n: int) -> "Subspace":

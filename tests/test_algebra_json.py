@@ -301,12 +301,30 @@ def test_text_reader_matches_the_dict_reader(text):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(algebras_to_write(primes=(2, 3, 5)))
+@given(algebras_to_write())
 def test_text_reader_takes_every_written_document(a):
     text = a.json_text()
     assert _read_text(text) is not None and _read_text(text + "\n") is not None
     by_text, by_dict = _both_readers(text)
     assert by_text == by_dict and by_text[3] == a.labels
+
+
+def test_text_reader_reads_many_digit_ints_above_the_floor():
+    # keys and coordinates past 99 and values past 999 take the reader's
+    # third and fourth digit places, which the small written documents do not
+    d, p = 150, 8191
+    sc = {(i, 149 - i): [(977 * m + 31 * i) % p if (m + i) % 3 == 0 else 0 for m in range(d)] for i in range(0, 60, 4)}
+    a = StructureConstantAlgebra("lie", PrimeField(p), d, sc)
+    text = a.json_text()
+    assert len(text) >= TEXT_READER_MIN_CHARS and "[149, " in text and re.search(r", [1-9][0-9]{3}\]", text)
+    read = _read_text(text)
+    assert read is not None
+    kind, p_read, dim, keys, rows, labels = read
+    assert (kind, p_read, dim, labels) == ("lie", p, d, None)
+    assert keys.dtype == rows.dtype == np.int64
+    assert keys.tolist() == a._keys.tolist() and rows.tolist() == a._rows.tolist()
+    by_text = _read(lambda: StructureConstantAlgebra.from_json(text))
+    assert by_text == _read(lambda: StructureConstantAlgebra.from_json(json.loads(text)))
 
 
 def _edited(text: str, old: str, new: str) -> str:
