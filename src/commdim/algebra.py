@@ -12,14 +12,14 @@ The JSON form (schema 2) is {"schema": 2, "kind", "p", "dim", "sc",
 key, sorted by (i, j), with the nonzero coordinates m of e_i e_j in
 increasing order.  A stored key whose product is zero keeps "nz": [].  A
 document without "schema" is version 1, whose entries {"i", "j", "v"} hold
-the dense coordinate vector.  Version-1 entries and the constructor's dict
-are rewritten as schema-2 entries for the one reader, :func:`_checked_sc`.
-The one writer, :meth:`StructureConstantAlgebra.json_text`, builds the
-text; ``to_json`` parses it.  The one reader, ``from_json``, takes a parsed
-document or its text.  A text of at least ``TEXT_READER_MIN_CHARS`` in
-exactly the writer's layout is read from its bytes by :func:`_read_text`;
-every other text goes through ``json.loads`` and the dict path, which makes
-every check and raises every error.
+the dense coordinate vector.  The one writer,
+:meth:`StructureConstantAlgebra.json_text`, builds the text; ``to_json``
+parses it.  The one reader, ``from_json``, takes a parsed document or its
+text.  A text of at least ``TEXT_READER_MIN_CHARS`` in the writer's layout is
+parsed from its bytes by :func:`_read_text`, any other text by ``json.loads``.
+Every way into an algebra (that text, a schema-2 or version-1 document, and
+the constructor's dict) hands plain ints to :func:`_checked`, the one place
+that checks structure constants.
 
 An algebra holds its keys and their products in two read-only arrays; the
 ``sc`` dict of row views is built on first use.
@@ -41,11 +41,9 @@ from .gf import (
     PrimeField,
     Subspace,
     alternation_defects,
-    MAX_PRIME,
     as_gf_array,
     in_range,
     is_json_ints,
-    is_prime,
     json_field,
     mulmod,
     nullspace_array,
@@ -83,17 +81,7 @@ def _first_repeat(items: list):
     return next((x for x in items if x in seen or seen.add(x)), None)
 
 
-def _dense_entries(items, dim: int) -> list:
-    """Schema-2 entries of ((i, j), dense vector) items, each vector a list of dim ints."""
-    entries = []
-    for (i, j), v in items:
-        if np.shape(v) != (dim,):
-            raise ValueError(f"structure constant vector for {(i, j)} has wrong length")
-        entries.append({"i": i, "j": j, "nz": [[m, x] for m, x in enumerate(v) if x]})
-    return entries
-
-
-def _below(values: list, bound: int) -> np.ndarray | None:
+def _below(values, bound: int) -> np.ndarray | None:
     """values as an int64 array if each lies in [0, bound), else None."""
     try:
         a = np.array(values, dtype=np.int64)
@@ -102,10 +90,50 @@ def _below(values: list, bound: int) -> np.ndarray | None:
     return a if in_range(a, bound) else None
 
 
+def _checked(ij, products, p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """((2, N) keys, (N, dim) reduced rows) of the keys ij, the i's and the
+    j's as two int sequences, and their products: every range, repeat and
+    value check on structure constants, for every way into an algebra.
+
+    products is either the N dense vectors that as_gf_array gave, each
+    checked to have length dim before the keys are checked, or a function
+    giving each key's pair count and the m's and v's of all pairs.  It is
+    called once the keys pass, so that a schema-2 document type-checks its
+    pairs after its keys.
+    """
+    if not callable(products):
+        for key, v in zip(zip(*ij), products):
+            if v.shape != (dim,):
+                raise ValueError(f"structure constant vector for {key} has wrong length")
+    keys = _below(ij, dim)
+    if keys is None:
+        bad = next(key for key in zip(*np.array(ij, dtype=object).tolist()) if not (0 <= key[0] < dim and 0 <= key[1] < dim))
+        raise ValueError(f"structure constant key {bad} out of range")
+    code = keys[0] * dim + keys[1]
+    # the writer sorts entries by (i, j), which makes code increase strictly
+    if not (code[1:] > code[:-1]).all() and np.unique(code).size < code.size:
+        raise ValueError(f"duplicate structure constant key {_first_repeat(list(zip(*keys.tolist())))}")
+    if not callable(products):
+        return keys, np.array(products, dtype=np.int64).reshape(len(products), dim)
+    counts, ms, vs = products()
+    ms = _below(ms, dim)
+    if ms is None:
+        raise ValueError(f"nz coordinate out of range [0, {dim})")
+    vs = as_gf_array(vs, p)
+    at = np.repeat(np.arange(len(counts)) * dim, counts) + ms
+    # the writer lists each entry's m in increasing order, which makes at increase strictly
+    if not (at[1:] > at[:-1]).all() and np.unique(at).size < at.size:
+        n, m = divmod(_first_repeat(at.tolist()), dim)
+        raise ValueError(f"nz coordinate {m} listed twice for structure constant key {tuple(keys[:, n].tolist())}")
+    rows = np.zeros((len(counts), dim), dtype=np.int64)
+    rows.reshape(-1)[at] = vs
+    return keys, rows
+
+
 def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """((2, N) keys, (N, dim) reduced rows) of schema-2 entries, key n being
-    (keys[0, n], keys[1, n]); each check runs once over the whole list.  The
-    dict constructor and version-1 documents reach it through :func:`_dense_entries`."""
+    """:func:`_checked`'s (keys, rows) of schema-2 entries, whose JSON types
+    are checked once over the whole list: the keys' first, the pairs' once
+    the keys pass."""
     try:
         ii = [e["i"] for e in entries]
         jj = [e["j"] for e in entries]
@@ -117,33 +145,17 @@ def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray
         for e in entries:
             json_field(e, "i", "int"), json_field(e, "j", "int"), json_field(e, "nz", "list")
         raise ValueError("each structure constant entry needs JSON ints i, j and a JSON list nz")
-    keys = _below(ii + jj, dim)
-    if keys is None:
-        bad = next(key for key in zip(ii, jj) if not (0 <= key[0] < dim and 0 <= key[1] < dim))
-        raise ValueError(f"structure constant key {bad} out of range")
-    keys = keys.reshape(2, -1)
-    code = keys[0] * dim + keys[1]
-    # the writer sorts entries by (i, j), which makes code increase strictly
-    if not (code[1:] > code[:-1]).all() and np.unique(code).size < code.size:
-        raise ValueError(f"duplicate structure constant key {_first_repeat(list(zip(ii, jj)))}")
-    pairs = list(chain.from_iterable(nzs))
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
-        raise ValueError("each nz item must be a pair [m, v]")
-    flat = list(chain.from_iterable(pairs))
-    if not is_json_ints(flat):
-        raise ValueError("nz coordinates and values must be JSON ints")
-    ms = _below(flat[0::2], dim)
-    if ms is None:
-        raise ValueError(f"nz coordinate out of range [0, {dim})")
-    vs = as_gf_array(flat[1::2], p)
-    at = np.repeat(np.arange(len(entries)) * dim, list(map(len, nzs))) + ms
-    # the writer lists each entry's m in increasing order, which makes at increase strictly
-    if not (at[1:] > at[:-1]).all() and np.unique(at).size < at.size:
-        n, m = divmod(_first_repeat(at.tolist()), dim)
-        raise ValueError(f"nz coordinate {m} listed twice for structure constant key {(ii[n], jj[n])}")
-    rows = np.zeros((len(entries), dim), dtype=np.int64)
-    rows.reshape(-1)[at] = vs
-    return keys, rows
+
+    def pairs():
+        items = list(chain.from_iterable(nzs))
+        if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}):
+            raise ValueError("each nz item must be a pair [m, v]")
+        flat = list(chain.from_iterable(items))
+        if not is_json_ints(flat):
+            raise ValueError("nz coordinates and values must be JSON ints")
+        return list(map(len, nzs)), flat[0::2], flat[1::2]
+
+    return _checked([ii, jj], pairs, p, dim)
 
 
 @functools.cache
@@ -152,83 +164,59 @@ def _entry_skeleton(pairs: int) -> str:
     return f'{{"i": 0, "j": 0, "nz": [{", ".join(["[0, 0]"] * pairs)}]}}'
 
 
-def _sc_from_text(body: str, p: int, dim: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """:func:`_checked_sc`'s (keys, rows) of the text between the brackets of
-    "sc", if it is in json_text's layout with keys and coordinates in [0, dim),
-    values in [1, p), keys in increasing order and each entry's coordinates
-    too; None otherwise.
+def _sc_from_text(body: str) -> tuple[np.ndarray, ...] | None:
+    """((2, N) keys, pair counts, m's, v's), all int64 arrays, of the text
+    between the brackets of "sc" if it is in json_text's layout; None otherwise.
 
     Each maximal run of digits is one JSON int, of at most 9 digits and no
     leading zero.  With every run written as one 0, the text must equal the
     join of :func:`_entry_skeleton` over the entries, each entry's pair count
-    read off the runs after its "{".  That is checked as two equalities, of
-    the text without its digits and of each run's place in that text; they
-    fix which int is i, j, m or v.
+    read off the runs after its "{"; that fixes which int is i, j, m or v.
+    Their values are left to :func:`_checked`.
     """
-    if not body:
-        return np.zeros((2, 0), dtype=np.int64), np.zeros((0, dim), dtype=np.int64)
     if not body.isascii():
         return None
-    raw = body.encode()
-    a = np.frombuffer(raw, dtype=np.uint8)
-    if a[0] != ord("{"):  # so that, with the closing "}", every run starts and ends inside
-        return None
+    a = np.frombuffer(body.encode(), dtype=np.uint8)
     digit = a - 48 < 10  # uint8 wraps, so no other byte lands below 10
-    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
-    lens = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts
-    if not starts.size or lens.max() > 9 or ((a[starts] == 48) & (lens > 1)).any():
+    start, end = digit.copy(), digit.copy()
+    start[1:] &= ~digit[:-1]
+    end[:-1] &= ~digit[1:]
+    starts = np.flatnonzero(start)
+    lens = np.flatnonzero(end) + 1 - starts
+    first = np.searchsorted(starts, np.flatnonzero(a == ord("{")))  # each entry's first run
+    pairs = (np.diff(first, append=len(starts)) - 2) // 2  # after i and j, two ints per pair
+    skeleton = ", ".join(map(_entry_skeleton, pairs.tolist())).encode()
+    longest = int(lens.max(initial=1))
+    if (np.where(digit, np.uint8(48), a)[start | ~digit].tobytes() != skeleton
+            or longest > 9 or ((a[starts] == 48) & (lens > 1)).any()):
         return None
     # widened before any arithmetic: NumPy 1's value-based casting keeps
-    # uint8 - np.int64(48) in uint8, where 3-digit values and i * dim + j wrap
+    # uint8 - np.int64(48) in uint8, where 3-digit values would wrap
     vals = a[starts].astype(np.int64) - 48
-    for k in range(1, int(lens.max())):  # one digit place of every longer run per step
+    for k in range(1, longest):  # one digit place of every longer run per step
         more = np.flatnonzero(lens > k)
         vals[more] = vals[more] * 10 + a[starts[more] + k] - 48
-    rest = raw.translate(None, b"0123456789")
-    places = starts - lens.cumsum() + lens  # run k comes after this many bytes of rest
-    opens = np.flatnonzero(np.frombuffer(rest, dtype=np.uint8) == ord("{"))
-    first = np.searchsorted(places, opens, side="right")  # each entry's first run
-    per = np.diff(first, append=len(starts))  # i, j and two ints per pair
-    pairs = (per - 2) // 2
-    if per.min() < 2 or (per % 2).any():
-        return None
-    skeleton = ", ".join(map(_entry_skeleton, pairs.tolist())).encode()
-    zeros = np.flatnonzero(np.frombuffer(skeleton, dtype=np.uint8) == ord("0"))
-    if (rest != skeleton.translate(None, b"0") or len(zeros) != len(places)
-            or (zeros - np.arange(len(zeros)) != places).any()):
-        return None
-    i, j = vals[first], vals[first + 1]
     in_nz = np.ones(len(vals), dtype=bool)
     in_nz[first] = in_nz[first + 1] = False
     mv = vals[in_nz]
-    m, v = mv[0::2], mv[1::2]
-    code = i * dim + j
-    at = np.repeat(np.arange(len(per)) * dim, pairs) + m
-    if (max(i.max(), j.max()) >= dim or (m.size and (m.max() >= dim or v.min() < 1 or v.max() >= p))
-            or (code[1:] <= code[:-1]).any() or (at[1:] <= at[:-1]).any()):
-        return None
-    rows = np.zeros((len(per), dim), dtype=np.int64)
-    rows.reshape(-1)[at] = v
-    return np.stack([i, j]), rows
+    return np.stack([vals[first], vals[first + 1]]), pairs, mv[0::2], mv[1::2]
 
 
-def _read_text(text: str) -> tuple | None:
-    """(kind, p, dim, keys, rows, labels) of a document in exactly the layout
-    that json_text writes, read from its bytes, or None for any other text.
+def _read_text(text: str) -> tuple[dict, tuple] | None:
+    """(the document less its "sc", :func:`_sc_from_text` of its "sc") of a
+    text in json_text's layout, read from its bytes; None for any other text,
+    which is left to ``json.loads``.
 
-    None leaves the text to ``json.loads`` and the dict path, so only a valid
-    document that the dict path reads to the same algebra is accepted: p
-    prime and at most MAX_PRIME, dim at most MAX_ALGEBRA_DIM, the "sc" body
-    as :func:`_sc_from_text` accepts it, and then "}" or ', "labels": X}'
-    with X a list of dim strings that ``json.dumps`` writes as X.  Trailing JSON
-    whitespace is allowed, as the CLI's files end in a newline.
+    The layout is the head that _TEXT_HEAD matches, an "sc" body that
+    :func:`_sc_from_text` parses, and then "}" or ', "labels": X}' with X any
+    JSON text.  Trailing JSON whitespace is allowed, as the CLI's files end
+    in a newline.  No value is checked here: ``from_json`` checks the
+    document as it checks a parsed one.
     """
     head = _TEXT_HEAD.match(text)
     if head is None:
         return None
-    kind, p, dim = head[1], int(head[2]), int(head[3])
-    if not (p <= MAX_PRIME and is_prime(p) and dim <= MAX_ALGEBRA_DIM):
-        return None
+    doc = {"schema": ALGEBRA_SCHEMA, "kind": head[1], "p": int(head[2]), "dim": int(head[3])}
     text, start = text.rstrip(" \t\n\r"), head.end()
     if text.startswith("]", start):
         body, tail = "", text[start + 1 :]
@@ -237,21 +225,16 @@ def _read_text(text: str) -> tuple | None:
         if not end:
             return None
         body, tail = text[start:end], text[end + 1 :]
-    labels = None
     if tail != "}":
         x = tail.removeprefix(', "labels": ')
         if x == tail or not x.endswith("}"):
             return None
-        x = x[:-1]
         try:
-            labels = json.loads(x)
+            doc["labels"] = json.loads(x[:-1])
         except ValueError:
             return None
-        if (type(labels) is not list or len(labels) != dim or not set(map(type, labels)) <= {str}
-                or json.dumps(labels) != x):
-            return None
-    sc = _sc_from_text(body, p, dim)
-    return None if sc is None else (kind, p, dim, *sc, labels)
+    sc = _sc_from_text(body)
+    return None if sc is None else (doc, sc)
 
 
 class StructureConstantAlgebra:
@@ -261,15 +244,15 @@ class StructureConstantAlgebra:
 
     def __init__(self, kind: str, field: PrimeField, dim: int, sc: dict, labels=None):
         kind = _checked_kind(kind, dim)
-        items = [((operator.index(i), operator.index(j)), as_gf_array(v, field.p).tolist()) for (i, j), v in sc.items()]
-        keys, rows = _checked_sc(_dense_entries(items, dim), field.p, dim)
+        ij = [[operator.index(i) for i, _ in sc], [operator.index(j) for _, j in sc]]
+        keys, rows = _checked(ij, [as_gf_array(v, field.p) for v in sc.values()], field.p, dim)
         self._init(kind, field, dim, keys, rows, labels)
 
     @classmethod
     def _from_rows(cls, kind: str, field: PrimeField, dim: int, keys: np.ndarray, rows: np.ndarray, labels=None):
         """The algebra with e_i e_j = rows[n] for (i, j) = keys[:, n], taking over a
         (2, N) int64 array of distinct keys in [0, dim) and (N, dim) int64 rows,
-        which must already be reduced mod p.  Every caller's are: :func:`_checked_sc`
+        which must already be reduced mod p.  Every caller's are: :func:`_checked`
         reduces what it reads, and :mod:`commdim.construct` passes form entries,
         an algebra's rows and 0/1."""
         a = cls.__new__(cls)
@@ -359,24 +342,27 @@ class StructureConstantAlgebra:
         """Read either schema, from a parsed document or from its text; a
         document without "schema" is version 1.  A text of at least
         ``TEXT_READER_MIN_CHARS`` is first tried by :func:`_read_text`, and any
-        text it does not take is parsed by ``json.loads``."""
+        text it does not take is parsed by ``json.loads``.  Both then make the
+        same checks in the same order."""
+        sc = None
         if isinstance(obj, str):
             read = _read_text(obj) if len(obj) >= TEXT_READER_MIN_CHARS else None
-            if read is not None:
-                kind, p, dim, keys, rows, labels = read
-                return cls._from_rows(kind, PrimeField(p), dim, keys, rows, labels=labels)
-            obj = json.loads(obj)
+            obj, sc = read if read is not None else (json.loads(obj), None)
         schema = json_field(obj, "schema", "int", default=1)
         if schema not in (1, ALGEBRA_SCHEMA):
             raise ValueError(f"unknown algebra schema {schema}")
         field = PrimeField(json_field(obj, "p", "int"))
         kind, dim = json_field(obj, "kind", "str"), json_field(obj, "dim", "int")
         _checked_kind(kind, dim)  # before anything of size dim is allocated
-        entries = json_field(obj, "sc", "list")
-        if schema == 1:
-            ijv = [((json_field(e, "i", "int"), json_field(e, "j", "int")), json_field(e, "v", "ints")) for e in entries]
-            entries = _dense_entries(ijv, dim)
-        keys, rows = _checked_sc(entries, field.p, dim)
+        if sc is not None:  # parsed from the text, whose layout fixes every type
+            keys, rows = _checked(sc[0], lambda: sc[1:], field.p, dim)
+        elif schema == ALGEBRA_SCHEMA:
+            keys, rows = _checked_sc(json_field(obj, "sc", "list"), field.p, dim)
+        else:
+            entries = json_field(obj, "sc", "list")
+            ijv = [(json_field(e, "i", "int"), json_field(e, "j", "int"), json_field(e, "v", "ints")) for e in entries]
+            ii, jj, vs = zip(*ijv) if ijv else ((), (), ())
+            keys, rows = _checked([ii, jj], [as_gf_array(v, field.p) for v in vs], field.p, dim)
         labels = json_field(obj, "labels", "list", default=None)
         if labels is not None and not set(map(type, labels)) <= {str}:
             raise ValueError("field 'labels' must list JSON strings")

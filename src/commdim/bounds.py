@@ -7,6 +7,7 @@ companions ride along in the serialized form.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +17,10 @@ FIELD_CLASSES = ("C", "R", "closed", "char0", "any")
 
 # default constant for the semisimple associative bound over closed/finite fields
 DEFAULT_C = Fraction(9, 2)
+# the text of c that bound_table reads: an integer, a fraction a/b or a plain
+# decimal; Fraction itself also reads exponents, and takes time and memory
+# exponential in the length of one such as "1e-99999999"
+_C_TEXT = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ def _generic_lower(n: int) -> Fraction:
 def bound_table(n: int, field_class: str, c: Fraction | str | None = None) -> BoundReport:
     """All applicable two-sided bounds for the given field class at n.
 
-    The optional constant c, a Fraction or its text such as "9/2", feeds the
+    The optional constant c, a Fraction or its text ("9/2", "-100", "4.5"), feeds the
     semisimple associative upper bound (n^2 + (2c+1) n) / 2 for the "closed"
     class; its default 9/2 is the value for algebraically closed and finite
     fields.
@@ -81,6 +86,8 @@ def bound_table(n: int, field_class: str, c: Fraction | str | None = None) -> Bo
         raise ValueError(f"n must be at least 1, got {n}")
     if field_class not in FIELD_CLASSES:
         raise ValueError(f"unknown field class {field_class!r}")
+    if isinstance(c, str) and not _C_TEXT.fullmatch(c):
+        raise ValueError(f"c must be an integer, a fraction a/b or a decimal, got {c!r}")
     try:
         c = DEFAULT_C if c is None else Fraction(c)
     except ZeroDivisionError:

@@ -372,8 +372,7 @@ def _first_repeat(items: list):
 
 
 def reference_checked_sc(entries: list, p: int, dim: int) -> tuple[list, np.ndarray]:
-    """(keys, (N, dim) rows) of schema-2 entries, each field type-checked once over the list;
-    the dict constructor and version-1 documents reach it through :func:`_dense_entries`."""
+    """(keys, (N, dim) rows) of schema-2 entries, each field type-checked once over the list."""
     try:
         ii = [e["i"] for e in entries]
         jj = [e["j"] for e in entries]

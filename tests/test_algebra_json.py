@@ -289,15 +289,24 @@ def mutated_texts(draw):
     return text
 
 
+def _parsed(read) -> dict:
+    """The document that _read_text's output stands for, as json.loads gives it."""
+    doc, (keys, counts, ms, vs) = read
+    assert {keys.dtype, counts.dtype, ms.dtype, vs.dtype} == {np.dtype(np.int64)}
+    ends = counts.cumsum().tolist()
+    sc = [{"i": i, "j": j, "nz": [list(pair) for pair in zip(ms[a:b].tolist(), vs[a:b].tolist())]}
+          for i, j, a, b in zip(*keys.tolist(), [0, *ends], ends)]
+    return dict(doc, sc=sc)
+
+
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(mutated_texts())
 def test_text_reader_matches_the_dict_reader(text):
     by_text, by_dict = _both_readers(text)
     assert by_text == by_dict
     read = _read_text(text)
-    if read is not None:  # accepted only as what the dict reader reads
-        kind, p, dim, keys, rows, labels = read
-        assert (kind, p, dim, labels, keys.tolist(), rows.tolist()) == by_dict[:4] + (by_dict[6], by_dict[9])
+    if read is not None:  # taken only as what json.loads parses
+        assert _parsed(read) == json.loads(text)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -318,13 +327,10 @@ def test_text_reader_reads_many_digit_ints_above_the_floor():
     text = a.json_text()
     assert len(text) >= TEXT_READER_MIN_CHARS and "[149, " in text and re.search(r", [1-9][0-9]{3}\]", text)
     read = _read_text(text)
-    assert read is not None
-    kind, p_read, dim, keys, rows, labels = read
-    assert (kind, p_read, dim, labels) == ("lie", p, d, None)
-    assert keys.dtype == rows.dtype == np.int64
-    assert keys.tolist() == a._keys.tolist() and rows.tolist() == a._rows.tolist()
+    assert read is not None and _parsed(read) == json.loads(text)
     by_text = _read(lambda: StructureConstantAlgebra.from_json(text))
     assert by_text == _read(lambda: StructureConstantAlgebra.from_json(json.loads(text)))
+    assert by_text[6] == a._keys.tolist() and by_text[9] == a._rows.tolist()
 
 
 def _edited(text: str, old: str, new: str) -> str:
@@ -344,20 +350,20 @@ _OVERRIDES = _pinned_algebra("lie-overrides").json_text()
         (StructureConstantAlgebra("lie", F5, 3, {(0, 1): [0, 0, 1]}, ["}]", '"q"}]', "é∑😀"]).json_text(), True),
         (_edited(_OVERRIDES, "[[2, 3]]", "[[2, 1000000003]]"), False),  # a 10-digit value
         (_edited(_OVERRIDES, "[[2, 3]]", "[[2, 03]]"), False),  # a leading zero
-        (_edited(_OVERRIDES, '"j": 1, "nz": [[2, 3]]', '"j": 1, "nz": [[2, 0]]'), False),  # [m, 0]
-        (_edited(_OVERRIDES, "[[2, 3]]", "[[2, 5]]"), False),  # v = p
-        (_edited(_OVERRIDES, '"i": 0, "j": 2', '"i": 2, "j": 0'), False),  # keys out of order
-        (_edited(_OVERRIDES, '"i": 0, "j": 2', '"i": 0, "j": 1'), False),  # a key twice
-        (_edited(_OVERRIDES, "[[2, 1], [3, 1]]", "[[3, 1], [2, 1]]"), False),  # coordinates out of order
-        (_edited(_OVERRIDES, '"dim": 4', '"dim": 3'), False),  # a coordinate equal to dim
-        (_edited(_OVERRIDES, '"p": 5', '"p": 4'), False),
-        (_edited(_OVERRIDES, '"p": 5', '"p": 8209'), False),
+        (_edited(_OVERRIDES, '"j": 1, "nz": [[2, 3]]', '"j": 1, "nz": [[2, 0]]'), True),  # [m, 0]
+        (_edited(_OVERRIDES, "[[2, 3]]", "[[2, 5]]"), True),  # v = p
+        (_edited(_OVERRIDES, '"i": 0, "j": 2', '"i": 2, "j": 0'), True),  # keys out of order
+        (_edited(_OVERRIDES, '"i": 0, "j": 2', '"i": 0, "j": 1'), True),  # a key twice
+        (_edited(_OVERRIDES, "[[2, 1], [3, 1]]", "[[3, 1], [2, 1]]"), True),  # coordinates out of order
+        (_edited(_OVERRIDES, '"dim": 4', '"dim": 3'), True),  # a coordinate equal to dim
+        (_edited(_OVERRIDES, '"p": 5', '"p": 4'), True),
+        (_edited(_OVERRIDES, '"p": 5', '"p": 8209'), True),
         (_edited(_OVERRIDES, '"sc": [', '"sc":  ['), False),
         (_OVERRIDES[:-1] + ', "labels": ["a", "b", "c", "d"]}', True),
-        (_OVERRIDES[:-1] + ', "labels": ["a", "b", "c"]}', False),
-        (_OVERRIDES[:-1] + ', "labels": ["a", "b", "c", 4]}', False),
-        (_OVERRIDES[:-1] + ', "labels": ["a",  "b", "c", "d"]}', False),
-        (_OVERRIDES[:-1] + ', "labels": null}', False),
+        (_OVERRIDES[:-1] + ', "labels": ["a", "b", "c"]}', True),
+        (_OVERRIDES[:-1] + ', "labels": ["a", "b", "c", 4]}', True),
+        (_OVERRIDES[:-1] + ', "labels": ["a",  "b", "c", "d"]}', True),
+        (_OVERRIDES[:-1] + ', "labels": null}', True),
         (_OVERRIDES + "\n \t\r", True),
         (" " + _OVERRIDES, False),
         (_OVERRIDES + "]", False),
@@ -378,10 +384,10 @@ def test_small_documents_skip_the_text_reader(monkeypatch):
     assert StructureConstantAlgebra.from_json(small).json_text() == small
 
 
-@pytest.mark.parametrize("name", ["lie-d48", "assoc-d48", "unital-d49"])
-def test_the_cli_reads_a_large_document_alike_from_both_readers(name, tmp_path, capsys):
-    # the CLI's own file is read from its bytes, a re-indented copy through json.loads
-    text = _pinned_algebra(name).json_text()
+def _cli_outputs(text: str, tmp_path, capsys) -> list:
+    """(exit code, stdout, -o bytes) of verify, greedy search and unitalize on
+    the text as the CLI writes it, which is read from its bytes; the same on a
+    re-indented copy, read through json.loads, must be equal."""
     canonical, indented = tmp_path / "canonical.json", tmp_path / "indented.json"
     canonical.write_text(text + "\n")
     indented.write_text(json.dumps(json.loads(text), indent=1))
@@ -389,25 +395,46 @@ def test_the_cli_reads_a_large_document_alike_from_both_readers(name, tmp_path, 
     outputs = []
     for path in (canonical, indented):
         out = tmp_path / f"unit-{path.stem}.json"
+        out.unlink(missing_ok=True)
         for argv in (["verify"], ["search", "--mode", "greedy"], ["unitalize", "-o", str(out)]):
             code = main([argv[0], "--alg", str(path), *argv[1:]])
             outputs.append((code, capsys.readouterr().out, out.read_bytes() if out.exists() else None))
     assert outputs[:3] == outputs[3:]
+    return outputs[:3]
+
+
+_KEY = re.compile(r'\{"i": [0-9]+, "j": [0-9]+')
+
+
+@pytest.mark.parametrize("name", ["lie-d48", "assoc-d48", "unital-d49"])
+def test_the_cli_reads_a_large_document_alike_from_both_readers(name, tmp_path, capsys):
+    text = _pinned_algebra(name).json_text()
     # unitalize adjoins an identity to the assoc kind only, and greedy needs class 2
     codes = {"lie-d48": [0, 0, 1], "assoc-d48": [0, 0, 0], "unital-d49": [0, 1, 0]}
-    assert [code for code, _, _ in outputs[:3]] == codes[name]
+    assert [code for code, _, _ in _cli_outputs(text, tmp_path, capsys)] == codes[name]
+    # faults of value and order in the writer's layout, above the floor: the
+    # text reader takes them, and the one checker reduces or rejects them
+    first, second = list(_KEY.finditer(text))[:2]
+    value = re.search(r"\[\[[0-9]+, ([0-9]+)\]", text)  # the first pair's v
+    faulty = {
+        "a key twice": text[: second.start()] + first[0] + text[second.end() :],
+        "v = p": text[: value.start(1)] + str(json.loads(text)["p"]) + text[value.end(1) :],
+        "keys swapped": text[: first.start()] + second[0] + text[first.end() : second.start()] + first[0]
+        + text[second.end() :],
+        "[m, 0]": text[: value.start(1)] + "0" + text[value.end(1) :],
+    }
+    for fault, bad in faulty.items():
+        assert len(bad) >= TEXT_READER_MIN_CHARS
+        outputs = _cli_outputs(bad, tmp_path, capsys)
+        if fault == "a key twice":
+            key = tuple(json.loads(first[0] + "}").values())
+            assert outputs == [(1, json.dumps({"error": f"duplicate structure constant key {key}"}) + "\n", None)] * 3
     # a coordinate equal to dim, in the writer's layout and above the floor
     d = json.loads(text)["dim"]
     at = text.index('"nz": [[') + len('"nz": [[')
     bad = text[:at] + str(d) + text[text.index(",", at) :]
-    assert len(bad) >= TEXT_READER_MIN_CHARS and _read_text(bad) is None
-    canonical.write_text(bad + "\n")
-    indented.write_text(json.dumps(json.loads(bad), indent=1))
-    errors = []
-    for path in (canonical, indented):
-        assert main(["verify", "--alg", str(path)]) == 1
-        errors.append(capsys.readouterr().out)
-    assert errors[0] == errors[1] == json.dumps({"error": f"nz coordinate out of range [0, {d})"}) + "\n"
+    assert len(bad) >= TEXT_READER_MIN_CHARS
+    assert _cli_outputs(bad, tmp_path, capsys) == [(1, json.dumps({"error": f"nz coordinate out of range [0, {d})"}) + "\n", None)] * 3
 
 
 # ---------------------------------------------------------------- ints beyond int64

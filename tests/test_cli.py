@@ -71,6 +71,20 @@ def test_bounds_inverted_by_c_is_a_domain_error(capsys):
     assert "below its lower bound" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize("c", ["1e-99999999", "1e3", "1_000", "0x10", "\u0663", "inf", "nan", "3 / 2", "1.5/2", ""])
+def test_bounds_refuses_c_outside_integers_fractions_and_decimals(capsys, c):
+    # Fraction reads exponents too, and would spend time and memory exponential
+    # in the length of "1e-99999999" before the table is built
+    code, out = run(capsys, "bounds", "--n", "3", "--field", "closed", "--c", c)
+    assert code == 1
+    assert out == json.dumps({"error": f"c must be an integer, a fraction a/b or a decimal, got {c!r}"}) + "\n"
+
+
+def test_bounds_reads_c_as_an_integer_a_fraction_or_a_decimal(capsys):
+    outputs = {c: run(capsys, "bounds", "--n", "3", "--field", "closed", "--c", c) for c in ["9/2", "4.5", " +4.50 ", "18/4"]}
+    assert len(set(outputs.values())) == 1 and outputs["9/2"][0] == 0
+
+
 def test_simple_table_single(capsys):
     code, obj = run_json(capsys, "simple-table", "--type", "E8")
     assert code == 0

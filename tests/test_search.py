@@ -22,6 +22,7 @@ from commdim import (
     certify_no_isotropic,
     class2_exact_result,
     class2_form_tuple,
+    extremal_params,
     greedy_abelian_class2,
     is_abelian_subspace,
     largest_common_isotropic,
@@ -37,6 +38,7 @@ from commdim import gf, search
 from commdim.gf import nullspace_array, reduce_against_rref, rref_array, solve_affine
 from oracles import (
     abelian_ideal_extension,
+    random_invertible,
     brute_force_max_abelian,
     class2_dim,
     extends_abelian_ideal,
@@ -397,6 +399,30 @@ def test_exact_search_on_certified_algebras(n, t, k, p, dim):
     exact, class2 = max_abelian_exact(alg), class2_exact_result(alg)
     assert exact.exact and exact.dim == class2.dim == dim
     assert exact.nodes_visited == class2.nodes_visited
+
+
+# (s, p, transforms): each k = None search at s = 10, p = 3 takes about 1 s
+@pytest.mark.parametrize("s, p, transforms", [(10, 2, 3), (11, 2, 2), (10, 3, 1)])
+def test_answers_do_not_depend_on_coordinates(s, p, transforms):
+    # for A in GL(n, p) and C in GL(t, p), the forms sum_u C[s, u] A^T M_u A
+    # have as common isotropic subspaces those of M, carried by x -> x A^-T.
+    # So on the certified stacks past the brute-force oracles' reach the
+    # k-search still finds nothing, the largest dimension stays, and a witness
+    # times A^T is isotropic for M; the tree, and so the node count, changes
+    params = extremal_params(s)
+    n, t, k = params.n, params.t, params.k
+    stack = certify_no_isotropic(n, t, k, PrimeField(p), seed=1000).forms.stack()
+    dim = largest_common_isotropic(stack, p).require_complete().basis.shape[0]
+    rng = random.Random(s * 10 + p)
+    for _ in range(transforms):
+        a, c = random_invertible(p, n, rng), random_invertible(p, t, rng)
+        moved = np.einsum("su,ba,ubc,cd->sad", c, a, stack, a) % p
+        assert largest_common_isotropic(moved, p, k).require_complete().basis is None
+        witness = largest_common_isotropic(moved, p).require_complete().basis
+        assert witness.shape[0] == dim
+        back = witness @ a.T % p
+        assert len(rref_array(back, p)[1]) == dim
+        assert not (np.einsum("ia,uab,jb->uij", back, stack, back) % p).any()
 
 
 @pytest.mark.parametrize("r, p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
