@@ -18,8 +18,9 @@ parses it.  The one reader, ``from_json``, takes a parsed document or its
 text.  A text of at least ``TEXT_READER_MIN_CHARS`` in the writer's layout is
 parsed from its bytes by :func:`_read_text`, any other text by ``json.loads``.
 Every way into an algebra (that text, a schema-2 or version-1 document, and
-the constructor's dict) hands plain ints to :func:`_checked`, the one place
-that checks structure constants.
+the constructor's dict) hands plain ints to :func:`_checked_keys` and to one
+of two row builders, :func:`_dense_rows` or :func:`_sparse_rows`; these three
+make every check on structure constants.
 
 An algebra holds its keys and their products in two read-only arrays; the
 ``sc`` dict of row views is built on first use.
@@ -90,21 +91,9 @@ def _below(values, bound: int) -> np.ndarray | None:
     return a if in_range(a, bound) else None
 
 
-def _checked(ij, products, p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """((2, N) keys, (N, dim) reduced rows) of the keys ij, the i's and the
-    j's as two int sequences, and their products: every range, repeat and
-    value check on structure constants, for every way into an algebra.
-
-    products is either the N dense vectors that as_gf_array gave, each
-    checked to have length dim before the keys are checked, or a function
-    giving each key's pair count and the m's and v's of all pairs.  It is
-    called once the keys pass, so that a schema-2 document type-checks its
-    pairs after its keys.
-    """
-    if not callable(products):
-        for key, v in zip(zip(*ij), products):
-            if v.shape != (dim,):
-                raise ValueError(f"structure constant vector for {key} has wrong length")
+def _checked_keys(ij, dim: int) -> np.ndarray:
+    """The (2, N) int64 keys of ij, the i's and the j's as two int
+    sequences, each key checked to lie in range and to be listed once."""
     keys = _below(ij, dim)
     if keys is None:
         bad = next(key for key in zip(*np.array(ij, dtype=object).tolist()) if not (0 <= key[0] < dim and 0 <= key[1] < dim))
@@ -113,9 +102,22 @@ def _checked(ij, products, p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     # the writer sorts entries by (i, j), which makes code increase strictly
     if not (code[1:] > code[:-1]).all() and np.unique(code).size < code.size:
         raise ValueError(f"duplicate structure constant key {_first_repeat(list(zip(*keys.tolist())))}")
-    if not callable(products):
-        return keys, np.array(products, dtype=np.int64).reshape(len(products), dim)
-    counts, ms, vs = products()
+    return keys
+
+
+def _dense_rows(ij, vectors, p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """((2, N) keys, (N, dim) reduced rows) of the keys ij and their dense
+    product vectors: each vector's values and length, then the keys."""
+    rows = [as_gf_array(v, p) for v in vectors]
+    for key, v in zip(zip(*ij), rows):
+        if v.shape != (dim,):
+            raise ValueError(f"structure constant vector for {key} has wrong length")
+    return _checked_keys(ij, dim), np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+
+
+def _sparse_rows(keys: np.ndarray, counts, ms, vs, p: int, dim: int) -> np.ndarray:
+    """The (N, dim) reduced rows of the checked keys whose products list
+    counts[n] pairs each, the m's and v's of all pairs in entry order."""
     ms = _below(ms, dim)
     if ms is None:
         raise ValueError(f"nz coordinate out of range [0, {dim})")
@@ -127,13 +129,12 @@ def _checked(ij, products, p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"nz coordinate {m} listed twice for structure constant key {tuple(keys[:, n].tolist())}")
     rows = np.zeros((len(counts), dim), dtype=np.int64)
     rows.reshape(-1)[at] = vs
-    return keys, rows
+    return rows
 
 
 def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_checked`'s (keys, rows) of schema-2 entries, whose JSON types
-    are checked once over the whole list: the keys' first, the pairs' once
-    the keys pass."""
+    """((2, N) keys, (N, dim) rows) of schema-2 entries, their JSON types
+    checked over the whole list: the keys' first, the pairs' once the keys pass."""
     try:
         ii = [e["i"] for e in entries]
         jj = [e["j"] for e in entries]
@@ -145,17 +146,14 @@ def _checked_sc(entries: list, p: int, dim: int) -> tuple[np.ndarray, np.ndarray
         for e in entries:
             json_field(e, "i", "int"), json_field(e, "j", "int"), json_field(e, "nz", "list")
         raise ValueError("each structure constant entry needs JSON ints i, j and a JSON list nz")
-
-    def pairs():
-        items = list(chain.from_iterable(nzs))
-        if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}):
-            raise ValueError("each nz item must be a pair [m, v]")
-        flat = list(chain.from_iterable(items))
-        if not is_json_ints(flat):
-            raise ValueError("nz coordinates and values must be JSON ints")
-        return list(map(len, nzs)), flat[0::2], flat[1::2]
-
-    return _checked([ii, jj], pairs, p, dim)
+    keys = _checked_keys([ii, jj], dim)
+    items = list(chain.from_iterable(nzs))
+    if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}):
+        raise ValueError("each nz item must be a pair [m, v]")
+    flat = list(chain.from_iterable(items))
+    if not is_json_ints(flat):
+        raise ValueError("nz coordinates and values must be JSON ints")
+    return keys, _sparse_rows(keys, list(map(len, nzs)), flat[0::2], flat[1::2], p, dim)
 
 
 @functools.cache
@@ -172,7 +170,7 @@ def _sc_from_text(body: str) -> tuple[np.ndarray, ...] | None:
     leading zero.  With every run written as one 0, the text must equal the
     join of :func:`_entry_skeleton` over the entries, each entry's pair count
     read off the runs after its "{"; that fixes which int is i, j, m or v.
-    Their values are left to :func:`_checked`.
+    Their values are left to :func:`_checked_keys` and :func:`_sparse_rows`.
     """
     if not body.isascii():
         return None
@@ -245,15 +243,15 @@ class StructureConstantAlgebra:
     def __init__(self, kind: str, field: PrimeField, dim: int, sc: dict, labels=None):
         kind = _checked_kind(kind, dim)
         ij = [[operator.index(i) for i, _ in sc], [operator.index(j) for _, j in sc]]
-        keys, rows = _checked(ij, [as_gf_array(v, field.p) for v in sc.values()], field.p, dim)
+        keys, rows = _dense_rows(ij, sc.values(), field.p, dim)
         self._init(kind, field, dim, keys, rows, labels)
 
     @classmethod
     def _from_rows(cls, kind: str, field: PrimeField, dim: int, keys: np.ndarray, rows: np.ndarray, labels=None):
         """The algebra with e_i e_j = rows[n] for (i, j) = keys[:, n], taking over a
         (2, N) int64 array of distinct keys in [0, dim) and (N, dim) int64 rows,
-        which must already be reduced mod p.  Every caller's are: :func:`_checked`
-        reduces what it reads, and :mod:`commdim.construct` passes form entries,
+        which must already be reduced mod p.  Every caller's are: the row builders
+        reduce what they read, and :mod:`commdim.construct` passes form entries,
         an algebra's rows and 0/1."""
         a = cls.__new__(cls)
         a._init(_checked_kind(kind, dim), field, dim, keys, rows, labels)
@@ -355,14 +353,15 @@ class StructureConstantAlgebra:
         kind, dim = json_field(obj, "kind", "str"), json_field(obj, "dim", "int")
         _checked_kind(kind, dim)  # before anything of size dim is allocated
         if sc is not None:  # parsed from the text, whose layout fixes every type
-            keys, rows = _checked(sc[0], lambda: sc[1:], field.p, dim)
+            keys = _checked_keys(sc[0], dim)
+            rows = _sparse_rows(keys, *sc[1:], field.p, dim)
         elif schema == ALGEBRA_SCHEMA:
             keys, rows = _checked_sc(json_field(obj, "sc", "list"), field.p, dim)
         else:
             entries = json_field(obj, "sc", "list")
             ijv = [(json_field(e, "i", "int"), json_field(e, "j", "int"), json_field(e, "v", "ints")) for e in entries]
             ii, jj, vs = zip(*ijv) if ijv else ((), (), ())
-            keys, rows = _checked([ii, jj], [as_gf_array(v, field.p) for v in vs], field.p, dim)
+            keys, rows = _dense_rows([ii, jj], vs, field.p, dim)
         labels = json_field(obj, "labels", "list", default=None)
         if labels is not None and not set(map(type, labels)) <= {str}:
             raise ValueError("field 'labels' must list JSON strings")

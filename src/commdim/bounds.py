@@ -21,6 +21,18 @@ DEFAULT_C = Fraction(9, 2)
 # decimal; Fraction itself also reads exponents, and takes time and memory
 # exponential in the length of one such as "1e-99999999"
 _C_TEXT = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
+# n, s and rank lie below 10**SIZE_DIGITS, and a text of c has at most
+# MAX_C_CHARS characters: the longest number then written, the numerator of
+# (n^2 + (2c + 1) n) / 2, has about 3 000 digits, inside Python's limit of
+# 4 300 on converting an int to text
+SIZE_DIGITS = 1000
+MAX_C_CHARS = 1000
+
+
+def checked_size(name: str, value: int) -> None:
+    """A ValueError naming value unless it lies below 10**SIZE_DIGITS."""
+    if value >= 10**SIZE_DIGITS:
+        raise ValueError(f"{name} must be below 10**{SIZE_DIGITS}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +96,11 @@ def bound_table(n: int, field_class: str, c: Fraction | str | None = None) -> Bo
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    checked_size("n", n)
     if field_class not in FIELD_CLASSES:
         raise ValueError(f"unknown field class {field_class!r}")
+    if isinstance(c, str) and len(c) > MAX_C_CHARS:
+        raise ValueError(f"c must be at most {MAX_C_CHARS} characters long, got {len(c)}")
     if isinstance(c, str) and not _C_TEXT.fullmatch(c):
         raise ValueError(f"c must be an integer, a fraction a/b or a decimal, got {c!r}")
     try:
@@ -162,6 +177,7 @@ def simple_lie_data(type_: str, rank: int | None = None) -> SimpleTypeEntry:
     lo = CLASSICAL_MIN_RANK[type_]
     if rank < lo:
         raise ValueError(f"type {type_} requires rank >= {lo}, got {rank}")
+    checked_size("rank", rank)
     l = rank
     if type_ == "A":
         dim, mab = l * l + 2 * l, (l + 1) ** 2 // 4

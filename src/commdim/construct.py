@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StructureConstantAlgebra, is_abelian_subspace
+from .bounds import checked_size
 from .forms import FormTuple
 from .gf import PrimeField, Subspace, json_field
 
@@ -45,6 +46,7 @@ def extremal_params(s: int) -> ExtremalParams:
     """
     if s < 2:
         raise ValueError(f"target dimension must be at least 2, got {s}")
+    checked_size("s", s)
     if s % 2 == 0:
         t = s // 2 + 1
         k = s // 2

@@ -16,6 +16,7 @@ its JSON form lists them in the matrix form of :mod:`commdim.gf`.
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -188,6 +189,16 @@ def find_common_isotropic(
     return _search(forms, k, mode, budget)[0]
 
 
+# a count as str(int) writes it, within Python's 4 300-digit limit on reading it
+_COUNT_TEXT = re.compile(r"0|[1-9][0-9]{0,4299}")
+
+
+def _count_from_text(text: str) -> int:
+    if not _COUNT_TEXT.fullmatch(text):
+        raise ValueError("field 'subspaces_checked' must be a count written as str(int) writes it, of at most 4300 digits")
+    return int(text)
+
+
 @dataclass
 class GenericityCertificate:
     """Replayable record that a sampled tuple admits no k-dim common isotropic subspace."""
@@ -240,7 +251,7 @@ class GenericityCertificate:
         return cls(
             forms=FormTuple.from_json(obj),
             k=json_field(obj, "k", "int"),
-            subspaces_checked=int(json_field(obj, "subspaces_checked", "str")),
+            subspaces_checked=_count_from_text(json_field(obj, "subspaces_checked", "str")),
             vacuous=json_field(obj, "vacuous", "bool", default=False),
             mode=_checked_mode(json_field(obj, "mode", "str", default=MODE_ISOTROPIC)),
             verdict=json_field(obj, "verdict", "str", default="certified"),

@@ -483,7 +483,7 @@ def greedy_abelian_class2(a: StructureConstantAlgebra) -> SearchResult:
     """
     z = _class2_center(a)
     p = a.p
-    sol = nullspace_array(np.eye(a.dim, dtype=np.int64)[list(z.pivots)], p)
+    sol = np.delete(np.eye(a.dim, dtype=np.int64), list(z.pivots), axis=0)  # the unit rows off z's pivots
     picks = Subspace.zero(p, a.dim)
     while True:
         outside = reduce_against_rref(sol, picks.basis, picks.pivots, p).any(axis=1)

@@ -330,6 +330,18 @@ def random_invertible(p: int, n: int, rng: random.Random) -> np.ndarray:
             return m
 
 
+def change_of_basis(alg: StructureConstantAlgebra, a: np.ndarray) -> StructureConstantAlgebra:
+    """alg on the basis f_i = sum_k a[i, k] e_k, for an invertible a: f_i f_j
+    = sum a[i, x] a[j, y] e_x e_y, written in the f's through a^-1, and built
+    by the dict constructor, with only the keys i < j for the Lie kind."""
+    d, p = alg.dim, alg.p
+    inverse = rref_array(np.hstack([a, np.eye(d, dtype=np.int64)]), p)[0][:, d:]
+    t = np.einsum("ix,jy,xyk->ijk", a, a, alg.table()) % p @ inverse % p
+    sc = {(i, j): t[i, j].tolist() for i, j in itertools.product(range(d), repeat=2)
+          if t[i, j].any() and (alg.kind != KIND_LIE or i < j)}
+    return StructureConstantAlgebra(alg.kind, alg.field, d, sc)
+
+
 def random_alternating_tuple(rng: random.Random, p: int, n: int, t: int):
     return sample_form_tuple(n, t, "alternating", PrimeField(p), rng.randrange(10**9))
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,13 @@ from commdim import (
     seven_n_check,
     simple_lie_data,
 )
+from commdim.bounds import FIELD_CLASSES, MAX_C_CHARS, SIZE_DIGITS
 
 F2 = PrimeField(2)
+# the largest n, s or rank read, and the longest text of c, written with as many
+# digits as its bound allows: (n^2 + (2c + 1) n) / 2 then has the most digits
+LARGEST = 10**SIZE_DIGITS - 1
+LONGEST_C = "." + "9" * (MAX_C_CHARS - 1)
 
 
 # ---------------------------------------------------------------- bound_table
@@ -183,6 +189,25 @@ def test_simple_table_rank_errors():
         simple_lie_data("A")
     with pytest.raises(ValueError):
         simple_lie_data("Z", 1)
+
+
+def test_bound_table_prints_up_to_its_bounds_and_refuses_past_them():
+    for field_class in FIELD_CLASSES:
+        report = bound_table(LARGEST, field_class, c=LONGEST_C)
+        assert json.loads(json.dumps(report.to_json()))["n"] == LARGEST
+        assert report.table().count("\n") == len(report.entries)
+    with pytest.raises(ValueError, match=rf"^n must be below 10\*\*{SIZE_DIGITS}$"):
+        bound_table(LARGEST + 1, "C")
+    with pytest.raises(ValueError, match=rf"^c must be at most {MAX_C_CHARS} characters long, got {MAX_C_CHARS + 1}$"):
+        bound_table(3, "closed", c=LONGEST_C + "9")
+
+
+def test_simple_table_prints_up_to_its_rank_bound_and_refuses_past_it():
+    for typ in "ABCD":
+        entry = simple_lie_data(typ, LARGEST)
+        assert json.loads(json.dumps(entry.to_json()))["rank"] == LARGEST
+        with pytest.raises(ValueError, match=rf"^rank must be below 10\*\*{SIZE_DIGITS}$"):
+            simple_lie_data(typ, LARGEST + 1)
 
 
 # ---------------------------------------------------------------- 7n check

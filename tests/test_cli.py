@@ -8,7 +8,7 @@ import pytest
 
 import commdim
 from commdim import PrimeField, StructureConstantAlgebra, sample_form_tuple
-from commdim.bounds import CLASSICAL_MIN_RANK, MAX_SIMPLE_RANK
+from commdim.bounds import CLASSICAL_MIN_RANK, MAX_C_CHARS, MAX_SIMPLE_RANK, SIZE_DIGITS
 from commdim.cli import main
 from oracles import algebra_json_v1
 
@@ -83,6 +83,36 @@ def test_bounds_refuses_c_outside_integers_fractions_and_decimals(capsys, c):
 def test_bounds_reads_c_as_an_integer_a_fraction_or_a_decimal(capsys):
     outputs = {c: run(capsys, "bounds", "--n", "3", "--field", "closed", "--c", c) for c in ["9/2", "4.5", " +4.50 ", "18/4"]}
     assert len(set(outputs.values())) == 1 and outputs["9/2"][0] == 0
+
+
+_LARGEST = str(10**SIZE_DIGITS - 1)
+_PAST = str(10**SIZE_DIGITS)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["bounds", "--field", "C", "--n"], "n"),
+        (["bounds", "--field", "closed", "--c", "." + "9" * (MAX_C_CHARS - 1), "--n"], "n"),
+        (["bounds", "--field", "closed", "--c", "." + "9" * (MAX_C_CHARS - 1), "--format", "table", "--n"], "n"),
+        (["params", "--s"], "s"),
+        (["simple-table", "--type", "A", "--rank"], "rank"),
+    ],
+)
+def test_sizes_print_up_to_their_bound_and_are_refused_past_it(capsys, argv, name):
+    # past the bound, Python's own limit on printing long ints would answer
+    code, out = run(capsys, *argv, _LARGEST)
+    assert code == 0 and _LARGEST in out
+    code, out = run(capsys, *argv, _PAST)
+    assert (code, out) == (1, json.dumps({"error": f"{name} must be below 10**{SIZE_DIGITS}"}) + "\n")
+
+
+def test_bounds_refuses_a_c_text_past_its_length_bound(capsys):
+    c = "1." + "0" * (MAX_C_CHARS - 2)
+    assert run(capsys, "bounds", "--n", "3", "--field", "closed", "--c", c) == run(capsys, "bounds", "--n", "3", "--field", "closed", "--c", "1")
+    code, out = run(capsys, "bounds", "--n", "3", "--field", "closed", "--c", c + "0")
+    error = f"c must be at most {MAX_C_CHARS} characters long, got {MAX_C_CHARS + 1}"
+    assert (code, out) == (1, json.dumps({"error": error}) + "\n")
 
 
 def test_simple_table_single(capsys):
@@ -448,6 +478,14 @@ def test_malformed_json_is_a_domain_error(tmp_path, capsys, command, flag, doc):
     assert code == 1
     lines = out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
+@pytest.mark.parametrize("count", [" 1 ", "+1", "1_0"])
+def test_reverify_reads_a_count_only_as_str_writes_it(tmp_path, capsys, count):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(_CERT, subspaces_checked=count)))
+    code, out = run(capsys, "reverify", "--cert", str(path))
+    assert code == 1 and json.loads(out)["error"].startswith("field 'subspaces_checked' must be a count")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -23,6 +24,7 @@ from commdim import (
     unitalize,
     verify_axioms,
 )
+from commdim.bounds import SIZE_DIGITS
 from commdim.construct import ExtremalParams
 
 F2 = PrimeField(2)
@@ -36,6 +38,14 @@ def test_extremal_params_spec_values():
     assert extremal_params(4) == ExtremalParams(4, 1, 3, 2)
     assert extremal_params(5) == ExtremalParams(5, 2, 3, 3)
     assert extremal_params(8) == ExtremalParams(8, 7, 5, 4)
+
+
+def test_extremal_params_prints_up_to_its_bound_and_refuses_past_it():
+    largest = 10**SIZE_DIGITS - 1
+    for s in (largest - 1, largest):  # both parities
+        assert json.loads(json.dumps(extremal_params(s).to_json()))["s"] == s
+    with pytest.raises(ValueError, match=rf"^s must be below 10\*\*{SIZE_DIGITS}$"):
+        extremal_params(largest + 1)
 
 
 def test_extremal_params_invariants():

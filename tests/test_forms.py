@@ -347,6 +347,15 @@ def test_certificate_json_round_trips(ft, k, checked, vacuous, mode, verdict, me
         GenericityCertificate.from_json(dict(obj, subspaces_checked=f"{checked}!"))
 
 
+@pytest.mark.parametrize("text", [" 11811 ", "+11811", "1_1811", "011", "-1", "", "11811\n", "١", "1" * 4301, "1" * 5000])
+def test_certificate_reads_subspaces_checked_only_as_str_writes_it(text):
+    obj = GenericityCertificate(sample_form_tuple(3, 2, "alternating", F2, 0), 2, 11811).to_json()
+    for count in (0, 11811, 10**4299):  # the last has 4 300 digits
+        assert GenericityCertificate.from_json(dict(obj, subspaces_checked=str(count))).subspaces_checked == count
+    with pytest.raises(ValueError, match="^field 'subspaces_checked' must be a count"):
+        GenericityCertificate.from_json(dict(obj, subspaces_checked=text))
+
+
 def test_reverify_detects_tampered_matrix():
     with pytest.warns(UserWarning):
         cert = certify_no_isotropic(2, 3, 2, F2, seed=0)

@@ -38,6 +38,7 @@ from commdim import gf, search
 from commdim.gf import nullspace_array, reduce_against_rref, rref_array, solve_affine
 from oracles import (
     abelian_ideal_extension,
+    change_of_basis,
     random_invertible,
     brute_force_max_abelian,
     class2_dim,
@@ -425,6 +426,32 @@ def test_answers_do_not_depend_on_coordinates(s, p, transforms):
         assert not (np.einsum("ia,uab,jb->uij", back, stack, back) % p).any()
 
 
+def _basis_change_cases():
+    for s, p in [(10, 2), (9, 3)]:  # the certified seed-1000 Lie algebras
+        params = extremal_params(s)
+        cert = certify_no_isotropic(params.n, params.t, params.k, PrimeField(p), seed=1000)
+        yield pytest.param(build_lie_from_forms(cert.forms), id=f"lie-s{s}-p{p}")
+    yield pytest.param(matrix_algebra(3, F2), id="matrix-3")
+    yield pytest.param(unitalize(build_assoc_from_forms(sample_form_tuple(6, 2, "general", F3, 7))), id="unitalized")
+
+
+@pytest.mark.parametrize("alg", list(_basis_change_cases()))
+def test_answers_do_not_depend_on_the_algebras_basis(alg):
+    # the same algebra on the basis f_i = sum_k A[i, k] e_k keeps its largest
+    # commutative subalgebra's dimension, and the witness, on the f's, is one;
+    # carried back to the e's by A it is one of alg.  The tree, and so the
+    # node count, changes with the basis
+    res = max_abelian_exact(alg)
+    rng = random.Random(alg.dim * 10 + alg.p)
+    for _ in range(2):
+        a = random_invertible(alg.p, alg.dim, rng)
+        moved = change_of_basis(alg, a)
+        got = max_abelian_exact(moved)
+        assert got.exact and got.dim == res.dim
+        assert is_abelian_subspace(moved, got.witness)
+        assert is_abelian_subspace(alg, Subspace(alg.p, got.witness.basis @ a % alg.p))
+
+
 @pytest.mark.parametrize("r, p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
 def test_exact_matrix_algebra_meets_schur_jacobson(r, p):
     # the largest commutative subalgebra of M_r has dimension floor(r^2/4) + 1
@@ -564,10 +591,11 @@ def test_greedy_certified_instance():
 
 
 def test_greedy_bound_holds_without_assert(monkeypatch):
-    # a solver that finds nothing leaves s = dim Z = 1, too small for d = 3
+    # a solver that finds nothing stops greedy after its first pick, which
+    # leaves s = 1 + dim Z = 2, too small for the d = 5 Heisenberg algebra
     monkeypatch.setattr(search, "nullspace_array", lambda a, p: np.zeros((0, a.shape[1]), dtype=np.int64))
     with pytest.raises(ValueError, match="floor"):
-        greedy_abelian_class2(heisenberg(F2))
+        greedy_abelian_class2(StructureConstantAlgebra("lie", F2, 5, {(0, 1): [0, 0, 0, 0, 1], (2, 3): [0, 0, 0, 0, 1]}))
 
 
 def test_greedy_rejects_class_3():
