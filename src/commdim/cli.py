@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .algebra import StructureConstantAlgebra, verify_axioms
+from .algebra import KIND_ASSOC, KIND_LIE, StructureConstantAlgebra, verify_axioms
 from .bounds import (
     CLASSICAL_MIN_RANK,
     FIELD_CLASSES,
@@ -24,6 +24,7 @@ from .bounds import (
     simple_lie_data,
 )
 from .construct import (
+    CONSTRUCTIONS,
     build_assoc_from_forms,
     build_lie_from_forms,
     extremal_params,
@@ -31,6 +32,7 @@ from .construct import (
     unitalize,
 )
 from .errors import CertificationFailed, EnumerationTooLarge
+from .forms import DEFAULT_MAX_ATTEMPTS, FORM_KINDS, MODE_ISOTROPIC, MODES
 from .forms import FormTuple, GenericityCertificate, certify_no_isotropic, reverify_certificate
 from .gf import DEFAULT_SEARCH_BUDGET, PrimeField
 from .search import (
@@ -84,15 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-attempts", type=int, default=256)
-    p.add_argument("--kind", choices=("alternating", "symmetric", "general"), default="alternating")
-    p.add_argument("--mode", choices=("isotropic", "symmetric-restriction"), default="isotropic")
+    p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
+    p.add_argument("--kind", choices=FORM_KINDS, default="alternating")
+    p.add_argument("--mode", choices=MODES, default=MODE_ISOTROPIC)
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET, help="search nodes per sampled tuple")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("construct", help="build an algebra from a certificate or form tuple")
     p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--kind", choices=("lie", "assoc"), required=True)
+    p.add_argument("--kind", choices=(KIND_LIE, KIND_ASSOC), required=True)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("search", help="maximal abelian subalgebra dimension")
@@ -114,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix-comm", help="matrix algebra with a commutative subalgebra")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--construction", choices=("diagonal", "corner"), required=True)
+    p.add_argument("--construction", choices=CONSTRUCTIONS, required=True)
 
     p = sub.add_parser("unitalize", help="adjoin a two-sided identity")
     p.add_argument("--alg", required=True)
@@ -148,7 +150,7 @@ def _run(args) -> int:
 
     if cmd == "construct":
         forms = FormTuple.from_json(_load_json(args.source))
-        alg = build_lie_from_forms(forms) if args.kind == "lie" else build_assoc_from_forms(forms)
+        alg = build_lie_from_forms(forms) if args.kind == KIND_LIE else build_assoc_from_forms(forms)
         _emit(alg.json_text(), args.output)
         return 0
 

@@ -18,6 +18,7 @@ from .forms import FormTuple
 from .gf import PrimeField, Subspace, json_field
 
 MATRIX_ALGEBRA_CAP = 12
+CONSTRUCTIONS = ("diagonal", "corner")  # of matrix_commutative_subalgebra
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def matrix_commutative_subalgebra(
     upper-right block of size k x k for r = 2k, or k x (k+1) for r = 2k+1,
     whose pairwise products all vanish; for r = 1 it is the whole algebra.
     """
-    if construction not in ("diagonal", "corner"):
+    if construction not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {construction!r}")
     ambient = matrix_algebra(r, field)
     d = r * r

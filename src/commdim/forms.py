@@ -40,7 +40,8 @@ from .gf import (
 FORM_KINDS = ("alternating", "symmetric", "general")
 MODE_ISOTROPIC = "isotropic"
 MODE_SYMMETRIC = "symmetric-restriction"
-_MODES = (MODE_ISOTROPIC, MODE_SYMMETRIC)
+MODES = (MODE_ISOTROPIC, MODE_SYMMETRIC)
+DEFAULT_MAX_ATTEMPTS = 256  # sampled tuples per certification
 METHOD = "isotropic-dfs"  # the certificate's provenance tag
 
 
@@ -107,6 +108,7 @@ class FormTuple:
     def from_json(cls, obj: dict) -> "FormTuple":
         n, t = json_field(obj, "n", "int"), json_field(obj, "t", "int")
         kind = json_field(obj, "kind", "str")
+        _check_shape(n, t, kind)
         field = PrimeField(json_field(obj, "p", "int"))
         mats = []
         for m in json_field(obj, "mats", "list"):
@@ -142,7 +144,7 @@ def sample_form_tuple(n: int, t: int, kind: str, field: PrimeField, seed: int) -
 
 
 def _checked_mode(mode: str) -> str:
-    if mode not in _MODES:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     return mode
 
@@ -266,7 +268,7 @@ def certify_no_isotropic(
     k: int,
     field: PrimeField,
     seed: int,
-    max_attempts: int = 256,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     kind: str = "alternating",
     mode: str = MODE_ISOTROPIC,
     budget: int = DEFAULT_SEARCH_BUDGET,

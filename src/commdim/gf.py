@@ -4,9 +4,9 @@ Matrices are numpy int64 arrays with entries reduced mod p; a type that owns
 such data (:class:`Subspace` here, ``FormTuple`` in :mod:`commdim.forms`)
 holds it read-only and checks its own invariants.  Input reaches GF(p) only
 through :func:`as_gf_array`, and no caller reduces again after it: a large
-int64 array already in [0, p) comes back itself, any other int64 array from
-one ``np.mod``, and any other input is read exactly.  Only this module knows
-the matrix JSON form {"p", "rows", "cols", "entries"}
+int64 array already in [0, p) comes back itself, any other signed-int or bool
+array from one ``np.mod``, and any other entry x as int(x) if that equals x.
+Only this module knows the matrix JSON form {"p", "rows", "cols", "entries"}
 (:func:`matrix_to_json`, :func:`matrix_from_json`).  Everything is
 deterministic: row reduction yields the unique reduced row echelon form,
 and subspaces are held in a canonical basis, so equal subspaces compare
@@ -70,31 +70,31 @@ class PrimeField:
 def as_gf_array(entries, p: int) -> np.ndarray:
     """Coerce to a reduced int64 array over GF(p); the one way into GF(p).
 
-    An int64 array of more than ``SMALL_MATRIX_CELLS`` cells that is already
-    reduced comes back itself, checked by one :func:`in_range`; any other
-    int64 array comes back as a new array from one ``np.mod``.  A caller that
-    freezes or writes the result must therefore own its argument:
-    ``FormTuple`` passes a list of its matrices, which numpy copies, and
-    ``Subspace(..., _canonical=True)`` is passed only fresh arrays.  Other
-    input is read as follows: integral floats, such as np.eye's default
-    output, are accepted; any other non-integral entry raises ValueError
-    instead of being truncated; ints beyond int64 (uint64, objects or floats
-    to numpy) are reduced exactly.
+    A reduced int64 array of more than ``SMALL_MATRIX_CELLS`` cells comes
+    back itself (one :func:`in_range`), so a caller that freezes or writes
+    the result must own its argument; any other signed-int or bool array
+    comes back new from one ``np.mod``.  Any other input, 0-d included, is
+    read as the caller's Python objects, each x as int(x) when that call
+    succeeds and equals x: np.eye's floats and ints beyond int64 are read
+    exactly, and 1.5, nan, "1", None or a complex raise ValueError.
     """
     a = np.asarray(entries)
     if a.dtype == np.int64:
         return a if a.size > SMALL_MATRIX_CELLS and in_range(a, p) else np.mod(a, p)
-    if a.dtype.kind in "fuO":
-        a = np.asarray(entries, dtype=object)
-        with np.errstate(invalid="ignore"):  # nan and inf leave nan
-            frac = (a % 1 != 0).astype(bool)
-        if frac.any():
-            raise ValueError(f"entries must be ints, got non-integral {a[frac].tolist()[0]!r}")
-        return (a % p).astype(np.int64)
-    ints = a.astype(np.int64)
-    if a.dtype.kind not in "bi" and not (ints == a).all():
-        raise ValueError(f"entries must be ints, got non-integral {a[ints != a].tolist()[0]!r}")
-    return np.mod(ints, p)
+    if a.dtype.kind in "bi":
+        return np.mod(a.astype(np.int64), p)
+    # objects, not a.astype(object): numpy reads [2**64 - 1, -1] as float64, rounding 2**64 - 1
+    obj = np.asarray(entries, dtype=object)
+    out = np.empty(obj.shape, dtype=np.int64)
+    for i, x in np.ndenumerate(obj):
+        try:
+            n = int(x)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != x:
+            raise ValueError(f"entries must be ints, got non-integral {x!r}")
+        out[i] = n % p
+    return out
 
 
 def alternation_defects(stack: np.ndarray, p: int) -> np.ndarray:

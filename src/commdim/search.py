@@ -390,7 +390,7 @@ def _subalgebra_closure(a: StructureConstantAlgebra, sub: Subspace) -> Subspace:
     cur = sub
     while True:
         prods = pairwise_products(a, cur.basis).reshape(cur.dim**2, a.dim)
-        bigger = cur.sum(Subspace(a.p, prods))
+        bigger = Subspace(a.p, np.concatenate([cur.basis, prods]))
         if bigger.dim == cur.dim:
             return cur
         cur = bigger
@@ -403,7 +403,7 @@ def _split_over_center(a: StructureConstantAlgebra, z: Subspace) -> tuple[list[i
     coordinates comp of z's canonical basis; the table's [i, j] entry is
     [e_comp[i], e_comp[j]], with all d coordinates.
     """
-    comp = [c for c in range(a.dim) if c not in set(z.pivots)]
+    comp = sorted(set(range(a.dim)).difference(z.pivots))
     return comp, a.commutator_table()[np.ix_(comp, comp)]
 
 

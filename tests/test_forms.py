@@ -159,6 +159,16 @@ def test_form_tuple_json_round_trip():
             FormTuple.from_json(dict(obj, mats=[bad, obj["mats"][1]]))
 
 
+def test_form_tuple_header_is_refused_before_its_matrices():
+    obj = sample_form_tuple(3, 2, "general", F3, 5).to_json()
+    malformed = [{"p": 3, "rows": 1, "cols": 1, "entries": [1.5]}, obj["mats"][1]]
+    for header, message in (({"kind": "bogus"}, "unknown form kind 'bogus'"), ({"n": 10**6}, "need n in")):
+        with pytest.raises(ValueError, match=message):
+            FormTuple.from_json(dict(obj, mats=malformed, **header))
+    with pytest.raises(ValueError, match="field 'entries' must be JSON ints"):
+        FormTuple.from_json(dict(obj, mats=malformed))
+
+
 # ---------------------------------------------------------------- scanning
 
 

@@ -34,7 +34,7 @@ def test_non_integral_values_are_rejected_not_truncated():
     # keys go through operator.index, which refuses a float
     with pytest.raises(TypeError, match="integer"):
         StructureConstantAlgebra("lie", PrimeField(2), 3, {(0.9, 1): [0, 0, 1.9]})
-    for bad in ([np.nan], [np.inf], ["1"], [Fraction(3, 2)]):
+    for bad in ([np.nan], [np.inf], ["1"], [Fraction(3, 2)], [None], ["a"], [1 + 0j], 1.5):
         with pytest.raises(ValueError, match="non-integral"):
             gf.as_gf_array(bad, 3)
     # the GF(p) kernels and the search engine read such input as as_gf_array does
@@ -54,6 +54,13 @@ def test_non_integral_values_are_rejected_not_truncated():
     assert _identical(rref_array(np.eye(2), 3), rref_array(np.eye(2, dtype=np.int64), 3))
     assert gf.as_gf_array([[4.0, -1.0]], 3).tolist() == [[1, 2]]
     assert gf.as_gf_array([True, False], 3).tolist() == [1, 0]
+    # and so does 0-d input
+    assert gf.as_gf_array(1.0, 3).tolist() == 1 and gf.as_gf_array(np.array(3.0), 3).tolist() == 0
+    assert gf.as_gf_array(2**70, 3).tolist() == 2**70 % 3
+    # a vector of one integral value is not a vector of length 1
+    for value in (1.0, 2**70):
+        with pytest.raises(ValueError, match="has wrong length"):
+            StructureConstantAlgebra("lie", PrimeField(3), 1, {(0, 0): value})
 
 
 @pytest.mark.parametrize("big", [2**63, 2**64 - 1, 2**70, -(2**70)])
