@@ -30,7 +30,9 @@ MAX_C_CHARS = 1000
 
 
 def checked_size(name: str, value: int) -> None:
-    """A ValueError naming value unless it lies below 10**SIZE_DIGITS."""
+    """A ValueError naming value unless it is an int (not a bool) below 10**SIZE_DIGITS."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
     if value >= 10**SIZE_DIGITS:
         raise ValueError(f"{name} must be below 10**{SIZE_DIGITS}")
 
@@ -94,9 +96,9 @@ def bound_table(n: int, field_class: str, c: Fraction | str | None = None) -> Bo
     class; its default 9/2 is the value for algebraically closed and finite
     fields.
     """
+    checked_size("n", n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    checked_size("n", n)
     if field_class not in FIELD_CLASSES:
         raise ValueError(f"unknown field class {field_class!r}")
     if isinstance(c, str) and len(c) > MAX_C_CHARS:
@@ -174,10 +176,10 @@ def simple_lie_data(type_: str, rank: int | None = None) -> SimpleTypeEntry:
         raise ValueError(f"unknown simple type {type_!r}")
     if rank is None:
         raise ValueError(f"type {type_} requires a rank")
+    checked_size("rank", rank)
     lo = CLASSICAL_MIN_RANK[type_]
     if rank < lo:
         raise ValueError(f"type {type_} requires rank >= {lo}, got {rank}")
-    checked_size("rank", rank)
     l = rank
     if type_ == "A":
         dim, mab = l * l + 2 * l, (l + 1) ** 2 // 4

@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simple-table", help="simple-algebra dimension table")
     p.add_argument("--type", default=None)
     p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--max-rank", type=int, default=8)
+    p.add_argument("--max-rank", type=int, default=None)
 
     p = sub.add_parser("matrix-comm", help="matrix algebra with a commutative subalgebra")
     p.add_argument("--r", type=int, required=True)
@@ -177,13 +177,20 @@ def _run(args) -> int:
 
     if cmd == "simple-table":
         if args.type is not None:
+            if args.max_rank is not None:
+                raise ValueError("--max-rank applies to the whole table, not to one --type")
             entries = [simple_lie_data(args.type, args.rank)]
         else:
-            if args.max_rank > MAX_SIMPLE_RANK:
-                raise ValueError(f"--max-rank capped at {MAX_SIMPLE_RANK}, got {args.max_rank}")
+            if args.rank is not None:
+                raise ValueError("--rank needs --type")
+            max_rank = 8 if args.max_rank is None else args.max_rank
+            if max_rank < 0:
+                raise ValueError(f"--max-rank must be at least 0, got {max_rank}")
+            if max_rank > MAX_SIMPLE_RANK:
+                raise ValueError(f"--max-rank capped at {MAX_SIMPLE_RANK}, got {max_rank}")
             entries = exceptional_entries()
             for typ, lo in CLASSICAL_MIN_RANK.items():
-                for rank in range(lo, args.max_rank + 1):
+                for rank in range(lo, max_rank + 1):
                     entries.append(simple_lie_data(typ, rank))
         _emit([e.to_json() for e in entries])
         return 0

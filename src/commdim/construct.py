@@ -45,9 +45,9 @@ def extremal_params(s: int) -> ExtremalParams:
     t = k = (s+1)/2, n = floor((s^2 - 2) / 8).  n is clamped at 0 (the
     floor goes negative only for s = 2, where V is just empty).
     """
+    checked_size("s", s)
     if s < 2:
         raise ValueError(f"target dimension must be at least 2, got {s}")
-    checked_size("s", s)
     if s % 2 == 0:
         t = s // 2 + 1
         k = s // 2

@@ -289,6 +289,7 @@ def certify_no_isotropic(
     if max_attempts < 1:
         raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
     _checked_mode(mode)
+    _check_shape(n, t, kind)
     # No tuple can certify where every k-subspace matches: at any k <= n when
     # M^T = M makes every restriction symmetric, at k = 0, and at k = 1 when
     # every line is isotropic (v M v = 0) or every 1 x 1 restriction is symmetric.

@@ -52,6 +52,7 @@ from .errors import EnumerationTooLarge
 from .forms import FormTuple, find_common_isotropic  # noqa: F401  perfbench/tracer.py wraps this name
 from .gf import (
     DEFAULT_SEARCH_BUDGET,
+    PrimeField,
     Subspace,
     alternation_defects,
     as_gf_array,
@@ -115,7 +116,10 @@ def largest_common_isotropic(
     p = 2 runs :func:`_gf2_nodes`, odd p :func:`_general_nodes`; the tree,
     its order, the node count and the witness are the same either way.
     """
+    PrimeField(p)  # refuses p unless it is a prime in [2, MAX_PRIME]
     stack = as_gf_array(stack, p)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"need a (t, n, n) stack of forms, got shape {stack.shape}")
     n = stack.shape[2]
     if k is not None and not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -244,10 +248,12 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
     the x = sum y_a b_a with y_i = 0 and (v S) x = 0 for every side S.  In
     these coordinates the equations are the XOR of the parent's Gram rows,
     gram[a] bit s*r + b = b_a S_s b_b, over the support of c.  They are
-    eliminated by XOR, and each pivot coordinate (an equation's highest bit)
-    is taken out by adding its basis row to the others, which keeps the basis
-    in RREF.  A lead's children step through c in odometer order, each by
-    one XOR into c, v and its equations from tables built on the first lead.
+    eliminated by XOR in the order found, and each pivot coordinate (an
+    equation's highest bit) is taken out by adding its basis row to the
+    others, which keeps the basis in RREF.  The first child on lead i is b_i
+    reduced by an echelon of b_{i+1}, ..., whose entries carry c and the
+    equations by the same XORs; the others step through c in odometer order,
+    each by one XOR into c, v and its equations.
     """
     ns, n = len(sides), sides.shape[2]
     lift = sides.transpose(1, 0, 2).reshape(n, ns * n)
@@ -269,7 +275,7 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
             basis = list(basis)
             mask = ((1 << r) - 1) ^ (1 << taken)
             keep = mask  # the coordinates still free
-            found = []  # (pivot, equation), highest pivot first
+            found = []  # (pivot, equation), each zero at the pivots before it
             for s in range(ns):
                 eq = eqs >> (s * r) & mask
                 for c, q in found:
@@ -284,7 +290,6 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
                         basis[low.bit_length() - 1] ^= bc
                         rest ^= low
                     found.append((c, eq))
-                    found.sort(reverse=True)
             basis = [row for a, row in enumerate(basis) if keep >> a & 1]
             r = len(basis)
         leads = [(row & -row).bit_length() - 1 for row in basis]
@@ -296,18 +301,16 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
             b = unpack(basis)
             g = ((b @ lift).reshape(r, ns, n) @ b.T & 1).astype(np.uint8).reshape(r, ns * r)
             gram = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(g, axis=1, bitorder="little")]
-            # the particular solution for lead i: b_i reduced by a right-to-left
-            # echelon of b_{i+1}, ... (the top bit of each of its rows cleared)
-            starts = [0] * r
-            echelon: list[tuple[int, int]] = []
+            # the first child on lead i, with its coefficient mask and equations:
+            # b_i reduced by an echelon of b_{i+1}, ..., each row zero at the
+            # top bits of the rows before it, so one pass clears them all
+            echelon: list[tuple[int, int, int, int]] = []
             for i in range(r - 1, -1, -1):
-                x = basis[i]
-                for top, row in echelon:
-                    if x >> top & 1:
-                        x ^= row
-                starts[i] = x
-                echelon.append((x.bit_length() - 1, x))
-                echelon.sort(reverse=True)
+                v, coef, eqs = basis[i], 1 << i, gram[i]
+                for top, w, c, e in echelon:
+                    if v >> top & 1:
+                        v, coef, eqs = v ^ w, coef ^ c, eqs ^ e
+                echelon.append((v.bit_length() - 1, v, coef, eqs))
             # one odometer step flips the last q coordinates: their coefficient
             # mask, vector and equations, for q = 1..r
             flip_c, flip_v, flip_e = [0], [0], [0]
@@ -315,22 +318,14 @@ def _gf2_nodes(sides: np.ndarray, squares: int):
                 flip_c.append(flip_c[-1] | 1 << a)
                 flip_v.append(flip_v[-1] ^ basis[a])
                 flip_e.append(flip_e[-1] ^ gram[a])
-            return gram, starts, flip_c, flip_v, flip_e
+            return gram, echelon[::-1], flip_c, flip_v, flip_e
 
         def children(i):
             nonlocal built
             if built is None:
                 built = tables()
-            gram, starts, flip_c, flip_v, flip_e = built
-            v = starts[i]
-            coef = 1 << i
-            for j in range(i + 1, r):
-                if v >> leads[j] & 1:
-                    coef |= 1 << j
-            eqs = 0
-            for a in range(r):
-                if coef >> a & 1:
-                    eqs ^= gram[a]
+            gram, firsts, flip_c, flip_v, flip_e = built
+            _, v, coef, eqs = firsts[i]
             for step in range(1 << (r - 1 - i)):
                 if step:
                     q = (step ^ (step - 1)).bit_length()

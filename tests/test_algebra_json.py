@@ -368,6 +368,8 @@ _OVERRIDES = _pinned_algebra("lie-overrides").json_text()
         (" " + _OVERRIDES, False),
         (_OVERRIDES + "]", False),
         (_edited(_OVERRIDES, '"sc": [{', '"sc": [0{'), False),  # a run at the body's first byte
+        (_edited(_OVERRIDES, '"i": 0, "j": 2', '"i": 0, "j": 2, "é": 0'), False),  # a body not ASCII
+        (_edited(_OVERRIDES, "}]", "}\n]"), False),  # no "}]" after the head
     ],
 )
 def test_text_reader_cases(text, taken):

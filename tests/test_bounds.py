@@ -198,6 +198,9 @@ def test_bound_table_prints_up_to_its_bounds_and_refuses_past_them():
         assert report.table().count("\n") == len(report.entries)
     with pytest.raises(ValueError, match=rf"^n must be below 10\*\*{SIZE_DIGITS}$"):
         bound_table(LARGEST + 1, "C")
+    for bad in (3.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match=rf"^n must be an int, got {bad!r}$"):
+            bound_table(bad, "C")
     with pytest.raises(ValueError, match=rf"^c must be at most {MAX_C_CHARS} characters long, got {MAX_C_CHARS + 1}$"):
         bound_table(3, "closed", c=LONGEST_C + "9")
 
@@ -208,6 +211,9 @@ def test_simple_table_prints_up_to_its_rank_bound_and_refuses_past_it():
         assert json.loads(json.dumps(entry.to_json()))["rank"] == LARGEST
         with pytest.raises(ValueError, match=rf"^rank must be below 10\*\*{SIZE_DIGITS}$"):
             simple_lie_data(typ, LARGEST + 1)
+        for bad in (True, 4.0, 4.5):
+            with pytest.raises(ValueError, match=rf"^rank must be an int, got {bad!r}$"):
+                simple_lie_data(typ, bad)
 
 
 # ---------------------------------------------------------------- 7n check

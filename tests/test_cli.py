@@ -127,6 +127,10 @@ def test_simple_table_default_list(capsys):
     types = [e["type"] for e in obj]
     assert types[:5] == ["E6", "E7", "E8", "F4", "G2"]
     assert {"A", "B", "C", "D"} <= set(types)
+    # --max-rank defaults to 8, and 0 leaves only the exceptional types
+    assert (code, obj) == run_json(capsys, "simple-table", "--max-rank", "8")
+    code, obj = run_json(capsys, "simple-table", "--max-rank", "0")
+    assert code == 0 and [e["type"] for e in obj] == types[:5]
 
 
 def test_simple_table_max_rank_is_capped_before_building(monkeypatch, capsys):
@@ -144,6 +148,19 @@ def test_simple_table_max_rank_is_capped_before_building(monkeypatch, capsys):
     assert f"capped at {MAX_SIMPLE_RANK}" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--rank", "3"], "--rank needs --type"),
+        (["--max-rank", "3", "--type", "A", "--rank", "3"], "--max-rank applies to the whole table, not to one --type"),
+        (["--type", "E8", "--max-rank", "8"], "--max-rank applies to the whole table, not to one --type"),
+        (["--max-rank", "-3"], "--max-rank must be at least 0, got -3"),
+    ],
+)
+def test_simple_table_refuses_options_it_would_ignore(capsys, argv, error):
+    assert run(capsys, "simple-table", *argv) == (1, json.dumps({"error": error}) + "\n")
+
+
 def test_matrix_comm(capsys):
     code, obj = run_json(capsys, "matrix-comm", "--r", "4", "--p", "2", "--construction", "corner")
     assert code == 0
@@ -151,10 +168,10 @@ def test_matrix_comm(capsys):
     assert obj["ambient"]["dim"] == 16
 
 
+@pytest.mark.filterwarnings("error")  # 2n < t(k-1) fails here, but the cap refuses n before that warning
 def test_certify_beyond_the_size_cap_is_a_domain_error(capsys):
     # the claim is vacuous (k > n), so before the cap this sampled 2000 x 2000 forms and printed them
-    with pytest.warns(UserWarning, match="not guaranteed"):  # 2n < t(k-1) fails here; warn-only
-        code, out = run(capsys, "certify", "--n", "2000", "--t", "1", "--k", "2001", "--p", "2", "--seed", "1")
+    code, out = run(capsys, "certify", "--n", "2000", "--t", "1", "--k", "2001", "--p", "2", "--seed", "1")
     lines = out.splitlines()
     assert code == 1 and len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
     assert "need n in [0, 160] and t in [1, 160]" in json.loads(lines[0])["error"]

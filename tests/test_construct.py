@@ -46,6 +46,9 @@ def test_extremal_params_prints_up_to_its_bound_and_refuses_past_it():
         assert json.loads(json.dumps(extremal_params(s).to_json()))["s"] == s
     with pytest.raises(ValueError, match=rf"^s must be below 10\*\*{SIZE_DIGITS}$"):
         extremal_params(largest + 1)
+    for bad in (2.5, 8.0, True):
+        with pytest.raises(ValueError, match=rf"^s must be an int, got {bad!r}$"):
+            extremal_params(bad)
 
 
 def test_extremal_params_invariants():

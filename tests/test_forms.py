@@ -494,9 +494,20 @@ def test_engine_matches_enumeration_oracle(ft):
         (lambda: certify_no_isotropic(2, 1, 3, F2, 1, mode="nonsense"), "unknown mode 'nonsense'"),
         (lambda: GenericityCertificate.from_json(dict(certify_no_isotropic(2, 3, 3, F2, 1).to_json(), mode="nonsense")),
          "unknown mode 'nonsense'"),
+        # refused before any search: Z/4 and Z/1 are not fields, and a stack must be (t, n, n)
+        (lambda: largest_common_isotropic(np.ones((1, 3, 3), dtype=np.int64), 4), "^4 is not prime$"),
+        (lambda: largest_common_isotropic(np.ones((1, 3, 3), dtype=np.int64), 1), r"^field order must lie in \[2, "),
+        (lambda: largest_common_isotropic(np.ones((1, 3, 3), dtype=np.int64), 2.0), "^field order must be an int"),
+        (lambda: largest_common_isotropic(np.ones((3, 3), dtype=np.int64), 2), r"^need a \(t, n, n\) stack of forms, got shape \(3, 3\)$"),
+        (lambda: largest_common_isotropic(np.ones((1, 3, 4), dtype=np.int64), 2), r"got shape \(1, 3, 4\)$"),
+        # the shape is refused before the 2n < t(k-1) warning, which here would be an error
+        pytest.param(lambda: certify_no_isotropic(200, 5, 4, F2, 1), "need n in", marks=pytest.mark.filterwarnings("error")),
+        pytest.param(lambda: certify_no_isotropic(10, 1, 2, F2, 1, kind="bogus"), "^unknown form kind 'bogus'$",
+                     marks=pytest.mark.filterwarnings("error")),
     ],
     ids=["form-kind", "mode", "subspace-dim", "subspace-p", "seed-none", "n-negative", "k-negative",
-         "certify-mode", "certificate-mode"],
+         "certify-mode", "certificate-mode", "search-p-composite", "search-p-one", "search-p-float",
+         "search-stack-2d", "search-stack-not-square", "certify-n-past-cap-no-warning", "certify-kind-no-warning"],
 )
 def test_input_checks_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
