@@ -43,6 +43,7 @@ from .gf import (
     Subspace,
     alternation_defects,
     as_gf_array,
+    checked_size,
     in_range,
     is_json_ints,
     json_field,
@@ -71,7 +72,7 @@ _TEXT_HEAD = re.compile(r'\{"schema": 2, "kind": "(lie|assoc)", "p": ([1-9][0-9]
 def _checked_kind(kind: str, dim: int) -> str:
     if kind not in _KIND_ALIASES:
         raise ValueError(f"unknown algebra kind {kind!r}")
-    if not 0 <= dim <= MAX_ALGEBRA_DIM:
+    if checked_size("dim", dim) > MAX_ALGEBRA_DIM:
         raise ValueError(f"dimension must lie in [0, {MAX_ALGEBRA_DIM}], got {dim}")
     return _KIND_ALIASES[kind]
 

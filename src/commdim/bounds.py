@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import StructureConstantAlgebra, nilpotency_class
+from .gf import checked_size
 
 FIELD_CLASSES = ("C", "R", "closed", "char0", "any")
 
@@ -21,20 +22,11 @@ DEFAULT_C = Fraction(9, 2)
 # decimal; Fraction itself also reads exponents, and takes time and memory
 # exponential in the length of one such as "1e-99999999"
 _C_TEXT = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
-# n, s and rank lie below 10**SIZE_DIGITS, and a text of c has at most
+# n and rank lie below 10**gf.SIZE_DIGITS, and a text of c has at most
 # MAX_C_CHARS characters: the longest number then written, the numerator of
 # (n^2 + (2c + 1) n) / 2, has about 3 000 digits, inside Python's limit of
 # 4 300 on converting an int to text
-SIZE_DIGITS = 1000
 MAX_C_CHARS = 1000
-
-
-def checked_size(name: str, value: int) -> None:
-    """A ValueError naming value unless it is an int (not a bool) below 10**SIZE_DIGITS."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value >= 10**SIZE_DIGITS:
-        raise ValueError(f"{name} must be below 10**{SIZE_DIGITS}")
 
 
 @dataclass(frozen=True)
@@ -96,9 +88,7 @@ def bound_table(n: int, field_class: str, c: Fraction | str | None = None) -> Bo
     class; its default 9/2 is the value for algebraically closed and finite
     fields.
     """
-    checked_size("n", n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    checked_size("n", n, 1)
     if field_class not in FIELD_CLASSES:
         raise ValueError(f"unknown field class {field_class!r}")
     if isinstance(c, str) and len(c) > MAX_C_CHARS:
@@ -107,7 +97,7 @@ def bound_table(n: int, field_class: str, c: Fraction | str | None = None) -> Bo
         raise ValueError(f"c must be an integer, a fraction a/b or a decimal, got {c!r}")
     try:
         c = DEFAULT_C if c is None else Fraction(c)
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError, ValueError):  # 1/0, inf and nan
         raise ValueError(f"c must be a finite fraction, got {c!r}") from None
 
     low = _generic_lower(n)
@@ -176,11 +166,7 @@ def simple_lie_data(type_: str, rank: int | None = None) -> SimpleTypeEntry:
         raise ValueError(f"unknown simple type {type_!r}")
     if rank is None:
         raise ValueError(f"type {type_} requires a rank")
-    checked_size("rank", rank)
-    lo = CLASSICAL_MIN_RANK[type_]
-    if rank < lo:
-        raise ValueError(f"type {type_} requires rank >= {lo}, got {rank}")
-    l = rank
+    l = checked_size("rank", rank, CLASSICAL_MIN_RANK[type_])
     if type_ == "A":
         dim, mab = l * l + 2 * l, (l + 1) ** 2 // 4
     elif type_ == "B":
@@ -247,6 +233,7 @@ def check_structural_bound(a: StructureConstantAlgebra, n: int, structure: str) 
     most 2): dim <= floor(n^2/4) + n, where n is the exact maximal abelian
     dimension found by search.
     """
+    checked_size("n", n)
     if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}")
     cls = nilpotency_class(a)

@@ -34,7 +34,7 @@ from .construct import (
 from .errors import CertificationFailed, EnumerationTooLarge
 from .forms import DEFAULT_MAX_ATTEMPTS, FORM_KINDS, MODE_ISOTROPIC, MODES
 from .forms import FormTuple, GenericityCertificate, certify_no_isotropic, reverify_certificate
-from .gf import DEFAULT_SEARCH_BUDGET, PrimeField
+from .gf import DEFAULT_SEARCH_BUDGET, PrimeField, checked_size
 from .search import (
     class2_exact_result,
     greedy_abelian_class2,
@@ -183,9 +183,7 @@ def _run(args) -> int:
         else:
             if args.rank is not None:
                 raise ValueError("--rank needs --type")
-            max_rank = 8 if args.max_rank is None else args.max_rank
-            if max_rank < 0:
-                raise ValueError(f"--max-rank must be at least 0, got {max_rank}")
+            max_rank = checked_size("--max-rank", 8 if args.max_rank is None else args.max_rank)
             if max_rank > MAX_SIMPLE_RANK:
                 raise ValueError(f"--max-rank capped at {MAX_SIMPLE_RANK}, got {max_rank}")
             entries = exceptional_entries()

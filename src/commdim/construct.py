@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StructureConstantAlgebra, is_abelian_subspace
-from .bounds import checked_size
 from .forms import FormTuple
-from .gf import PrimeField, Subspace, json_field
+from .gf import PrimeField, Subspace, checked_size, json_field
 
 MATRIX_ALGEBRA_CAP = 12
 CONSTRUCTIONS = ("diagonal", "corner")  # of matrix_commutative_subalgebra
@@ -45,9 +44,7 @@ def extremal_params(s: int) -> ExtremalParams:
     t = k = (s+1)/2, n = floor((s^2 - 2) / 8).  n is clamped at 0 (the
     floor goes negative only for s = 2, where V is just empty).
     """
-    checked_size("s", s)
-    if s < 2:
-        raise ValueError(f"target dimension must be at least 2, got {s}")
+    checked_size("s", s, 2)
     if s % 2 == 0:
         t = s // 2 + 1
         k = s // 2
@@ -104,9 +101,7 @@ def unitalize(a: StructureConstantAlgebra) -> StructureConstantAlgebra:
 
 def matrix_algebra(r: int, field: PrimeField) -> StructureConstantAlgebra:
     """The full matrix algebra M_r(GF(p)) on the basis of matrix units."""
-    if r < 1:
-        raise ValueError("matrix size must be at least 1")
-    if r > MATRIX_ALGEBRA_CAP:
+    if checked_size("r", r, 1) > MATRIX_ALGEBRA_CAP:
         raise ValueError(f"matrix size capped at {MATRIX_ALGEBRA_CAP}, got {r}")
     d = r * r
     # E_ab E_bc = E_ac, for every a, b, c in row-major order

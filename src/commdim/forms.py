@@ -30,6 +30,7 @@ from .gf import (
     Subspace,
     alternation_defects,
     as_gf_array,
+    checked_size,
     gaussian_binomial,
     json_field,
     matrix_from_json,
@@ -49,7 +50,7 @@ def _check_shape(n: int, t: int, kind: str) -> None:
     """Reject an unknown kind, or an n or t outside its range before any n x n array is allocated."""
     if kind not in FORM_KINDS:
         raise ValueError(f"unknown form kind {kind!r}")
-    if not (0 <= n <= MAX_ALGEBRA_DIM and 1 <= t <= MAX_ALGEBRA_DIM):
+    if max(checked_size("n", n), checked_size("t", t, 1)) > MAX_ALGEBRA_DIM:
         raise ValueError(f"need n in [0, {MAX_ALGEBRA_DIM}] and t in [1, {MAX_ALGEBRA_DIM}], got n = {n}, t = {t}")
 
 
@@ -129,8 +130,7 @@ def sample_form_tuple(n: int, t: int, kind: str, field: PrimeField, seed: int) -
     random.Random(-s) draws what random.Random(s) does.
     """
     _check_shape(n, t, kind)
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+    checked_size("seed", seed)
     p = field.p
     rng = random.Random(seed)
     # row-major free positions; an offset of -n takes in every position
@@ -188,7 +188,7 @@ def find_common_isotropic(
     Returns None when no subspace matches, and raises EnumerationTooLarge
     when the search needs more than budget nodes.
     """
-    return _search(forms, k, mode, budget)[0]
+    return _search(forms, checked_size("k", k), mode, budget)[0]
 
 
 # a count as str(int) writes it, within Python's 4 300-digit limit on reading it
@@ -252,7 +252,7 @@ class GenericityCertificate:
     def from_json(cls, obj: dict) -> "GenericityCertificate":
         return cls(
             forms=FormTuple.from_json(obj),
-            k=json_field(obj, "k", "int"),
+            k=checked_size("k", json_field(obj, "k", "int")),
             subspaces_checked=_count_from_text(json_field(obj, "subspaces_checked", "str")),
             vacuous=json_field(obj, "vacuous", "bool", default=False),
             mode=_checked_mode(json_field(obj, "mode", "str", default=MODE_ISOTROPIC)),
@@ -280,14 +280,9 @@ def certify_no_isotropic(
     is vacuously true and the certificate is issued without a search; when
     every k-subspace matches every tuple, it is refused before sampling.
     """
-    if budget < 0:
-        raise ValueError(f"need budget >= 0, got {budget}")
-    if seed is None:
-        raise ValueError("certification requires an explicit seed")
-    if t < 1 or n < 0 or k < 0:
-        raise ValueError("need n >= 0, t >= 1, k >= 0")
-    if max_attempts < 1:
-        raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
+    for name, value, low in (("budget", budget, 0), ("seed", seed, 0), ("n", n, 0), ("t", t, 1), ("k", k, 0),
+                             ("max_attempts", max_attempts, 1)):
+        checked_size(name, value, low)
     _checked_mode(mode)
     _check_shape(n, t, kind)
     # No tuple can certify where every k-subspace matches: at any k <= n when
@@ -327,8 +322,7 @@ def reverify_certificate(cert: GenericityCertificate, budget: int = DEFAULT_SEAR
     A recorded node count must be met exactly.  Running out of budget proves
     nothing either way, so it raises EnumerationTooLarge.
     """
-    if budget < 0:
-        raise ValueError(f"need budget >= 0, got {budget}")
+    checked_size("budget", budget)
     if cert.verdict != "certified" or cert.method not in (None, METHOD) or cert.seed is None:
         return False
     regen = sample_form_tuple(cert.n, cert.t, cert.forms.kind, cert.forms.field, cert.seed)

@@ -38,6 +38,21 @@ DEFAULT_SEARCH_BUDGET = 5_000_000  # nodes of the isotropic-subspace search
 # a matrix of at most this many cells is row reduced directly; a larger one
 # first drops its zero rows, and a tall one is fed in blocks
 SMALL_MATRIX_CELLS = 512
+# every size, count, budget and seed lies below 10**SIZE_DIGITS, so that each
+# prints within Python's limit of 4 300 digits on converting an int to text
+SIZE_DIGITS = 1000
+_SIZE_CAP = 10**SIZE_DIGITS  # CPython does not fold the power, so it is computed once
+
+
+def checked_size(name: str, value: int, low: int = 0) -> int:
+    """value if it is an int (not a bool) in [low, 10**SIZE_DIGITS), else a ValueError naming it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if value >= _SIZE_CAP:
+        raise ValueError(f"{name} must be below 10**{SIZE_DIGITS}")
+    return value
 
 
 def is_prime(n: int) -> bool:
@@ -326,14 +341,14 @@ class Subspace:
     def span(cls, p: int, rows, ambient_dim: int | None = None) -> "Subspace":
         p, rows = PrimeField(p).p, list(rows)
         a = as_gf_array(rows, p) if rows else np.zeros((0,), dtype=np.int64)
-        n = a.shape[-1] if ambient_dim is None else ambient_dim
+        n = a.shape[-1] if ambient_dim is None else checked_size("ambient_dim", ambient_dim)
         if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != n):
             raise ValueError(f"rows of shape {a.shape} do not lie in GF({p})^{n}")
         return cls(p, a if rows else np.zeros((0, n), dtype=np.int64))
 
     @classmethod
     def zero(cls, p: int, n: int) -> "Subspace":
-        return cls(p, np.zeros((0, n), dtype=np.int64), _canonical=True)
+        return cls(p, np.zeros((0, checked_size("n", n)), dtype=np.int64), _canonical=True)
 
     @property
     def ambient_dim(self) -> int:
@@ -389,10 +404,9 @@ class Subspace:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of GF(q)^n, exact big integer."""
-    if k < 0 or k > n:
+    if checked_size("n", n) < checked_size("k", k):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
+    checked_size("q", q, 2)
     num = 1
     den = 1
     for i in range(k):

@@ -56,6 +56,7 @@ from .gf import (
     Subspace,
     alternation_defects,
     as_gf_array,
+    checked_size,
     json_field,
     mulmod,
     nullspace_array,
@@ -121,10 +122,9 @@ def largest_common_isotropic(
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"need a (t, n, n) stack of forms, got shape {stack.shape}")
     n = stack.shape[2]
-    if k is not None and not 0 <= k <= n:
+    if k is not None and checked_size("k", k) > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if budget < 0:
-        raise ValueError(f"need budget >= 0, got {budget}")
+    checked_size("budget", budget)
     if not stack.any():
         return IsotropicSearch(np.eye(n if k is None else k, n, dtype=np.int64), 0, True)
     transposed = stack.transpose(0, 2, 1)

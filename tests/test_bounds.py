@@ -12,7 +12,8 @@ from commdim import (
     seven_n_check,
     simple_lie_data,
 )
-from commdim.bounds import FIELD_CLASSES, MAX_C_CHARS, SIZE_DIGITS
+from commdim.bounds import FIELD_CLASSES, MAX_C_CHARS
+from commdim.gf import SIZE_DIGITS
 
 F2 = PrimeField(2)
 # the largest n, s or rank read, and the longest text of c, written with as many
@@ -62,6 +63,9 @@ def test_bound_table_domain_error():
         bound_table(0, "C")
     with pytest.raises(ValueError):
         bound_table(3, "Q")
+    for c in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=rf"^c must be a finite fraction, got {c!r}$"):
+            bound_table(3, "closed", c=c)
 
 
 def _independent_forms(n):

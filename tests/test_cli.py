@@ -8,7 +8,8 @@ import pytest
 
 import commdim
 from commdim import PrimeField, StructureConstantAlgebra, sample_form_tuple
-from commdim.bounds import CLASSICAL_MIN_RANK, MAX_C_CHARS, MAX_SIMPLE_RANK, SIZE_DIGITS
+from commdim.bounds import CLASSICAL_MIN_RANK, MAX_C_CHARS, MAX_SIMPLE_RANK
+from commdim.gf import SIZE_DIGITS
 from commdim.cli import main
 from oracles import algebra_json_v1
 
@@ -280,14 +281,15 @@ def test_reverify_cli(tmp_path, capsys):
     assert code == 1 and obj == {"reverified": False}
 
 
+@pytest.mark.filterwarnings("error")
 def test_negative_seed_exits_1(tmp_path, capsys):
-    # seed -5 would sample seed 5's tuple again, so the run is refused, and writes nothing
+    # seed -5 would sample seed 5's tuple again, so the run is refused, and writes
+    # nothing; the seed is checked first, so 2n < t(k-1) failing raises no warning
     cert_path = tmp_path / "cert.json"
-    with pytest.warns(UserWarning):
-        code, obj = run_json(
-            capsys, "certify", "--n", "3", "--t", "1", "--k", "2", "--p", "3",
-            "--seed", "-5", "--max-attempts", "11", "-o", str(cert_path),
-        )
+    code, obj = run_json(
+        capsys, "certify", "--n", "3", "--t", "1", "--k", "2", "--p", "3",
+        "--seed", "-5", "--max-attempts", "11", "-o", str(cert_path),
+    )
     assert code == 1 and set(obj) == {"error"} and "-5" in obj["error"] and not cert_path.exists()
     assert run_json(
         capsys, "certify", "--n", "3", "--t", "4", "--k", "3", "--p", "2",

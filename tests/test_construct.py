@@ -24,7 +24,7 @@ from commdim import (
     unitalize,
     verify_axioms,
 )
-from commdim.bounds import SIZE_DIGITS
+from commdim.gf import SIZE_DIGITS
 from commdim.construct import ExtremalParams
 
 F2 = PrimeField(2)

@@ -487,13 +487,15 @@ def test_engine_matches_enumeration_oracle(ft):
          "does not live on the forms' space"),
         (lambda: is_common_isotropic(sample_form_tuple(3, 1, "alternating", F2, 1), Subspace.zero(3, 3)),
          "does not live on the forms' space"),
-        (lambda: certify_no_isotropic(3, 1, 2, F2, None), "requires an explicit seed"),
-        (lambda: certify_no_isotropic(-1, 1, 2, F2, 1), "need n >= 0"),
-        (lambda: certify_no_isotropic(3, 1, -1, F2, 1), "need n >= 0"),
+        (lambda: certify_no_isotropic(3, 1, 2, F2, None), "seed must be an int, got None"),
+        (lambda: certify_no_isotropic(-1, 1, 2, F2, 1), "n must be at least 0, got -1"),
+        (lambda: certify_no_isotropic(3, 1, -1, F2, 1), "k must be at least 0, got -1"),
         # k > n would issue a vacuous certificate without ever reading the mode
         (lambda: certify_no_isotropic(2, 1, 3, F2, 1, mode="nonsense"), "unknown mode 'nonsense'"),
         (lambda: GenericityCertificate.from_json(dict(certify_no_isotropic(2, 3, 3, F2, 1).to_json(), mode="nonsense")),
          "unknown mode 'nonsense'"),
+        (lambda: GenericityCertificate.from_json(dict(certify_no_isotropic(2, 3, 3, F2, 1).to_json(), k=-1)),
+         "^k must be at least 0, got -1$"),
         # refused before any search: Z/4 and Z/1 are not fields, and a stack must be (t, n, n)
         (lambda: largest_common_isotropic(np.ones((1, 3, 3), dtype=np.int64), 4), "^4 is not prime$"),
         (lambda: largest_common_isotropic(np.ones((1, 3, 3), dtype=np.int64), 1), r"^field order must lie in \[2, "),
@@ -506,7 +508,7 @@ def test_engine_matches_enumeration_oracle(ft):
                      marks=pytest.mark.filterwarnings("error")),
     ],
     ids=["form-kind", "mode", "subspace-dim", "subspace-p", "seed-none", "n-negative", "k-negative",
-         "certify-mode", "certificate-mode", "search-p-composite", "search-p-one", "search-p-float",
+         "certify-mode", "certificate-mode", "certificate-k-negative", "search-p-composite", "search-p-one", "search-p-float",
          "search-stack-2d", "search-stack-not-square", "certify-n-past-cap-no-warning", "certify-kind-no-warning"],
 )
 def test_input_checks_raise_value_error(call, message):
@@ -519,6 +521,9 @@ def test_seed_is_an_int_or_none_and_round_trips():
     for seed in (True, 1.5, "7"):
         with pytest.raises(ValueError, match="seed must be an int or None"):
             FormTuple(2, 1, "alternating", F2, [[[0, 1], [1, 0]]], seed=seed)
+    # so did n = 2.0, whose document wrote "n": 2.0
+    with pytest.raises(ValueError, match=r"^n must be an int, got 2\.0$"):
+        FormTuple(2.0, 1, "alternating", F2, [[[0, 1], [1, 0]]])
     ft = sample_form_tuple(3, 2, "alternating", F3, 2**70)
     back = FormTuple.from_json(json.loads(json.dumps(ft.to_json())))
     assert back == ft and back.seed == 2**70

@@ -12,8 +12,20 @@ from commdim import (
     PrimeField,
     StructureConstantAlgebra,
     Subspace,
+    bound_table,
+    certify_no_isotropic,
+    check_structural_bound,
+    class2_exact_result,
+    extremal_params,
+    find_common_isotropic,
     gaussian_binomial,
     is_prime,
+    matrix_algebra,
+    matrix_commutative_subalgebra,
+    max_abelian_exact,
+    reverify_certificate,
+    sample_form_tuple,
+    simple_lie_data,
 )
 from commdim import gf
 from commdim.algebra import MAX_ALGEBRA_DIM, pairwise_products
@@ -552,3 +564,60 @@ def test_elimination_at_the_largest_prime_and_dimension(rows):
 def test_input_checks_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_STACK = np.array([[[0, 1], [1, 0]]])
+_HEISENBERG = StructureConstantAlgebra("lie", PrimeField(2), 3, {(0, 1): [0, 0, 1]})
+_FORMS = [[[0, 1], [1, 0]]]
+_TYPES = (2.0, True, "2", None)
+
+
+def _certified():
+    return certify_no_isotropic(3, 4, 3, PrimeField(2), seed=7, max_attempts=64)
+
+
+@pytest.mark.parametrize(
+    "call, name, low, bad_types",
+    [
+        pytest.param(lambda v: gaussian_binomial(v, 1, 2), "n", 0, _TYPES, id="gaussian-binomial-n"),
+        pytest.param(lambda v: gaussian_binomial(3, v, 2), "k", 0, _TYPES, id="gaussian-binomial-k"),
+        pytest.param(lambda v: gaussian_binomial(3, 1, v), "q", 2, _TYPES, id="gaussian-binomial-q"),
+        pytest.param(lambda v: Subspace.zero(2, v), "n", 0, _TYPES, id="subspace-zero"),
+        pytest.param(lambda v: Subspace.span(2, [], v), "ambient_dim", 0, (2.0, True, "2"), id="subspace-span"),
+        pytest.param(lambda v: StructureConstantAlgebra("lie", PrimeField(2), v, {}), "dim", 0, _TYPES, id="algebra-dim"),
+        pytest.param(lambda v: FormTuple(v, 1, "alternating", PrimeField(2), _FORMS), "n", 0, _TYPES, id="form-tuple-n"),
+        pytest.param(lambda v: FormTuple(2, v, "alternating", PrimeField(2), _FORMS), "t", 1, _TYPES, id="form-tuple-t"),
+        pytest.param(lambda v: sample_form_tuple(v, 1, "alternating", PrimeField(2), 0), "n", 0, _TYPES, id="sample-n"),
+        pytest.param(lambda v: sample_form_tuple(2, v, "alternating", PrimeField(2), 0), "t", 1, _TYPES, id="sample-t"),
+        pytest.param(lambda v: sample_form_tuple(2, 1, "alternating", PrimeField(2), v), "seed", 0, _TYPES, id="sample-seed"),
+        pytest.param(lambda v: certify_no_isotropic(3, 4, 3, PrimeField(2), 7, budget=v), "budget", 0, _TYPES,
+                     id="certify-budget"),
+        pytest.param(lambda v: certify_no_isotropic(3, 4, 3, PrimeField(2), v), "seed", 0, _TYPES, id="certify-seed"),
+        pytest.param(lambda v: certify_no_isotropic(v, 4, 3, PrimeField(2), 7), "n", 0, _TYPES, id="certify-n"),
+        pytest.param(lambda v: certify_no_isotropic(3, v, 3, PrimeField(2), 7), "t", 1, _TYPES, id="certify-t"),
+        pytest.param(lambda v: certify_no_isotropic(3, 4, v, PrimeField(2), 7), "k", 0, _TYPES, id="certify-k"),
+        pytest.param(lambda v: certify_no_isotropic(3, 4, 3, PrimeField(2), 7, max_attempts=v), "max_attempts", 1, _TYPES,
+                     id="certify-max-attempts"),
+        pytest.param(lambda v: reverify_certificate(_certified(), budget=v), "budget", 0, _TYPES, id="reverify-budget"),
+        # k None asks for the largest subspace
+        pytest.param(lambda v: largest_common_isotropic(_STACK, 2, k=v), "k", 0, (2.0, True, "2"), id="search-k"),
+        pytest.param(lambda v: largest_common_isotropic(_STACK, 2, budget=v), "budget", 0, _TYPES, id="search-budget"),
+        pytest.param(lambda v: find_common_isotropic(_certified().forms, v), "k", 0, _TYPES, id="find-k"),
+        pytest.param(lambda v: max_abelian_exact(_HEISENBERG, budget=v), "budget", 0, _TYPES, id="exact-budget"),
+        pytest.param(lambda v: class2_exact_result(_HEISENBERG, budget=v), "budget", 0, _TYPES, id="class2-budget"),
+        pytest.param(lambda v: extremal_params(v), "s", 2, _TYPES, id="extremal-params-s"),
+        pytest.param(lambda v: matrix_algebra(v, PrimeField(2)), "r", 1, _TYPES, id="matrix-algebra-r"),
+        pytest.param(lambda v: matrix_commutative_subalgebra(v, PrimeField(2), "corner"), "r", 1, _TYPES, id="matrix-comm-r"),
+        pytest.param(lambda v: bound_table(v, "C"), "n", 1, _TYPES, id="bound-table-n"),
+        # rank None is "type B requires a rank"
+        pytest.param(lambda v: simple_lie_data("B", v), "rank", 3, (2.0, True, "2"), id="simple-lie-rank"),
+        pytest.param(lambda v: check_structural_bound(_HEISENBERG, v, "class2"), "n", 0, _TYPES, id="structural-n"),
+    ],
+)
+def test_every_int_argument_is_an_int_at_least_its_lower_bound(call, name, low, bad_types):
+    # a float, a bool, a text or None used to slip through, or to raise TypeError
+    for bad in bad_types:
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got {re.escape(repr(bad))}$"):
+            call(bad)
+    with pytest.raises(ValueError, match=rf"^{name} must be at least {low}, got {low - 1}$"):
+        call(low - 1)
